@@ -24,8 +24,6 @@ from .bitstrings import (
     swap_halves,
 )
 from .linalg import (
-    Observable,
-    OperatorString,
     StateVector,
     bipartite_expectation,
     distance2,
@@ -41,12 +39,10 @@ from .strategies import (
     EpsilonBundle,
     Measurement,
     NoiseSpec,
-    Question,
     Strategy,
     honest_my_strategy,
     honest_spp_strategy,
     load_strategy,
-    observable_for_symbol,
     perturb_strategy,
     strategy_from_json,
     strategy_to_json,
@@ -65,10 +61,8 @@ from .protocols import (
 )
 from .game import (
     MAX_GAME_EXPECTATION,
-    GameOutcome,
     delta_and_epsilon,
     game_expectation_exact,
-    game_round_sample,
     referee_expectation_check,
     sample_game,
     win_predicate,
@@ -94,7 +88,6 @@ from .isometry import (
     IsometryReport,
     apply_isometry,
     junk_state,
-    selftest_distance,
     verify_bound,
 )
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 from .bitstrings import BitString, dot, half_a, half_b, hamming_weight, swap_halves
 from .strategies import EpsilonBundle
@@ -261,51 +261,40 @@ def _radicand_terms(pair) -> dict:
     return {"radicand_1": float(pair[0]), "radicand_2": float(pair[1])}
 
 
+# name -> (value, radicand pair or None), both of (n, weight_p, bundle).
+_BOUNDS: dict[str, tuple[Callable, Optional[Callable]]] = {
+    "sufficient-conditions": (
+        sufficient_conditions_bound,
+        sufficient_conditions_radicands,
+    ),
+    "mayers-yao-ac": (lambda n, w, e: mayers_yao_anticommute_bound(e.eps), None),
+    "chsh-ac": (lambda n, w, e: chsh_anticommute_bound(e.eps), None),
+    "my-parallel": (
+        lambda n, w, e: my_parallel_bound(n, w, e.eps),
+        lambda n, w, e: my_parallel_radicands(n, w, e.eps),
+    ),
+    "my-parallel-recomputed": (
+        lambda n, w, e: my_parallel_recomputed_bound(n, w, e.eps),
+        None,
+    ),
+    "spp": (
+        lambda n, w, e: spp_selftest_bound(n, w, e.eps),
+        lambda n, w, e: spp_radicands(n, w, math.sqrt(2 * e.eps)),
+    ),
+    "spp-recomputed": (lambda n, w, e: spp_recomputed_bound(n, w, e.eps), None),
+    "game": (lambda n, w, e: game_robustness_bound(n, w, e.delta), None),
+}
+
+
 def evaluate_bound(name: str, n: int, weight_p: int, e: EpsilonBundle) -> BoundReport:
     """Scalar-input bound registry backing the command-line interface."""
-    if name == "sufficient-conditions":
-        return _report(
-            name, n, weight_p, e,
-            sufficient_conditions_bound(n, weight_p, e),
-            _radicand_terms(sufficient_conditions_radicands(n, weight_p, e)),
-        )
-    if name == "mayers-yao-ac":
-        return _report(name, n, weight_p, e, mayers_yao_anticommute_bound(e.eps))
-    if name == "chsh-ac":
-        return _report(name, n, weight_p, e, chsh_anticommute_bound(e.eps))
-    if name == "my-parallel":
-        return _report(
-            name, n, weight_p, e,
-            my_parallel_bound(n, weight_p, e.eps),
-            _radicand_terms(my_parallel_radicands(n, weight_p, e.eps)),
-        )
-    if name == "my-parallel-recomputed":
-        return _report(
-            name, n, weight_p, e, my_parallel_recomputed_bound(n, weight_p, e.eps)
-        )
-    if name == "spp":
-        return _report(
-            name, n, weight_p, e,
-            spp_selftest_bound(n, weight_p, e.eps),
-            _radicand_terms(spp_radicands(n, weight_p, math.sqrt(2 * e.eps))),
-        )
-    if name == "spp-recomputed":
-        return _report(name, n, weight_p, e, spp_recomputed_bound(n, weight_p, e.eps))
-    if name == "game":
-        return _report(
-            name, n, weight_p, e, game_robustness_bound(n, weight_p, e.delta)
-        )
-    raise ValueError(f"unknown bound {name!r}; known: {sorted(bound_names())}")
+    if name not in _BOUNDS:
+        raise ValueError(f"unknown bound {name!r}; known: {sorted(bound_names())}")
+    value, radicands = _BOUNDS[name]
+    result = value(n, weight_p, e)
+    terms = _radicand_terms(radicands(n, weight_p, e)) if radicands else None
+    return _report(name, n, weight_p, e, result, terms)
 
 
 def bound_names() -> tuple[str, ...]:
-    return (
-        "sufficient-conditions",
-        "mayers-yao-ac",
-        "chsh-ac",
-        "my-parallel",
-        "my-parallel-recomputed",
-        "spp",
-        "spp-recomputed",
-        "game",
-    )
+    return tuple(_BOUNDS)

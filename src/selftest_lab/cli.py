@@ -4,8 +4,8 @@ Subcommands: lemma-checks, honest-check, bounds, verify-isometry, game,
 sweep-noise.  Reports are JSON on stdout (optionally a file), floats are
 rounded to 15 significant digits, and every report embeds the SHA-256 of
 its canonical config so identical runs are byte-identical.  Exit status is
-0 iff every assertion in the run passed; usage errors exit 2.  The env var
-SELFTEST_LAB_THREADS caps the worker count for distance evaluations.
+0 iff every assertion in the run passed; usage errors and rejected input
+exit 2.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ from .game import (
 from .isometry import verify_bound
 from .protocols import epsilon_my, epsilon_spp, my_test_spec, spp_test_spec
 from .strategies import (
+    FLAVORS,
+    MY_FLAVOR,
+    SPP_FLAVOR,
     EpsilonBundle,
     NoiseSpec,
     Strategy,
@@ -39,6 +42,7 @@ from .strategies import (
     honest_spp_strategy,
     load_strategy,
     perturb_strategy,
+    validate_strategy,
 )
 
 HONEST_CHECK_TOL = 1e-12
@@ -112,19 +116,45 @@ class RunConfig:
         return {k: v for k, v in asdict(self).items() if v is not None}
 
 
-def _resolve_strategy(cfg: RunConfig) -> Strategy:
+def _flavor_functions(flavor: str):
+    """(honest builder, epsilon, test spec) of a flavor.
+
+    Looked up from this module's globals on each call, so a replaced
+    global takes effect.
+    """
+    return {
+        MY_FLAVOR: (honest_my_strategy, epsilon_my, my_test_spec),
+        SPP_FLAVOR: (honest_spp_strategy, epsilon_spp, spp_test_spec),
+    }[flavor]
+
+
+def _resolve_strategy(cfg: RunConfig, flavor: str) -> Strategy:
+    """The run's strategy, rejected unless it is projective and carries the
+    questions of the flavor the command tests."""
     if cfg.strategy in ("honest-my", "honest-spp"):
         if cfg.m is None:
             raise UsageError("named strategies need --m")
-        build = honest_my_strategy if cfg.strategy == "honest-my" else honest_spp_strategy
+        build, _, _ = _flavor_functions(cfg.strategy.removeprefix("honest-"))
         s = build(cfg.m)
         if cfg.theta or cfg.w:
             s = perturb_strategy(
                 s, NoiseSpec(theta=cfg.theta, w=cfg.w), seed=cfg.noise_seed
             )
-        return s
-    with open(cfg.strategy) as fh:
-        return load_strategy(json.load(fh))
+    else:
+        with open(cfg.strategy) as fh:
+            s = load_strategy(json.load(fh))
+    missing = FLAVORS[flavor].missing_kinds(s)
+    if missing:
+        raise ValueError(
+            f"strategy lacks the {flavor} question kinds {', '.join(missing)}"
+        )
+    failures = validate_strategy(s).failures()
+    if failures:
+        raise ValueError(
+            "strategy is not projective: "
+            + "; ".join(f"{c.subject} {c.name} {c.max_deviation:.3g}" for c in failures)
+        )
+    return s
 
 
 # --- lemma-checks -----------------------------------------------------------
@@ -197,14 +227,12 @@ def cmd_honest_check(args) -> tuple[int, dict, list]:
     if args.m > 3:
         raise UsageError(f"honest-check is capped at m=3, got {args.m}")
     config = {"command": "honest-check", "flavor": args.flavor, "m": args.m}
-    if args.flavor == "my":
-        strategy = honest_my_strategy(args.m)
-        rep = epsilon_my(strategy)
-        game = None
-        ok = rep.eps <= HONEST_CHECK_TOL
-    elif args.flavor == "spp":
-        strategy = honest_spp_strategy(args.m)
-        rep = epsilon_spp(strategy)
+    build, measure, _ = _flavor_functions(args.flavor)
+    strategy = build(args.m)
+    rep = measure(strategy)
+    game = None
+    ok = rep.eps <= HONEST_CHECK_TOL
+    if args.flavor == SPP_FLAVOR:
         exact = game_expectation_exact(strategy)
         delta, game_eps = delta_and_epsilon(strategy)
         game_ok = abs(exact - MAX_GAME_EXPECTATION) <= HONEST_CHECK_TOL
@@ -215,9 +243,7 @@ def cmd_honest_check(args) -> tuple[int, dict, list]:
             "ideal": MAX_GAME_EXPECTATION,
             "passed": game_ok,
         }
-        ok = rep.eps <= HONEST_CHECK_TOL and game_ok
-    else:
-        raise UsageError(f"unknown flavor {args.flavor!r}")
+        ok = ok and game_ok
     report = {
         "command": "honest-check",
         "config": config,
@@ -289,9 +315,10 @@ def cmd_verify_isometry(args) -> tuple[int, dict, list]:
         pairs=pairs,
         sample_count=sample_count,
     )
-    strategy = _resolve_strategy(cfg)
-    spec = my_test_spec(strategy.m) if args.test == "my" else spp_test_spec(strategy.m)
-    eps_report = epsilon_my(strategy) if args.test == "my" else epsilon_spp(strategy)
+    strategy = _resolve_strategy(cfg, args.test)
+    _, measure, test_spec = _flavor_functions(args.test)
+    spec = test_spec(strategy.m)
+    eps_report = measure(strategy)
     reports = verify_bound(
         strategy,
         spec,
@@ -345,7 +372,7 @@ def cmd_game(args) -> tuple[int, dict, None]:
         seed=args.seed,
         rounds=args.rounds,
     )
-    strategy = _resolve_strategy(cfg)
+    strategy = _resolve_strategy(cfg, SPP_FLAVOR)
     exact = game_expectation_exact(strategy)
     delta, eps = delta_and_epsilon(strategy)
     bound = bnd.game_robustness_bound(2 * strategy.m, 0, delta)
@@ -392,10 +419,9 @@ def cmd_sweep_noise(args) -> tuple[int, dict, list]:
         pairs=pairs,
         sample_count=sample_count,
     )
-    build = honest_my_strategy if args.flavor == "my" else honest_spp_strategy
+    build, measure, test_spec = _flavor_functions(args.flavor)
     honest = build(args.m)
-    spec = my_test_spec(args.m) if args.flavor == "my" else spp_test_spec(args.m)
-    measure = epsilon_my if args.flavor == "my" else epsilon_spp
+    spec = test_spec(args.m)
     points = []
     ok = True
     for i, (theta, w) in enumerate((t, w) for t in thetas for w in ws):
@@ -408,10 +434,9 @@ def cmd_sweep_noise(args) -> tuple[int, dict, list]:
             sample_count=sample_count, eps=eps,
         )
         max_dist = max(r.distance for r in reports)
-        bounds = reports[0].bounds if reports else {}
-        names = sorted(bounds)
-        printed = max(bounds[n] for n in names if "recomputed" not in n)
-        recomputed = max(bounds[n] for n in names if "recomputed" in n)
+        printed, recomputed = (
+            reports[0].bounds[name] for name in FLAVORS[args.flavor].bounds
+        )
         point_ok = all(r.passed for r in reports)
         ok = ok and point_ok
         points.append(
@@ -558,7 +583,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (KeyError, ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     emit(report, args.out, args.csv, csv_rows)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -38,21 +37,6 @@ def win_predicate(qa: str, qb: str, a: int, b: int) -> bool:
     if a not in (-1, 1) or b not in (-1, 1):
         raise ValueError(f"answers must be +-1, got ({a}, {b})")
     return a * b == WIN_SIGNS[(qa, qb)]
-
-
-@dataclass(frozen=True)
-class GameOutcome:
-    """One round: per-sub-test accept values, threshold, overall accept."""
-
-    accepts: tuple[int, ...]
-    threshold: int
-    accepted: int
-    questions: tuple[tuple[str, str], ...] = ()
-
-    def __post_init__(self):
-        expected = 1 if sum(self.accepts) >= self.threshold else -1
-        if self.accepted != expected:
-            raise ValueError("accept bit inconsistent with threshold rule")
 
 
 def _real(val: complex) -> float:
@@ -92,12 +76,6 @@ def game_expectation_exact(s: Strategy, limit: int = EXACT_GAME_LIMIT) -> float:
 
 def _joint_distribution(s: Strategy, qa: str, qb: str):
     """Born-rule distribution over joint answer strings for one question pair."""
-    cache = getattr(s, "_game_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(s, "_game_cache", cache)
-    if (qa, qb) in cache:
-        return cache[(qa, qb)]
     psi = s.state.reshaped()
     meas_a = s.measurement("alice", qa)
     meas_b = s.measurement("bob", qb)
@@ -110,32 +88,7 @@ def _joint_distribution(s: Strategy, qa: str, qb: str):
             probs.append(float(np.linalg.norm(left @ pb.T) ** 2))
     probs = np.asarray(probs)
     probs = probs / probs.sum()
-    cache[(qa, qb)] = (outcomes, probs)
     return outcomes, probs
-
-
-def game_round_sample(s: Strategy, rng: np.random.Generator) -> GameOutcome:
-    """One referee round with Born-rule answers; deterministic given the rng."""
-    m = s.m
-    combo = tuple(int(i) for i in rng.integers(0, 10, size=m))
-    qa, qb = _party_strings(combo)
-    outcomes, probs = _joint_distribution(s, qa, qb)
-    idx = int(rng.choice(len(outcomes), p=probs))
-    ans_a, ans_b = outcomes[idx]
-    accepts = tuple(
-        1
-        if win_predicate(*SPP_ALLOWED_PAIRS[combo[k]], ans_a[k], ans_b[k])
-        else -1
-        for k in range(m)
-    )
-    threshold = int(rng.integers(-m + 1, m + 1))
-    accepted = 1 if sum(accepts) >= threshold else -1
-    return GameOutcome(
-        accepts=accepts,
-        threshold=threshold,
-        accepted=accepted,
-        questions=tuple(SPP_ALLOWED_PAIRS[i] for i in combo),
-    )
 
 
 def sample_game(

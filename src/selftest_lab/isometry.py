@@ -10,8 +10,6 @@ and residual x ideal is what the robustness bounds cap.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -26,8 +24,8 @@ from .bounds import (
     spp_selftest_bound,
 )
 from .linalg import StateVector, graph_state, walsh_hadamard
-from .protocols import TestSpec, epsilon_my, epsilon_spp
-from .strategies import MY_FLAVOR, SPP_FLAVOR, Strategy, all_symbol_kind
+from .protocols import TestSpec
+from .strategies import FLAVORS, Strategy
 
 JUNK_LIMIT = 6  # the residual-state double sum enumerates 2^(2n) terms
 DISTANCE_SLACK = 1e-9  # numerical slack when comparing distance to a bound
@@ -52,28 +50,13 @@ class IsometryPlan:
             ("U", self.ancilla_dim),
         )
 
-    @property
-    def output_dim(self) -> int:
-        return self.system_dim * self.ancilla_dim**2
-
-    @property
-    def steps(self) -> tuple[str, ...]:
-        return (
-            "attach ancilla pairs (k, k+n) in (|00>+|11>)/sqrt(2), k=1..n",
-            "controlled-X_k on system, control U qubit k, k=n..1",
-            "Hadamard on every U qubit",
-            "controlled-Z_k on system, control U qubit k, k=n..1",
-            "Hadamard on every U qubit",
-            "controlled-X_k on system, control U qubit k, k=n..1",
-        )
-
 
 def detect_flavor(s: Strategy) -> str:
     """Infer which test's named questions a strategy carries."""
-    if "X" in s.kinds("alice") and "Z" in s.kinds("alice"):
-        return MY_FLAVOR
-    if "X" * s.m in s.kinds("alice") and "Z" * s.m in s.kinds("alice"):
-        return SPP_FLAVOR
+    kinds = set(s.kinds("alice"))
+    for flavor in FLAVORS.values():
+        if {flavor.symbol_kind("X", s.m), flavor.symbol_kind("Z", s.m)} <= kinds:
+            return flavor.name
     raise ValueError(
         "strategy exposes neither the X/Z questions nor the all-X/all-Z strings"
     )
@@ -88,8 +71,8 @@ def xz_observables(
     """
     if flavor is None:
         flavor = detect_flavor(s)
-    x_kind = all_symbol_kind("X", flavor, s.m)
-    z_kind = all_symbol_kind("Z", flavor, s.m)
+    x_kind = FLAVORS[flavor].symbol_kind("X", s.m)
+    z_kind = FLAVORS[flavor].symbol_kind("Z", s.m)
     eye_a, eye_b = np.eye(s.dim_a), np.eye(s.dim_b)
     xs, zs = [], []
     for k in range(1, 2 * s.m + 1):
@@ -203,18 +186,9 @@ def pauli_string_state(p: BitString, q: BitString, base: np.ndarray) -> np.ndarr
     if q.n != n or base.shape != (2**n,):
         raise ValueError("p, q and the base state must share one qubit count")
     v = np.arange(2**n)
-    signs = (-1.0) ** (_popcount_array(v & p.value))
+    signs = (-1.0) ** np.bitwise_count(v & p.value)
     out = np.empty_like(base)
     out[v ^ q.value] = signs * base
-    return out
-
-
-def _popcount_array(values: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(values)
-    v = values.copy()
-    while v.any():
-        out += v & 1
-        v >>= 1
     return out
 
 
@@ -245,12 +219,6 @@ class IsometryContext:
         return float(np.linalg.norm(image - target))
 
 
-def selftest_distance(
-    s: Strategy, p: BitString, q: BitString, flavor: Optional[str] = None
-) -> float:
-    return IsometryContext(s, flavor).distance(p, q)
-
-
 @dataclass(frozen=True)
 class IsometryReport:
     p: str
@@ -271,14 +239,6 @@ class IsometryReport:
             },
             "passed": self.passed,
         }
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("SELFTEST_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def select_pairs(
@@ -308,34 +268,38 @@ def select_pairs(
     raise ValueError(f"unknown pair policy {pairs!r}")
 
 
+def _bound_functions(flavor: str) -> dict:
+    """Name -> function of a flavor's (printed, recomputed) bounds.
+
+    Looked up from this module's globals on each call, so a replaced
+    global takes effect.
+    """
+    functions = {
+        "my-parallel": my_parallel_bound,
+        "my-parallel-recomputed": my_parallel_recomputed_bound,
+        "spp": spp_selftest_bound,
+        "spp-recomputed": spp_recomputed_bound,
+    }
+    return {name: functions[name] for name in FLAVORS[flavor].bounds}
+
+
 def verify_bound(
     s: Strategy,
     test: TestSpec,
     pairs: str = "auto",
     seed: int = 0,
     sample_count: int = 64,
-    eps: Optional[float] = None,
+    *,
+    eps: float,
 ) -> list[IsometryReport]:
     """Distance-vs-bound report over selected (p, q) pairs.
 
     The bound compared against is the larger of the published closed form
     and the recomputed substitution path, evaluated at the measured epsilon.
     """
-    if eps is None:
-        report = epsilon_my(s) if test.flavor == MY_FLAVOR else epsilon_spp(s)
-        eps = report.eps
     n = 2 * s.m
     ctx = IsometryContext(s, test.flavor)
-    if test.flavor == MY_FLAVOR:
-        bound_fns = {
-            "my-parallel": my_parallel_bound,
-            "my-parallel-recomputed": my_parallel_recomputed_bound,
-        }
-    else:
-        bound_fns = {
-            "spp": spp_selftest_bound,
-            "spp-recomputed": spp_recomputed_bound,
-        }
+    bound_fns = _bound_functions(test.flavor)
     selected = select_pairs(n, pairs=pairs, seed=seed, sample_count=sample_count)
 
     def evaluate(pq):
@@ -352,8 +316,4 @@ def verify_bound(
             passed=dist <= max(bounds.values()) + DISTANCE_SLACK,
         )
 
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(evaluate, selected))
     return [evaluate(pq) for pq in selected]

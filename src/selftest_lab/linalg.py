@@ -87,44 +87,17 @@ class StateVector:
         return StateVector(self.amps, layout, atol=atol)
 
 
-@dataclass(frozen=True)
-class Observable:
-    """Hermitian unitary matrix acting on declared qubit sites or a register."""
-
-    matrix: np.ndarray
-    sites: Union[tuple[int, ...], str]
-
-    def __init__(self, matrix, sites, atol: float = STRUCTURAL_ATOL):
-        m = np.asarray(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"observable must be square, got shape {m.shape}")
-        if not np.allclose(m, m.conj().T, atol=atol):
-            raise ValueError("observable is not Hermitian")
-        if not np.allclose(m @ m.conj().T, np.eye(m.shape[0]), atol=atol):
-            raise ValueError("observable is not unitary")
-        if not isinstance(sites, str):
-            sites = tuple(int(k) for k in sites)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "sites", sites)
-
-
 def kron(*mats: np.ndarray) -> np.ndarray:
     return functools.reduce(np.kron, mats)
 
 
-def embed(op: Union[Observable, np.ndarray], layout, sites=None) -> np.ndarray:
+def embed(op: np.ndarray, layout, sites: Union[str, Sequence[int]]) -> np.ndarray:
     """Place an operator on its sites with identity elsewhere.
 
     ``sites`` is a register name from the layout, or a tuple of 1-based qubit
-    positions when every register in the layout is a qubit.  An Observable
-    carries its own sites.
+    positions when every register in the layout is a qubit.
     """
-    if isinstance(op, Observable):
-        mat, sites = op.matrix, op.sites
-    else:
-        mat = np.asarray(op, dtype=complex)
-        if sites is None:
-            raise ValueError("bare matrices need explicit sites")
+    mat = np.asarray(op, dtype=complex)
     layout = _normalize_layout(layout)
 
     if isinstance(sites, str):
@@ -182,31 +155,6 @@ def ordered_power(ops: Sequence[np.ndarray], t: BitString) -> np.ndarray:
     return acc
 
 
-@dataclass(frozen=True)
-class OperatorString:
-    """An ordered operator family raised to a bit-string exponent."""
-
-    ops: tuple
-    exponent: BitString
-
-    def __post_init__(self):
-        if len(self.ops) != self.exponent.n:
-            raise ValueError(
-                f"family size {len(self.ops)} != exponent length {self.exponent.n}"
-            )
-
-    def matrix(self) -> np.ndarray:
-        return ordered_power(self.ops, self.exponent)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Apply to a vector, highest selected index first."""
-        out = np.asarray(vec, dtype=complex)
-        for k in range(self.exponent.n, 0, -1):
-            if self.exponent.bit(k):
-                out = self.ops[k - 1] @ out
-        return out
-
-
 def graph_state(
     adj: AdjacencyMatrix, phase: Optional[PhaseFunction] = None
 ) -> StateVector:
@@ -234,14 +182,6 @@ def distance2(v: StateVector, w: StateVector) -> float:
     if v.dim != w.dim:
         raise ValueError(f"dimension mismatch: {v.dim} vs {w.dim}")
     return float(np.linalg.norm(v.amps - w.amps))
-
-
-def aligned_distance2(v: StateVector, w: StateVector) -> float:
-    """2-norm after multiplying w by the global phase that maximizes overlap."""
-    ip = inner(v, w)
-    if abs(ip) < 1e-300:
-        return distance2(v, w)
-    return float(np.linalg.norm(v.amps - (ip.conjugate() / abs(ip)) * w.amps))
 
 
 def expectation(state: StateVector, op: np.ndarray) -> float:
@@ -275,9 +215,4 @@ def bipartite_expectation(
 def walsh_hadamard(n: int) -> np.ndarray:
     """Normalized H^(x n): entry (u, v) = (-1)^(u.v) / 2^(n/2)."""
     u = np.arange(2**n)
-    bits = (u[:, None] & u[None, :])
-    parity = np.zeros_like(bits)
-    while bits.any():
-        parity ^= bits & 1
-        bits >>= 1
-    return ((-1.0) ** parity) / 2 ** (n / 2)
+    return ((-1.0) ** np.bitwise_count(u[:, None] & u[None, :])) / 2 ** (n / 2)

@@ -16,13 +16,12 @@ from dataclasses import dataclass
 
 from .linalg import bipartite_expectation
 from .strategies import (
+    FLAVORS,
     MY_FLAVOR,
     SPP_FLAVOR,
     Strategy,
-    all_symbol_kind,
     ceil_log2,
     honest_my_strategy,
-    my_question_kinds,
 )
 
 CHSH_MAX = 2.0 * math.sqrt(2.0)
@@ -47,24 +46,14 @@ SPP_ALLOWED_PAIRS: tuple[tuple[str, str], ...] = (
 class TestSpec:
     flavor: str
     m: int
-    allowed_pairs: tuple[tuple[str, str], ...]
 
 
 def my_test_spec(m: int) -> TestSpec:
-    """Allowed question pairs of the pair test: no D-D, no index-index."""
-    kinds = my_question_kinds(m)
-    indexed = {k for k in kinds if len(k) > 1}
-    pairs = tuple(
-        (qa, qb)
-        for qa, qb in itertools.product(kinds, repeat=2)
-        if not (qa == "D" and qb == "D")
-        and not (qa in indexed and qb in indexed)
-    )
-    return TestSpec(MY_FLAVOR, m, pairs)
+    return TestSpec(MY_FLAVOR, m)
 
 
 def spp_test_spec(m: int) -> TestSpec:
-    return TestSpec(SPP_FLAVOR, m, SPP_ALLOWED_PAIRS)
+    return TestSpec(SPP_FLAVOR, m)
 
 
 @dataclass(frozen=True)
@@ -84,12 +73,6 @@ class CorrelationReport:
 
     def argmax(self) -> CorrelationEntry:
         return max(self.entries, key=lambda e: e.deviation)
-
-    def to_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "entries": [vars(e) for e in self.entries],
-        }
 
     def csv_rows(self):
         yield ("alice", "bob", "k", "measured", "ideal", "deviation")
@@ -164,13 +147,13 @@ def epsilon_my(s: Strategy) -> CorrelationReport:
     return CorrelationReport(tuple(entries), max(e.deviation for e in entries))
 
 
-def chsh_value(s: Strategy, k: int, direction: str = "ab", flavor: str = SPP_FLAVOR) -> float:
+def chsh_value(s: Strategy, k: int, direction: str = "ab") -> float:
     """CHSH combination for sub-test k.
 
     Direction "ab": Alice's X/Z observables against Bob's D/E; "ba" swaps
     the roles.  All four observables come from the all-one-symbol questions.
     """
-    kind = {sym: all_symbol_kind(sym, flavor, s.m) for sym in "XZDE"}
+    kind = {sym: FLAVORS[SPP_FLAVOR].symbol_kind(sym, s.m) for sym in "XZDE"}
     if direction == "ab":
         x = s.observable("alice", kind["X"], k)
         z = s.observable("alice", kind["Z"], k)

@@ -12,13 +12,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .bitstrings import AdjacencyMatrix
 from .linalg import (
-    Observable,
     StateVector,
     STRUCTURAL_ATOL,
     graph_state,
@@ -37,16 +36,6 @@ def basis_vectors(symbol: str) -> tuple[np.ndarray, np.ndarray]:
     theta = _BASIS_ANGLES[symbol]
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     return np.array([c, s], dtype=complex), np.array([-s, c], dtype=complex)
-
-
-@dataclass(frozen=True)
-class Question:
-    party: str  # "alice" | "bob"
-    kind: str
-
-    def __post_init__(self):
-        if self.party not in ("alice", "bob"):
-            raise ValueError(f"unknown party {self.party!r}")
 
 
 class Measurement:
@@ -87,11 +76,6 @@ def symbol_projector(meas: Measurement, k: int, x: int) -> np.ndarray:
 
 def _symbol_observable_matrix(meas: Measurement, k: int) -> np.ndarray:
     return symbol_projector(meas, k, 1) - symbol_projector(meas, k, -1)
-
-
-def observable_for_symbol(meas: Measurement, k: int, sites="local") -> Observable:
-    """Hermitian unitary observable for the k-th answer symbol."""
-    return Observable(_symbol_observable_matrix(meas, k), sites)
 
 
 @dataclass(frozen=True)
@@ -212,15 +196,36 @@ def spp_question_kinds(m: int) -> tuple[str, ...]:
     )
 
 
-def all_symbol_kind(symbol: str, flavor: str, m: int) -> str:
-    """The question kind whose every sub-test measures the given symbol."""
-    if flavor == MY_FLAVOR:
-        if symbol not in ("X", "Z", "D"):
-            raise ValueError(f"symbol {symbol!r} has no dedicated question")
-        return symbol
-    if flavor == SPP_FLAVOR:
-        return symbol * m
-    raise ValueError(f"unknown flavor {flavor!r}")
+@dataclass(frozen=True)
+class Flavor:
+    """One parallel self-test: its questions and the bounds that cap its distance."""
+
+    name: str
+    question_kinds: Callable[[int], tuple[str, ...]]
+    # The question kind whose every sub-test measures the given symbol.
+    symbol_kind: Callable[[str, int], str]
+    bounds: tuple[str, str]  # (printed, recomputed) bound names
+
+    def missing_kinds(self, s: Strategy) -> tuple[str, ...]:
+        """This flavor's question kinds that either party of s cannot answer."""
+        answered = set(s.kinds("alice")) & set(s.kinds("bob"))
+        return tuple(k for k in self.question_kinds(s.m) if k not in answered)
+
+
+FLAVORS: dict[str, Flavor] = {
+    MY_FLAVOR: Flavor(
+        MY_FLAVOR,
+        my_question_kinds,
+        lambda symbol, m: symbol,
+        ("my-parallel", "my-parallel-recomputed"),
+    ),
+    SPP_FLAVOR: Flavor(
+        SPP_FLAVOR,
+        spp_question_kinds,
+        lambda symbol, m: symbol * m,
+        ("spp", "spp-recomputed"),
+    ),
+}
 
 
 def _index_bit(k: int, j: int) -> int:
@@ -466,12 +471,10 @@ def load_strategy(doc: Mapping) -> Strategy:
     if "type" in doc:
         kind = doc["type"]
         m = int(doc["m"])
-        if kind == "honest-my":
-            s = honest_my_strategy(m)
-        elif kind == "honest-spp":
-            s = honest_spp_strategy(m)
-        else:
+        builders = {"honest-my": honest_my_strategy, "honest-spp": honest_spp_strategy}
+        if kind not in builders:
             raise ValueError(f"unknown strategy type {kind!r}")
+        s = builders[kind](m)
         noise = doc.get("noise")
         if noise:
             spec = NoiseSpec(

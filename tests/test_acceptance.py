@@ -186,7 +186,7 @@ def test_criterion_08_bound_dominance():
         strategy = perturb_strategy(
             honest_my_strategy(1), NoiseSpec(theta=theta, w=w), seed=i
         )
-        reports = verify_bound(strategy, spec)
+        reports = verify_bound(strategy, spec, eps=epsilon_my(strategy).eps)
         ok = ok and all(r.passed for r in reports)
         vacuous_seen += sum(
             1 for r in reports if r.to_dict()["vacuous"]["my-parallel"]

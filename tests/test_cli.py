@@ -196,6 +196,57 @@ class TestGame:
         assert code == 2
 
 
+class TestRejectedInput:
+    @pytest.mark.parametrize("kind", ["X", "Z"])
+    def test_non_projective_strategy_file(self, capsys, tmp_path, kind):
+        # One projector scaled by 1.3: the bounds no longer apply, so no
+        # report may say they hold.
+        doc = strategy_to_json(honest_my_strategy(1))
+        question = next(
+            q for q in doc["questions"] if q["party"] == "alice" and q["kind"] == kind
+        )
+        question["projectors"][0]["matrix"] = [
+            1.3 * v for v in question["projectors"][0]["matrix"]
+        ]
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["verify-isometry", "--strategy", str(path), "--test", "my"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"alice:{kind} completeness" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["game", "--strategy", "honest-my", "--m", "1"], "spp question kinds E"),
+            (
+                ["verify-isometry", "--strategy", "honest-spp", "--m", "2", "--test", "my"],
+                "my question kinds X, Z, D, X1, Z1",
+            ),
+        ],
+    )
+    def test_strategy_without_the_flavor_questions(self, capsys, argv, message):
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: strategy lacks the {message}\n"
+
+    def test_runtime_error_exits_without_traceback(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("residual state norm 1.08 deviates from 1")
+
+        monkeypatch.setattr(cli, "verify_bound", fail)
+        code = cli.main(
+            ["verify-isometry", "--strategy", "honest-my", "--m", "1", "--test", "my"]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert err == "error: residual state norm 1.08 deviates from 1\n"
+
+
 class TestSweepNoise:
     def test_grid_report(self, capsys):
         code, report = run_cli(

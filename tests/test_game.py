@@ -8,10 +8,8 @@ import pytest
 from selftest_lab.game import (
     MAX_GAME_EXPECTATION,
     WIN_SIGNS,
-    GameOutcome,
     delta_and_epsilon,
     game_expectation_exact,
-    game_round_sample,
     referee_expectation_check,
     sample_game,
     threshold_referee_expectation,
@@ -109,27 +107,13 @@ class TestRefereeLemma:
 
 
 class TestRoundSampling:
-    def test_same_seed_same_sequence(self):
-        s = honest_spp_strategy(1)
-        runs = []
-        for _ in range(2):
-            rng = np.random.default_rng(123)
-            runs.append([game_round_sample(s, rng) for _ in range(50)])
-        assert runs[0] == runs[1]
-
     def test_deterministic_strategy_outcomes(self):
+        # Answers are always +1, so each round's accept value is the drawn
+        # question pair's sign, and the sampled mean estimates (8 - 2) / 10.
         s = deterministic_strategy(ALL_PLUS, ALL_PLUS)
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            outcome = game_round_sample(s, rng)
-            # Answers are always +1, so the accept value is fully
-            # determined by the drawn question pair's sign.
-            for pair, accept in zip(outcome.questions, outcome.accepts):
-                assert accept == WIN_SIGNS[pair]
-
-    def test_outcome_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            GameOutcome(accepts=(1,), threshold=1, accepted=-1)
+        for referee in ("threshold", "subtest"):
+            mc = sample_game(s, 20_000, seed=5, referee=referee)
+            assert abs(mc["mean"] - 0.6) <= 4 * mc["stderr"]
 
 
 class TestSampledExpectation:

@@ -8,11 +8,9 @@ from selftest_lab.bitstrings import AdjacencyMatrix, BitString
 from selftest_lab.linalg import (
     ANTIDIAG_XZ,
     DIAG_XZ,
-    Observable,
     PAULI_X,
     PAULI_Z,
     StateVector,
-    aligned_distance2,
     bipartite_expectation,
     distance2,
     embed,
@@ -98,17 +96,17 @@ class TestOrderedPower:
             assert np.allclose(lhs, ordered_power(ops, s ^ t), atol=1e-12)
 
     def test_operator_string_wrapper(self):
-        from selftest_lab.linalg import OperatorString
+        # The isometry applies operator strings to vectors without forming
+        # the product; the highest selected index acts first.
+        from selftest_lab.isometry import _apply_string
 
-        ops = (PAULI_X, PAULI_Z)
-        t = BitString.from_str("11")
-        word = OperatorString(ops, t)
-        assert np.allclose(word.matrix(), PAULI_X @ PAULI_Z)
+        ops = [PAULI_X, PAULI_Z, DIAG_XZ]
         v = np.array([1.0, 0.0], dtype=complex)
-        # applied to a state: highest index acts first
-        assert np.allclose(word.apply(v), PAULI_X @ (PAULI_Z @ v))
-        with pytest.raises(ValueError):
-            OperatorString(ops, BitString.from_str("1"))
+        assert np.allclose(
+            _apply_string(ops[:2], BitString.from_str("11"), v), PAULI_X @ (PAULI_Z @ v)
+        )
+        for t in BitString.all_strings(3):
+            assert np.allclose(_apply_string(ops, t, v), ordered_power(ops, t) @ v)
 
 
 class TestPauliObservables:
@@ -202,8 +200,10 @@ class TestInnerDistance:
             b = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
             v = StateVector(a / np.linalg.norm(a), (("q", dim),))
             w = StateVector(b / np.linalg.norm(b), (("q", dim),))
-            eps = 1 - abs(inner(v, w))
-            assert aligned_distance2(v, w) <= math.sqrt(2 * eps) + 1e-12
+            ip = inner(v, w)
+            eps = 1 - abs(ip)
+            aligned = StateVector((ip.conjugate() / abs(ip)) * w.amps, w.layout)
+            assert distance2(v, aligned) <= math.sqrt(2 * eps) + 1e-12
 
     def test_dimension_mismatch(self):
         v = StateVector(np.eye(2)[0], (("q", 2),))
@@ -241,19 +241,6 @@ class TestExpectation:
         assert direct == pytest.approx(expectation(psi, np.kron(PAULI_X, DIAG_XZ)))
 
 
-class TestObservable:
-    def test_accepts_pauli(self):
-        Observable(PAULI_X, sites=(1,))
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            Observable(np.array([[0, 1], [0, 0]]), sites=(1,))
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError):
-            Observable(np.diag([1.0, 0.0]), sites=(1,))
-
-
 class TestWalshHadamard:
     def test_one_qubit(self):
         assert np.allclose(walsh_hadamard(1), DIAG_XZ)
@@ -264,3 +251,10 @@ class TestWalshHadamard:
     def test_unitary(self):
         h = walsh_hadamard(3)
         assert np.allclose(h @ h, np.eye(8), atol=1e-12)
+
+    def test_entries_are_signed_parities(self):
+        for n in range(1, 7):
+            expected = np.array(
+                [[(-1.0) ** (u & v).bit_count() for v in range(2**n)] for u in range(2**n)]
+            ) / 2 ** (n / 2)
+            assert np.array_equal(walsh_hadamard(n), expected)

@@ -14,6 +14,7 @@ from selftest_lab.linalg import (
 )
 from selftest_lab.protocols import (
     CHSH_MAX,
+    SPP_ALLOWED_PAIRS,
     chsh_value,
     correlation_exact,
     epsilon_my,
@@ -80,19 +81,12 @@ class TestRequiredCorrelations:
 
 
 class TestTestSpecs:
-    def test_my_exclusions(self):
-        spec = my_test_spec(2)
-        assert ("D", "D") not in spec.allowed_pairs
-        assert ("X1", "X1") not in spec.allowed_pairs
-        assert ("X1", "Z1") not in spec.allowed_pairs
-        assert ("X", "D") in spec.allowed_pairs
-        assert ("X1", "Z") in spec.allowed_pairs
-
     def test_spp_has_ten_pairs(self):
         spec = spp_test_spec(3)
-        assert len(spec.allowed_pairs) == 10
+        assert (spec.flavor, spec.m) == ("spp", 3)
+        assert len(set(SPP_ALLOWED_PAIRS)) == 10
         for banned in (("X", "X"), ("Z", "Z"), ("D", "D"), ("E", "D"), ("D", "E"), ("E", "E")):
-            assert banned not in spec.allowed_pairs
+            assert banned not in SPP_ALLOWED_PAIRS
 
 
 class TestCorrelationExact:
