@@ -372,12 +372,11 @@ def validate_strategy(s: Strategy, atol: float = STRUCTURAL_ATOL) -> StrategyVal
             total = sum(p for _, p in meas)
             record("completeness", subject, np.abs(total - np.eye(meas.dim)).max())
             dev = 0.0
-            projs = list(meas.projectors.items())
-            for i, (a, pa) in enumerate(projs):
-                for b, pb in projs[i:]:
-                    prod = pa @ pb
-                    ref = pa if a == b else 0.0
-                    dev = max(dev, np.abs(prod - ref).max())
+            projs = np.array([p for _, p in meas])
+            for i, pa in enumerate(projs):
+                prods = pa @ projs[i:]  # P_a P_b for every b from a on
+                prods[0] -= pa
+                dev = max(dev, np.abs(prods).max())
             record("orthogonality", subject, dev)
             herm = unit = comm = 0.0
             mats = [s.observable(party, kind, k) for k in range(1, s.m + 1)]

@@ -283,6 +283,20 @@ class TestValidateStrategy:
         names = {c.name for c in report.failures()}
         assert "completeness" in names
 
+    def test_non_orthogonal_measurement_flagged(self):
+        # Complete but not orthogonal: P+ P- = P+ P+ - P+ = -0.01 I.
+        plus = np.array([[1.0, 0.1], [0.1, 0.0]], dtype=complex)
+        skewed = Measurement({(1,): plus, (-1,): np.eye(2) - plus})
+        psi = StateVector(np.array([1, 0, 0, 1]) / SQRT2, (("A", 2), ("B", 2)))
+        good = product_basis_measurement("Z")
+        s = Strategy(state=psi, alice={"Z": skewed}, bob={"Z": good}, m=1)
+        checks = {(c.subject, c.name): c for c in validate_strategy(s).checks}
+        assert checks[("alice:Z", "completeness")].passed
+        assert checks[("bob:Z", "orthogonality")].passed
+        ortho = checks[("alice:Z", "orthogonality")]
+        assert not ortho.passed
+        assert ortho.max_deviation == pytest.approx(0.01, abs=1e-12)
+
     def test_cross_party_commutation_exact(self):
         report = validate_strategy(honest_my_strategy(2))
         cross = [c for c in report.checks if c.name == "cross-party-commute"]
