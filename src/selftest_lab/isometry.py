@@ -54,9 +54,9 @@ class IsometryPlan:
 def detect_flavor(s: Strategy) -> str:
     """Infer which test's named questions a strategy carries."""
     kinds = set(s.kinds("alice"))
-    for flavor in FLAVORS.values():
+    for name, flavor in FLAVORS.items():
         if {flavor.symbol_kind("X", s.m), flavor.symbol_kind("Z", s.m)} <= kinds:
-            return flavor.name
+            return name
     raise ValueError(
         "strategy exposes neither the X/Z questions nor the all-X/all-Z strings"
     )

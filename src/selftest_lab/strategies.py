@@ -200,7 +200,6 @@ def spp_question_kinds(m: int) -> tuple[str, ...]:
 class Flavor:
     """One parallel self-test: its questions and the bounds that cap its distance."""
 
-    name: str
     question_kinds: Callable[[int], tuple[str, ...]]
     # The question kind whose every sub-test measures the given symbol.
     symbol_kind: Callable[[str, int], str]
@@ -214,13 +213,11 @@ class Flavor:
 
 FLAVORS: dict[str, Flavor] = {
     MY_FLAVOR: Flavor(
-        MY_FLAVOR,
         my_question_kinds,
         lambda symbol, m: symbol,
         ("my-parallel", "my-parallel-recomputed"),
     ),
     SPP_FLAVOR: Flavor(
-        SPP_FLAVOR,
         spp_question_kinds,
         lambda symbol, m: symbol * m,
         ("spp", "spp-recomputed"),
