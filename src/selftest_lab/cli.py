@@ -29,7 +29,7 @@ from .game import (
     game_expectation_exact,
     sample_game,
 )
-from .isometry import verify_bound
+from .isometry import check_isometry_size, verify_bound
 from .protocols import epsilon_my, epsilon_spp, my_test_spec, spp_test_spec
 from .strategies import (
     FLAVORS,
@@ -105,6 +105,8 @@ class RunConfig:
     def __post_init__(self):
         if self.m is not None and self.m < 1:
             raise UsageError(f"m must be >= 1, got {self.m}")
+        if self.sample_count < 1:
+            raise UsageError(f"sample count must be >= 1, got {self.sample_count}")
         if self.strategy and self.strategy not in ("honest-my", "honest-spp"):
             if not os.path.exists(self.strategy):
                 raise UsageError(f"strategy file not found: {self.strategy}")
@@ -315,6 +317,8 @@ def cmd_verify_isometry(args) -> tuple[int, dict, list]:
         pairs=pairs,
         sample_count=sample_count,
     )
+    if cfg.strategy in ("honest-my", "honest-spp"):  # a file's m is known once loaded
+        check_isometry_size(2 * cfg.m)
     strategy = _resolve_strategy(cfg, args.test)
     _, measure, test_spec = _flavor_functions(args.test)
     spec = test_spec(strategy.m)
@@ -410,6 +414,8 @@ def cmd_sweep_noise(args) -> tuple[int, dict, list]:
     pairs, sample_count = _parse_pairs(args.pairs)
     thetas = _parse_float_list(args.thetas)
     ws = _parse_float_list(args.ws)
+    if not thetas or not ws:
+        raise UsageError("--thetas and --ws must each list a value, or no point is checked")
     cfg = RunConfig(
         command="sweep-noise",
         flavor=args.flavor,
@@ -419,6 +425,7 @@ def cmd_sweep_noise(args) -> tuple[int, dict, list]:
         pairs=pairs,
         sample_count=sample_count,
     )
+    check_isometry_size(2 * args.m)
     build, measure, test_spec = _flavor_functions(args.flavor)
     honest = build(args.m)
     spec = test_spec(args.m)

@@ -6,12 +6,20 @@ of the strategy's X/Z observables with Hadamards on block U.  On the output
 registers (system, S, U) the residual state lands on (system, S) and the
 ideal pair state materializes on U; the distance between the isometry image
 and residual x ideal is what the robustness bounds cap.
+
+Closed form, for ordered strings and P^r = prod_k (I + (-1)^(r_k) Z_k)/2:
+    controlled X, H:  2^(-n) sum_(s,u) (-1)^(s.u) X^s psi |s>|u>
+    controlled Z, H:  2^(-n/2) sum_(s,t) P^(s^t) X^s psi |s>|t>, since for any
+                      operators sum_u (-1)^(u.r) Z^u = prod_k (I + (-1)^(r_k) Z_k)
+    controlled X:     image[:, s, t] = 2^(-n/2) X^t P^(s^t) X^s psi
+With Alice on indices 1..m and Bob on m+1..2m, X^t P^(s^t) X^s factors as
+K_A[s_A, t_A] x K_B[s_B, t_B], one table per party's local observables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -27,8 +35,15 @@ from .linalg import StateVector, graph_state, walsh_hadamard
 from .protocols import TestSpec
 from .strategies import FLAVORS, Strategy
 
-JUNK_LIMIT = 6  # the residual-state double sum enumerates 2^(2n) terms
+# n = 2m X/Z indices at most; at n = 8 one distance holds a 16 MB image block.
+ISOMETRY_LIMIT = 8
 DISTANCE_SLACK = 1e-9  # numerical slack when comparing distance to a bound
+
+
+def check_isometry_size(n: int) -> None:
+    if n > ISOMETRY_LIMIT:
+        raise ValueError(f"the isometry needs n <= {ISOMETRY_LIMIT} (m <= "
+                         f"{ISOMETRY_LIMIT // 2}), got n={n}")
 
 
 @dataclass(frozen=True)
@@ -39,16 +54,8 @@ class IsometryPlan:
     n: int  # number of X/Z indices; ancillas count 2n
 
     @property
-    def ancilla_dim(self) -> int:
-        return 2**self.n
-
-    @property
     def output_layout(self):
-        return (
-            ("system", self.system_dim),
-            ("S", self.ancilla_dim),
-            ("U", self.ancilla_dim),
-        )
+        return (("system", self.system_dim), ("S", 2**self.n), ("U", 2**self.n))
 
 
 def detect_flavor(s: Strategy) -> str:
@@ -62,27 +69,29 @@ def detect_flavor(s: Strategy) -> str:
     )
 
 
-def xz_observables(
-    s: Strategy, flavor: Optional[str] = None
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def party_observables(s: Strategy, flavor: Optional[str] = None):
+    """Party-local ((X_1..X_m), (Z_1..Z_m)) of Alice, then of Bob."""
+    check_isometry_size(2 * s.m)  # every entry point starts here, before any array
+    if flavor is None:
+        flavor = detect_flavor(s)
+    kinds = [FLAVORS[flavor].symbol_kind(symbol, s.m) for symbol in "XZ"]
+    return tuple(
+        tuple([s.observable(party, kind, k) for k in range(1, s.m + 1)] for kind in kinds)
+        for party in ("alice", "bob")
+    )
+
+
+def xz_observables(s: Strategy, flavor: Optional[str] = None) -> tuple[list, list]:
     """Full-system X_k and Z_k observables for k = 1..2m.
 
     Indices 1..m act on Alice's factor, m+1..2m on Bob's.
     """
-    if flavor is None:
-        flavor = detect_flavor(s)
-    x_kind = FLAVORS[flavor].symbol_kind("X", s.m)
-    z_kind = FLAVORS[flavor].symbol_kind("Z", s.m)
+    (xa, za), (xb, zb) = party_observables(s, flavor)
     eye_a, eye_b = np.eye(s.dim_a), np.eye(s.dim_b)
-    xs, zs = [], []
-    for k in range(1, 2 * s.m + 1):
-        if k <= s.m:
-            xs.append(np.kron(s.observable("alice", x_kind, k), eye_b))
-            zs.append(np.kron(s.observable("alice", z_kind, k), eye_b))
-        else:
-            xs.append(np.kron(eye_a, s.observable("bob", x_kind, k - s.m)))
-            zs.append(np.kron(eye_a, s.observable("bob", z_kind, k - s.m)))
-    return xs, zs
+    return tuple(
+        [np.kron(op, eye_b) for op in ops_a] + [np.kron(eye_a, op) for op in ops_b]
+        for ops_a, ops_b in ((xa, xb), (za, zb))
+    )
 
 
 def _apply_string(ops: list[np.ndarray], bits: BitString, vec: np.ndarray) -> np.ndarray:
@@ -94,31 +103,51 @@ def _apply_string(ops: list[np.ndarray], bits: BitString, vec: np.ndarray) -> np
     return out
 
 
-def _isometry_image(
-    xs: list[np.ndarray], zs: list[np.ndarray], psi: np.ndarray
-) -> np.ndarray:
-    """Run the six steps on a raw system vector; linear, returns (sys, S, U)."""
-    n = len(xs)
-    big = 2**n
-    dsys = psi.shape[0]
-    amps = np.zeros((dsys, big, big), dtype=complex)
-    scale = 2.0 ** (-n / 2)
-    idx = np.arange(big)
-    amps[:, idx, idx] = psi[:, None] * scale
+def _ordered_products(factors: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """F_1^(r_1)...F_m^(r_m) by big-endian index r; factors[k-1] = (F_k^0, F_k^1)."""
+    out = np.eye(factors[0][0].shape[0], dtype=complex)[None]
+    for f0, f1 in reversed(factors):
+        out = np.concatenate([f0 @ out, f1 @ out])
+    return out
 
-    def controlled(ops):
-        # Control on U qubit k: act on the amplitudes whose k-th U bit is 1.
-        for k in range(n, 0, -1):
-            hot = (idx >> (n - k)) & 1 == 1
-            amps[:, :, hot] = np.tensordot(ops[k - 1], amps[:, :, hot], axes=(1, 0))
 
-    hadamard = walsh_hadamard(n)
-    controlled(xs)
-    amps = amps @ hadamard
-    controlled(zs)
-    amps = amps @ hadamard
-    controlled(xs)
-    return amps
+def _party_tables(xs: list[np.ndarray], zs: list[np.ndarray]):
+    """One party's X strings, Z strings and K[s, t] = X^t P^(s^t) X^s."""
+    eye = np.eye(xs[0].shape[0])
+    x = _ordered_products([(eye, op) for op in xs])
+    z = _ordered_products([(eye, op) for op in zs])
+    proj = _ordered_products([((eye + op) / 2, (eye - op) / 2) for op in zs])
+    idx = np.arange(len(x))
+    return x, z, x[None, :] @ proj[idx[:, None] ^ idx] @ x[:, None]
+
+
+class KrausTables:
+    """The isometry as K_A[s_A, t_A] x K_B[s_B, t_B] on (d_A, d_B) state matrices."""
+
+    def __init__(self, alice, bob):
+        self.m = len(alice[0])
+        self.x_a, self.z_a, k_a = _party_tables(*alice)
+        self.x_b, self.z_b, k_b = _party_tables(*bob)
+        self.dims = (k_a.shape[-1], k_b.shape[-1])
+        # Rows (s_A, t_A, a) and columns (s_B, t_B, b): one gemm per s_A block.
+        self.rows_a = k_a.reshape(-1, self.dims[0])
+        self.cols_b = np.ascontiguousarray(k_b.reshape(-1, self.dims[1]).T)
+
+    def pauli(self, p: BitString, q: BitString, psi: np.ndarray) -> np.ndarray:
+        """X^q Z^p psi, with psi and the result as (d_A, d_B) matrices."""
+        (pa, pb), (qa, qb) = divmod(p.value, 2**self.m), divmod(q.value, 2**self.m)
+        return (self.x_a[qa] @ self.z_a[pa]) @ psi @ (self.x_b[qb] @ self.z_b[pb]).T
+
+    def blocks(self, psi: np.ndarray) -> Iterator[np.ndarray]:
+        """Per s_A, the image block of a (d_A, d_B) matrix, axes (t_A, a, s_B, t_B, b)."""
+        half = 2**self.m
+        rows = (self.rows_a @ (psi * 2.0**-self.m)).reshape(half, -1, self.dims[1])
+        for block in rows:
+            yield (block @ self.cols_b).reshape(half, self.dims[0], half, half, self.dims[1])
+
+    def image(self, psi: np.ndarray) -> np.ndarray:
+        """The image of a (d_A, d_B) matrix, axes (a, b, s_A, s_B, t_A, t_B)."""
+        return np.stack(list(self.blocks(psi))).transpose(2, 5, 0, 3, 1, 4)
 
 
 def apply_isometry(
@@ -131,7 +160,7 @@ def apply_isometry(
     A StateVector input yields a StateVector on (system, S, U); a raw vector
     yields the raw image (useful for linearity checks, no normalization).
     """
-    xs, zs = xz_observables(s, flavor)
+    tables = KrausTables(*party_observables(s, flavor))
     plan = IsometryPlan(system_dim=s.dim_a * s.dim_b, n=2 * s.m)
     raw = isinstance(input_state, np.ndarray)
     vec = input_state if raw else input_state.amps
@@ -139,10 +168,11 @@ def apply_isometry(
         raise ValueError(
             f"input dimension {vec.shape} != system dimension {plan.system_dim}"
         )
-    image = _isometry_image(xs, zs, np.asarray(vec, dtype=complex))
+    psi = np.asarray(vec, dtype=complex).reshape(s.dim_a, s.dim_b)
+    image = tables.image(psi).reshape(-1)
     if raw:
-        return image.reshape(-1)
-    return StateVector(image.reshape(-1), plan.output_layout)
+        return image
+    return StateVector(image, plan.output_layout)
 
 
 def _junk_matrix(zs: list[np.ndarray], psi: np.ndarray) -> np.ndarray:
@@ -159,20 +189,20 @@ def _junk_matrix(zs: list[np.ndarray], psi: np.ndarray) -> np.ndarray:
     return (cols @ walsh_hadamard(n)) * signs[None, :] * 2.0 ** (-n / 2)
 
 
-def junk_state(s: Strategy, flavor: Optional[str] = None) -> StateVector:
-    """The residual state on (system, S); its norm must come out 1."""
-    n = 2 * s.m
-    if n > JUNK_LIMIT:
-        raise ValueError(f"n={n} exceeds residual-state enumeration limit {JUNK_LIMIT}")
+def _checked_junk(s: Strategy, flavor: Optional[str]) -> np.ndarray:
     _, zs = xz_observables(s, flavor)
-    mat = _junk_matrix(zs, s.state.amps)
-    norm = np.linalg.norm(mat)
+    junk = _junk_matrix(zs, s.state.amps)
+    norm = np.linalg.norm(junk)
     if abs(norm - 1.0) > 1e-9:
         raise RuntimeError(f"residual state norm {norm} deviates from 1")
-    dsys = s.dim_a * s.dim_b
-    return StateVector(
-        mat.reshape(-1), (("system", dsys), ("S", 2**n)), atol=1e-9
-    )
+    return junk
+
+
+def junk_state(s: Strategy, flavor: Optional[str] = None) -> StateVector:
+    """The residual state on (system, S); its norm must come out 1."""
+    junk = _checked_junk(s, flavor)
+    layout = (("system", junk.shape[0]), ("S", junk.shape[1]))
+    return StateVector(junk.reshape(-1), layout, atol=1e-9)
 
 
 def ideal_pair_state(n: int) -> StateVector:
@@ -198,25 +228,27 @@ class IsometryContext:
     def __init__(self, s: Strategy, flavor: Optional[str] = None):
         self.strategy = s
         self.n = 2 * s.m
-        self.xs, self.zs = xz_observables(s, flavor)
-        self.junk = _junk_matrix(self.zs, s.state.amps)
-        norm = np.linalg.norm(self.junk)
-        if abs(norm - 1.0) > 1e-9:
-            raise RuntimeError(f"residual state norm {norm} deviates from 1")
+        self.tables = KrausTables(*party_observables(s, flavor))
+        self.junk = _checked_junk(s, flavor)
         self.ideal = ideal_pair_state(self.n).amps
+        self._psi = s.state.amps.reshape(s.dim_a, s.dim_b)
+        # The junk as (s_A, 1, a, s_B, 1, b), to line up with the image blocks.
+        self._junk_blocks = np.ascontiguousarray(
+            self.junk.reshape(s.dim_a, s.dim_b, 2**s.m, 2**s.m).transpose(2, 0, 3, 1)
+        )[:, None, :, :, None, :]
 
     def distance(self, p: BitString, q: BitString) -> float:
         """|| Phi(X^q Z^p psi') - junk x (X^q Z^p ideal) ||, phase-exact."""
-        n = self.n
-        if p.n != n or q.n != n:
-            raise ValueError(f"p, q must have length {n}")
-        vec = _apply_string(self.zs, p, self.strategy.state.amps)
-        vec = _apply_string(self.xs, q, vec)
-        image = _isometry_image(self.xs, self.zs, vec)
-        target = self.junk[:, :, None] * pauli_string_state(p, q, self.ideal)[
-            None, None, :
-        ]
-        return float(np.linalg.norm(image - target))
+        if p.n != self.n or q.n != self.n:
+            raise ValueError(f"p, q must have length {self.n}")
+        half = 2 ** (self.n // 2)
+        ideal = pauli_string_state(p, q, self.ideal).reshape(half, 1, 1, half, 1)
+        total = 0.0
+        blocks = self.tables.blocks(self.tables.pauli(p, q, self._psi))
+        for s_a, block in enumerate(blocks):
+            block -= ideal * self._junk_blocks[s_a]
+            total += np.vdot(block, block).real
+        return float(np.sqrt(total))
 
 
 @dataclass(frozen=True)

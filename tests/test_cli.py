@@ -246,6 +246,46 @@ class TestRejectedInput:
         assert "Traceback" not in err
         assert err == "error: residual state norm 1.08 deviates from 1\n"
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_sample_count_below_one(self, capsys, count):
+        code = cli.main(
+            ["verify-isometry", "--m", "1", "--test", "my", "--pairs", f"sample:{count}",
+             "--seed", "1"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"usage error: sample count must be >= 1, got {count}\n"
+
+    @pytest.mark.parametrize("flag", ["--thetas", "--ws"])
+    def test_empty_sweep_grid(self, capsys, flag):
+        code = cli.main(["sweep-noise", "--m", "1", flag, "", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "usage error: --thetas and --ws must each list a value, or no point is checked\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-isometry", "--strategy", "honest-my", "--m", "5", "--test", "my"],
+            ["sweep-noise", "--flavor", "my", "--m", "5"],
+        ],
+    )
+    def test_isometry_size_checked_before_building(self, capsys, monkeypatch, argv):
+        def unreachable(m):
+            raise AssertionError(f"strategy built at m={m}")
+
+        monkeypatch.setattr(cli, "honest_my_strategy", unreachable)
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "m <= 4" in captured.err
+
 
 class TestSweepNoise:
     def test_grid_report(self, capsys):

@@ -16,10 +16,14 @@ from selftest_lab.linalg import (
     ordered_power,
     qubit_layout,
     embed,
+    walsh_hadamard,
 )
 from selftest_lab.isometry import (
+    ISOMETRY_LIMIT,
     IsometryContext,
     IsometryPlan,
+    KrausTables,
+    _apply_string,
     apply_isometry,
     detect_flavor,
     ideal_pair_state,
@@ -40,6 +44,43 @@ from selftest_lab.strategies import (
 )
 
 from test_protocols import deterministic_strategy
+
+
+def six_step_image(
+    xs: list[np.ndarray], zs: list[np.ndarray], psi: np.ndarray
+) -> np.ndarray:
+    """Oracle: the six steps on full-system operators, returns (sys, S, U)."""
+    n = len(xs)
+    big = 2**n
+    dsys = psi.shape[0]
+    amps = np.zeros((dsys, big, big), dtype=complex)
+    scale = 2.0 ** (-n / 2)
+    idx = np.arange(big)
+    amps[:, idx, idx] = psi[:, None] * scale
+
+    def controlled(ops):
+        # Control on U qubit k: act on the amplitudes whose k-th U bit is 1.
+        for k in range(n, 0, -1):
+            hot = (idx >> (n - k)) & 1 == 1
+            amps[:, :, hot] = np.tensordot(ops[k - 1], amps[:, :, hot], axes=(1, 0))
+
+    hadamard = walsh_hadamard(n)
+    controlled(xs)
+    amps = amps @ hadamard
+    controlled(zs)
+    amps = amps @ hadamard
+    controlled(xs)
+    return amps
+
+
+def six_step_distance(s, flavor, p, q) -> float:
+    """Oracle: the distance from the six-step image of X^q Z^p psi."""
+    xs, zs = xz_observables(s, flavor)
+    vec = _apply_string(xs, q, _apply_string(zs, p, s.state.amps))
+    junk = junk_state(s, flavor).amps.reshape(s.dim_a * s.dim_b, -1)
+    ideal = pauli_string_state(p, q, ideal_pair_state(p.n).amps)
+    target = junk[:, :, None] * ideal[None, None, :]
+    return float(np.linalg.norm(six_step_image(xs, zs, vec) - target))
 
 
 def classical_diagonal_strategy():
@@ -125,8 +166,9 @@ class TestJunkState:
             assert ctx.distance(p, q) < 1e-9
 
     def test_enumeration_guard(self):
-        with pytest.raises(ValueError):
-            junk_state(honest_my_strategy(4))
+        assert ISOMETRY_LIMIT == 8
+        with pytest.raises(ValueError, match=r"m <= 4\)"):
+            junk_state(honest_my_strategy(5))
 
 
 class TestPauliStringState:
@@ -261,29 +303,42 @@ class TestVerifyBound:
             assert ctx.distance(p, q) < 1e-9
 
 
-def random_reflection(rng, dim):
+def random_reflection(rng, dim, signs=None):
     """Random Hermitian unitary: a unitary change of basis of a sign matrix."""
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, _ = np.linalg.qr(a)
-    signs = rng.choice([-1.0, 1.0], size=dim)
+    if signs is None:
+        signs = rng.choice([-1.0, 1.0], size=dim)
     return q @ np.diag(signs) @ q.conj().T
 
 
 class TestAgainstClosedFormImage:
     def test_procedural_steps_match_triple_sum(self):
-        # Independent oracle: the image of the six-step procedure equals
+        # Independent oracle: the Kraus-table image equals the six-step image
         #   2^(-3n/2) sum_{s,t,u} (-1)^(t.(s^u)) X^u Z^t X^s v |s>|u>
-        # for arbitrary (even non-commuting) Hermitian unitary families.
-        from selftest_lab.isometry import _apply_string, _isometry_image
-
+        # for Hermitian unitary families that do not commute within a party.
         rng = np.random.default_rng(23)
-        n, dim = 2, 4
-        xs = [random_reflection(rng, dim) for _ in range(n)]
-        zs = [random_reflection(rng, dim) for _ in range(n)]
+        m, dims = 2, (3, 4)
+        parties = [
+            tuple(
+                [random_reflection(rng, d, signs=[1.0, -1.0] + [1.0] * (d - 2))
+                 for _ in range(m)]
+                for _ in "xz"
+            )
+            for d in dims
+        ]
+        for xs, zs in parties:
+            for a, b in ((xs[0], xs[1]), (zs[0], zs[1]), (xs[0], zs[1])):
+                assert not np.allclose(a @ b, b @ a)
+        eye_a, eye_b = (np.eye(d) for d in dims)
+        (xa, za), (xb, zb) = parties
+        xs = [np.kron(x, eye_b) for x in xa] + [np.kron(eye_a, x) for x in xb]
+        zs = [np.kron(z, eye_b) for z in za] + [np.kron(eye_a, z) for z in zb]
+        dim, n = dims[0] * dims[1], 2 * m
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         v /= np.linalg.norm(v)
-        got = _isometry_image(xs, zs, v)
         big = 2**n
+        got = KrausTables(*parties).image(v.reshape(dims)).reshape(dim, big, big)
         expected = np.zeros((dim, big, big), dtype=complex)
         for s in BitString.all_strings(n):
             for t in BitString.all_strings(n):
@@ -295,6 +350,7 @@ class TestAgainstClosedFormImage:
                     expected[:, s.value, u.value] += phase * vec
         expected /= 2.0 ** (3 * n / 2)
         assert np.allclose(got, expected, atol=1e-12)
+        assert np.allclose(six_step_image(xs, zs, v), expected, atol=1e-12)
 
     def test_residual_normalization_without_commutation(self):
         # The residual state has unit norm for any Hermitian unitary family,
@@ -307,3 +363,59 @@ class TestAgainstClosedFormImage:
             v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
             v /= np.linalg.norm(v)
             assert abs(np.linalg.norm(_junk_matrix(zs, v)) - 1.0) < 1e-12
+
+
+ORACLE_CASES = [
+    (flavor, m, noisy)
+    for flavor in ("my", "spp")
+    for m in (1, 2)
+    for noisy in (False, True)
+]
+
+
+def oracle_case_strategy(flavor, m, noisy):
+    build = {"my": honest_my_strategy, "spp": honest_spp_strategy}[flavor]
+    s = build(m)
+    if noisy:
+        s = perturb_strategy(s, NoiseSpec(theta=0.03, w=0.01), seed=4)
+    return s
+
+
+class TestAgainstSixStepOracle:
+    @pytest.mark.parametrize("flavor,m,noisy", ORACLE_CASES)
+    def test_distance_over_all_pairs(self, flavor, m, noisy):
+        s = oracle_case_strategy(flavor, m, noisy)
+        ctx = IsometryContext(s, flavor)
+        for p, q in itertools.product(BitString.all_strings(2 * m), repeat=2):
+            assert abs(ctx.distance(p, q) - six_step_distance(s, flavor, p, q)) <= 1e-12
+
+    @pytest.mark.parametrize("flavor,m,noisy", ORACLE_CASES)
+    def test_apply_isometry_elementwise(self, flavor, m, noisy):
+        s = oracle_case_strategy(flavor, m, noisy)
+        xs, zs = xz_observables(s, flavor)
+        rng = np.random.default_rng(m)
+        dim = s.dim_a * s.dim_b
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        for vec in (s.state.amps, v):
+            got = apply_isometry(s, vec, flavor)
+            expected = six_step_image(xs, zs, vec).reshape(-1)
+            assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+class TestSizeLimit:
+    def test_context_refuses_before_building(self, monkeypatch):
+        s = honest_my_strategy(5)
+        monkeypatch.setattr(
+            "selftest_lab.isometry.KrausTables",
+            lambda *a: pytest.fail("tables built past the size limit"),
+        )
+        with pytest.raises(ValueError, match="n=10"):
+            IsometryContext(s)
+        with pytest.raises(ValueError, match="n=10"):
+            apply_isometry(s, s.state)
+
+    def test_largest_size_runs(self):
+        s = honest_my_strategy(ISOMETRY_LIMIT // 2)
+        ctx = IsometryContext(s)
+        n = ctx.n
+        assert ctx.distance(BitString.zeros(n), BitString.from_index(2**n - 1, n)) < 1e-9
