@@ -25,6 +25,7 @@ from . import bounds as bnd
 from .bitstrings import AdjacencyMatrix, BitString, PhaseFunction
 from .game import (
     MAX_GAME_EXPECTATION,
+    check_game_size,
     delta_and_epsilon,
     game_expectation_exact,
     sample_game,
@@ -130,12 +131,17 @@ def _flavor_functions(flavor: str):
     }[flavor]
 
 
-def _resolve_strategy(cfg: RunConfig, flavor: str) -> Strategy:
+def _resolve_strategy(cfg: RunConfig, flavor: str, check_size) -> Strategy:
     """The run's strategy, rejected unless it is projective and carries the
-    questions of the flavor the command tests."""
+    questions of the flavor the command tests.
+
+    check_size(m) raises on an m too large for the command; it runs before
+    any strategy is built, on --m or on the m that both file forms carry.
+    """
     if cfg.strategy in ("honest-my", "honest-spp"):
         if cfg.m is None:
             raise UsageError("named strategies need --m")
+        check_size(cfg.m)
         build, _, _ = _flavor_functions(cfg.strategy.removeprefix("honest-"))
         s = build(cfg.m)
         if cfg.theta or cfg.w:
@@ -144,7 +150,9 @@ def _resolve_strategy(cfg: RunConfig, flavor: str) -> Strategy:
             )
     else:
         with open(cfg.strategy) as fh:
-            s = load_strategy(json.load(fh))
+            doc = json.load(fh)
+        check_size(int(doc["m"]))
+        s = load_strategy(doc)
     missing = FLAVORS[flavor].missing_kinds(s)
     if missing:
         raise ValueError(
@@ -236,7 +244,7 @@ def cmd_honest_check(args) -> tuple[int, dict, list]:
     ok = rep.eps <= HONEST_CHECK_TOL
     if args.flavor == SPP_FLAVOR:
         exact = game_expectation_exact(strategy)
-        delta, game_eps = delta_and_epsilon(strategy)
+        delta, game_eps = delta_and_epsilon(exact, strategy.m)
         game_ok = abs(exact - MAX_GAME_EXPECTATION) <= HONEST_CHECK_TOL
         game = {
             "E": exact,
@@ -317,9 +325,7 @@ def cmd_verify_isometry(args) -> tuple[int, dict, list]:
         pairs=pairs,
         sample_count=sample_count,
     )
-    if cfg.strategy in ("honest-my", "honest-spp"):  # a file's m is known once loaded
-        check_isometry_size(2 * cfg.m)
-    strategy = _resolve_strategy(cfg, args.test)
+    strategy = _resolve_strategy(cfg, args.test, lambda m: check_isometry_size(2 * m))
     _, measure, test_spec = _flavor_functions(args.test)
     spec = test_spec(strategy.m)
     eps_report = measure(strategy)
@@ -376,9 +382,9 @@ def cmd_game(args) -> tuple[int, dict, None]:
         seed=args.seed,
         rounds=args.rounds,
     )
-    strategy = _resolve_strategy(cfg, SPP_FLAVOR)
+    strategy = _resolve_strategy(cfg, SPP_FLAVOR, check_game_size)
     exact = game_expectation_exact(strategy)
-    delta, eps = delta_and_epsilon(strategy)
+    delta, eps = delta_and_epsilon(exact, strategy.m)
     bound = bnd.game_robustness_bound(2 * strategy.m, 0, delta)
     ok = True
     mc = None

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -26,6 +27,10 @@ MAX_GAME_EXPECTATION = (2.0 * math.sqrt(2.0) + 1.0) / 5.0
 WIN_SIGNS: dict[tuple[str, str], int] = {
     pair: (-1 if set(pair) == {"X", "E"} else 1) for pair in SPP_ALLOWED_PAIRS
 }
+
+# WIN_SIGNS of each pair, indexed like SPP_ALLOWED_PAIRS: a sub-test accepts
+# (+1) exactly when a_k * b_k times its pair's sign is +1.
+_PAIR_SIGNS = np.array([WIN_SIGNS[pair] for pair in SPP_ALLOWED_PAIRS], dtype=np.int8)
 
 EXACT_GAME_LIMIT = 4  # 10^m question strings are enumerated
 
@@ -45,19 +50,23 @@ def _real(val: complex) -> float:
     return val.real
 
 
-def _party_strings(combo: tuple[int, ...]) -> tuple[str, str]:
+def _party_strings(combo: Sequence[int]) -> tuple[str, str]:
     qa = "".join(SPP_ALLOWED_PAIRS[i][0] for i in combo)
     qb = "".join(SPP_ALLOWED_PAIRS[i][1] for i in combo)
     return qa, qb
 
 
-def game_expectation_exact(s: Strategy, limit: int = EXACT_GAME_LIMIT) -> float:
+def check_game_size(m: int) -> None:
+    if m > EXACT_GAME_LIMIT:
+        raise ValueError(
+            f"m={m} exceeds the exact-enumeration guard {EXACT_GAME_LIMIT}; sample instead"
+        )
+
+
+def game_expectation_exact(s: Strategy) -> float:
     """Exact E(A) by enumerating all 10^m question strings."""
     m = s.m
-    if m > limit:
-        raise ValueError(
-            f"m={m} exceeds the exact-enumeration guard {limit}; sample instead"
-        )
+    check_game_size(m)
     psi = s.state.reshaped()
     applied_a: dict[tuple[str, int], np.ndarray] = {}
     applied_b: dict[tuple[str, int], np.ndarray] = {}
@@ -74,21 +83,25 @@ def game_expectation_exact(s: Strategy, limit: int = EXACT_GAME_LIMIT) -> float:
     return total / (10**m * m)
 
 
-def _joint_distribution(s: Strategy, qa: str, qb: str):
-    """Born-rule distribution over joint answer strings for one question pair."""
+def _joint_distribution(s: Strategy, qa: str, qb: str) -> tuple[np.ndarray, np.ndarray]:
+    """Born-rule distribution over joint answers for one question pair.
+
+    Row i * nb + j pairs Alice's i-th answer string with Bob's j-th, in the
+    order of each party's measurement.  Returns ``(prods, probs)``: the
+    int8 table ``prods[row, k] = a_k * b_k`` and the normalised
+    probabilities ``||P_a psi P_b^T||^2``.
+    """
     psi = s.state.reshaped()
-    meas_a = s.measurement("alice", qa)
-    meas_b = s.measurement("bob", qb)
-    outcomes = []
-    probs = []
-    for a, pa in meas_a:
-        left = pa @ psi
-        for b, pb in meas_b:
-            outcomes.append((a, b))
-            probs.append(float(np.linalg.norm(left @ pb.T) ** 2))
-    probs = np.asarray(probs)
-    probs = probs / probs.sum()
-    return outcomes, probs
+    answers_a, projs_a = zip(*s.measurement("alice", qa))
+    answers_b, projs_b = zip(*s.measurement("bob", qb))
+    na, nb = len(projs_a), len(projs_b)
+    da, db = psi.shape
+    # left[(a, i), j] = (P_a psi)[i, j]; joint[(a, i), (b, l)] = (P_a psi P_b^T)[i, l]
+    left = np.array(projs_a).reshape(na * da, da) @ psi
+    joint = (left @ np.array(projs_b).reshape(nb * db, db).T).reshape(na, da, nb, db)
+    probs = (joint.real**2 + joint.imag**2).sum(axis=(1, 3)).ravel()
+    prods = np.array(answers_a, dtype=np.int8)[:, None] * np.array(answers_b, dtype=np.int8)
+    return prods.reshape(na * nb, s.m), probs / probs.sum()
 
 
 def sample_game(
@@ -97,42 +110,44 @@ def sample_game(
     seed: int,
     referee: str = "threshold",
 ) -> dict:
-    """Monte Carlo estimate of E(A) over many rounds (vectorized).
+    """Monte Carlo estimate of E(A) over many rounds.
 
     referee "threshold" scores rounds with the uniform-threshold rule;
     "subtest" outputs the accept value of one uniformly chosen sub-test.
     Both have the same expectation.
+
+    Each distinct question is measured once, for all of its rounds: one
+    stable sort groups the rounds by question code, in increasing code
+    order, and each question draws its rounds' answers in round order.
     """
     if referee not in ("threshold", "subtest"):
         raise ValueError(f"unknown referee {referee!r}")
     m = s.m
     rng = np.random.default_rng(seed)
     combos = rng.integers(0, 10, size=(rounds, m))
-    codes = combos @ (10 ** np.arange(m))
+    codes = (combos @ 10 ** np.arange(m)).astype(np.min_scalar_type(10**m - 1))
+    del combos
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    first = np.ones(rounds, dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    starts = np.flatnonzero(first).tolist()
     accept_vals = np.empty((rounds, m), dtype=np.int8)
-    for code in np.unique(codes):
-        mask = codes == code
-        combo = tuple(int(d) for d in np.asarray(
-            [(code // 10**k) % 10 for k in range(m)]
-        ))
+    for start, stop in zip(starts, starts[1:] + [rounds]):
+        code = int(codes[start])
+        combo = [(code // 10**k) % 10 for k in range(m)]
         qa, qb = _party_strings(combo)
-        outcomes, probs = _joint_distribution(s, qa, qb)
-        signs = np.array(
-            [
-                [
-                    1
-                    if win_predicate(
-                        *SPP_ALLOWED_PAIRS[combo[k]], ans_a[k], ans_b[k]
-                    )
-                    else -1
-                    for k in range(m)
-                ]
-                for ans_a, ans_b in outcomes
-            ],
-            dtype=np.int8,
-        )
-        picks = rng.choice(len(outcomes), size=int(mask.sum()), p=probs)
-        accept_vals[mask] = signs[picks]
+        prods, probs = _joint_distribution(s, qa, qb)
+        if not (np.isfinite(probs).all() and (probs >= 0).all()):
+            raise ValueError(f"question ({qa}, {qb}) has probabilities {probs}")
+        cdf = probs.cumsum()
+        if not cdf[-1] > 0:
+            raise ValueError(f"question ({qa}, {qb}) has probabilities summing to 0")
+        cdf /= cdf[-1]
+        # Generator.choice(len(probs), size=n, p=probs) draws these same picks.
+        picks = cdf.searchsorted(rng.random(stop - start), side="right")
+        accept_vals[order[start:stop]] = (prods * _PAIR_SIGNS[combo])[picks]
+    del codes, order
     sums = accept_vals.sum(axis=1)
     if referee == "threshold":
         thresholds = rng.integers(-m + 1, m + 1, size=rounds)
@@ -170,9 +185,9 @@ def referee_expectation_check(m: int) -> bool:
     return True
 
 
-def delta_and_epsilon(s: Strategy, limit: int = EXACT_GAME_LIMIT) -> tuple[float, float]:
-    """Game-value deficit delta and the per-correlation epsilon it implies."""
-    value = game_expectation_exact(s, limit=limit)
+def delta_and_epsilon(value: float, m: int) -> tuple[float, float]:
+    """Deficit delta of the exact game value E(A) of an m-sub-test strategy,
+    and the per-correlation epsilon it implies."""
     delta = max(0.0, MAX_GAME_EXPECTATION - value)
-    eps = 2.0 * delta / (10**s.m * 2 * s.m)
+    eps = 2.0 * delta / (10**m * 2 * m)
     return delta, eps

@@ -356,7 +356,8 @@ def validate_strategy(s: Strategy, atol: float = STRUCTURAL_ATOL) -> StrategyVal
 
     Never raises on a bad strategy; every deviation lands in the report.
     Cross-party commutation holds exactly by construction (different tensor
-    factors); the embedded-matrix check asserts it on small systems.
+    factors); on small systems the check forms both embedded products from
+    the party factors and compares them.
     """
     checks = []
 
@@ -387,17 +388,20 @@ def validate_strategy(s: Strategy, atol: float = STRUCTURAL_ATOL) -> StrategyVal
             record("unitary", subject, unit)
             record("same-question-commute", subject, comm)
 
-    # Cross-party commutation of the embedded observables.  Capped to the
-    # first few kinds per side so huge question sets stay affordable.
+    # Cross-party commutation of the embedded observables, capped to the first
+    # few kinds per side so huge question sets stay affordable.  The products
+    # (A x I)(I x B) and (I x B)(A x I) are formed entrywise from the factors,
+    # as A[i, j] B[k, l] and B[k, l] A[i, j] in the 4-index layout [i, j, k, l].
     if s.dim_a * s.dim_b <= 4096:
         dev = 0.0
-        eye_a, eye_b = np.eye(s.dim_a), np.eye(s.dim_b)
         for kind_a in s.kinds("alice")[:4]:
             for kind_b in s.kinds("bob")[:4]:
                 for k in range(1, s.m + 1):
-                    ma = np.kron(s.observable("alice", kind_a, k), eye_b)
-                    mb = np.kron(eye_a, s.observable("bob", kind_b, k))
-                    dev = max(dev, np.abs(ma @ mb - mb @ ma).max())
+                    ma = s.observable("alice", kind_a, k)
+                    mb = s.observable("bob", kind_b, k)
+                    ab = np.multiply.outer(ma, mb)
+                    ba = np.multiply.outer(mb, ma).transpose(2, 3, 0, 1)
+                    dev = max(dev, np.abs(ab - ba).max())
         record("cross-party-commute", "alice x bob", dev)
 
     return StrategyValidation(tuple(checks))

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from selftest_lab import cli
+from selftest_lab import cli, strategies
 from selftest_lab.bitstrings import AdjacencyMatrix, PhaseFunction, adjacency_phase
 from selftest_lab.strategies import honest_my_strategy, strategy_to_json
 
@@ -285,6 +285,45 @@ class TestRejectedInput:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert "m <= 4" in captured.err
+
+    def test_game_size_checked_before_building(self, capsys, monkeypatch):
+        def unreachable(m):
+            raise AssertionError(f"strategy built at m={m}")
+
+        monkeypatch.setattr(cli, "honest_spp_strategy", unreachable)
+        code = cli.main(["game", "--m", "5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: m=5 exceeds the exact-enumeration guard 4; sample instead\n"
+        )
+
+    @pytest.mark.parametrize(
+        "recipe, argv, message",
+        [
+            ("honest-my", ["verify-isometry", "--test", "my"],
+             "the isometry needs n <= 8 (m <= 4), got n=10"),
+            ("honest-spp", ["game"],
+             "m=5 exceeds the exact-enumeration guard 4; sample instead"),
+        ],
+    )
+    def test_size_of_a_strategy_file_checked_before_building(
+        self, capsys, monkeypatch, tmp_path, recipe, argv, message
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("strategy built or validated")
+
+        for name in ("honest_my_strategy", "honest_spp_strategy"):
+            monkeypatch.setattr(strategies, name, unreachable)
+        monkeypatch.setattr(cli, "validate_strategy", unreachable)
+        path = tmp_path / "recipe.json"
+        path.write_text(json.dumps({"type": recipe, "m": 5}))
+        code = cli.main(argv + ["--strategy", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestSweepNoise:

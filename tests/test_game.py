@@ -1,10 +1,12 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from selftest_lab import game
 from selftest_lab.game import (
     MAX_GAME_EXPECTATION,
     WIN_SIGNS,
@@ -15,7 +17,17 @@ from selftest_lab.game import (
     threshold_referee_expectation,
     win_predicate,
 )
-from selftest_lab.strategies import honest_spp_strategy
+from selftest_lab.protocols import SPP_ALLOWED_PAIRS
+from selftest_lab.strategies import (
+    Measurement,
+    NoiseSpec,
+    Strategy,
+    honest_spp_strategy,
+    load_strategy,
+    perturb_strategy,
+    strategy_to_json,
+    validate_strategy,
+)
 
 from test_protocols import deterministic_strategy
 
@@ -116,6 +128,157 @@ class TestRoundSampling:
             assert abs(mc["mean"] - 0.6) <= 4 * mc["stderr"]
 
 
+def per_question_joint_distribution(s, qa, qb):
+    """Oracle: one Born probability per (Alice answer, Bob answer) pair."""
+    psi = s.state.reshaped()
+    outcomes = []
+    probs = []
+    for a, pa in s.measurement("alice", qa):
+        left = pa @ psi
+        for b, pb in s.measurement("bob", qb):
+            outcomes.append((a, b))
+            probs.append(float(np.linalg.norm(left @ pb.T) ** 2))
+    probs = np.asarray(probs)
+    return outcomes, probs / probs.sum()
+
+
+def per_question_sample_game(s, rounds, seed, referee="threshold"):
+    """Oracle sampler: masks every round once per distinct question, scores
+    answers with win_predicate and draws them with Generator.choice."""
+    m = s.m
+    rng = np.random.default_rng(seed)
+    combos = rng.integers(0, 10, size=(rounds, m))
+    codes = combos @ (10 ** np.arange(m))
+    accept_vals = np.empty((rounds, m), dtype=np.int8)
+    for code in np.unique(codes):
+        mask = codes == code
+        combo = tuple((int(code) // 10**k) % 10 for k in range(m))
+        qa = "".join(SPP_ALLOWED_PAIRS[i][0] for i in combo)
+        qb = "".join(SPP_ALLOWED_PAIRS[i][1] for i in combo)
+        outcomes, probs = per_question_joint_distribution(s, qa, qb)
+        signs = np.array(
+            [
+                [
+                    1 if win_predicate(*SPP_ALLOWED_PAIRS[combo[k]], a[k], b[k]) else -1
+                    for k in range(m)
+                ]
+                for a, b in outcomes
+            ],
+            dtype=np.int8,
+        )
+        picks = rng.choice(len(outcomes), size=int(mask.sum()), p=probs)
+        accept_vals[mask] = signs[picks]
+    sums = accept_vals.sum(axis=1)
+    if referee == "threshold":
+        thresholds = rng.integers(-m + 1, m + 1, size=rounds)
+        accepted = np.where(sums >= thresholds, 1, -1)
+    else:
+        picks = rng.integers(0, m, size=rounds)
+        accepted = accept_vals[np.arange(rounds), picks]
+    return {
+        "rounds": rounds,
+        "seed": seed,
+        "referee": referee,
+        "mean": float(accepted.mean()),
+        "stderr": float(accepted.std(ddof=1) / math.sqrt(rounds)),
+    }
+
+
+def coarse_grained_strategy(m, path):
+    """A valid spp strategy file whose Alice X... and Bob Z... measurements
+    merge the answers that differ in the last symbol, so they have 2^(m-1)
+    projectors and every other question 2^m."""
+    s = perturb_strategy(honest_spp_strategy(m), NoiseSpec(theta=0.05, w=0.02), seed=4)
+
+    def coarse(meas):
+        merged = {}
+        for a, p in meas:
+            key = a[:-1] + (1,)
+            merged[key] = merged.get(key, 0) + p
+        return Measurement(merged)
+
+    tables = {
+        party: {
+            kind: coarse(meas) if kind[0] == first else meas
+            for kind, meas in getattr(s, party).items()
+        }
+        for party, first in (("alice", "X"), ("bob", "Z"))
+    }
+    coarse_s = Strategy(state=s.state, alice=tables["alice"], bob=tables["bob"], m=m)
+    path.write_text(json.dumps(strategy_to_json(coarse_s)))
+    return load_strategy(json.loads(path.read_text()))
+
+
+# Rounds per case: enough at m=3 for a few hundred distinct questions while
+# the oracle stays fast.
+ORACLE_ROUNDS = {1: 20_000, 2: 20_000, 3: 600}
+
+
+class TestSamplerAgainstPerQuestionOracle:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("referee", ["threshold", "subtest"])
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_equal_to_oracle(self, m, referee, noisy):
+        s = honest_spp_strategy(m)
+        if noisy:
+            s = perturb_strategy(s, NoiseSpec(theta=0.04, w=0.03), seed=m)
+        rounds = ORACLE_ROUNDS[m]
+        seed = 100 + m
+        assert sample_game(s, rounds, seed, referee) == per_question_sample_game(
+            s, rounds, seed, referee
+        )
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("referee", ["threshold", "subtest"])
+    def test_measurements_with_fewer_outcomes(self, tmp_path, m, referee):
+        s = coarse_grained_strategy(m, tmp_path / "coarse.json")
+        assert validate_strategy(s).ok
+        counts = {
+            len(s.measurement(party, kind).projectors)
+            for party in ("alice", "bob")
+            for kind in s.kinds(party)
+        }
+        assert counts == {2 ** (m - 1), 2**m}
+        assert sample_game(s, 20_000, 8, referee) == per_question_sample_game(
+            s, 20_000, 8, referee
+        )
+
+    def test_one_distribution_per_distinct_question(self, monkeypatch):
+        s = honest_spp_strategy(2)
+        asked = []
+        joint = game._joint_distribution
+
+        def counted(strategy, qa, qb):
+            asked.append((qa, qb))
+            return joint(strategy, qa, qb)
+
+        monkeypatch.setattr(game, "_joint_distribution", counted)
+        sample_game(s, 300, seed=12)
+        combos = np.random.default_rng(12).integers(0, 10, size=(300, 2))
+        distinct = {
+            tuple(SPP_ALLOWED_PAIRS[i] for i in row) for row in combos.tolist()
+        }
+        assert len(asked) == len(set(asked)) == len(distinct)
+
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            [0.5, np.nan, 0.25, 0.25],
+            [0.5, np.inf, 0.25, 0.25],
+            [0.75, -0.25, 0.25, 0.25],
+            [0.0, 0.0, 0.0, 0.0],
+        ],
+    )
+    def test_invalid_distribution_rejected(self, monkeypatch, probs):
+        def bad(strategy, qa, qb):
+            prods = np.array([[1], [-1], [-1], [1]], dtype=np.int8)
+            return prods, np.array(probs)
+
+        monkeypatch.setattr(game, "_joint_distribution", bad)
+        with pytest.raises(ValueError):
+            sample_game(honest_spp_strategy(1), 50, seed=3)
+
+
 class TestSampledExpectation:
     def test_honest_m1_within_three_sigma(self):
         s = honest_spp_strategy(1)
@@ -150,12 +313,13 @@ class TestSampledExpectation:
 
 class TestDeltaEpsilon:
     def test_honest_is_zero(self):
-        delta, eps = delta_and_epsilon(honest_spp_strategy(1))
+        s = honest_spp_strategy(1)
+        delta, eps = delta_and_epsilon(game_expectation_exact(s), s.m)
         assert delta == 0.0 and eps == 0.0
 
     def test_formula_on_classical_strategy(self):
         s = deterministic_strategy(ALL_PLUS, ALL_PLUS)
-        delta, eps = delta_and_epsilon(s)
+        delta, eps = delta_and_epsilon(game_expectation_exact(s), s.m)
         assert delta == pytest.approx(MAX_GAME_EXPECTATION - 0.6, abs=1e-14)
         assert eps == pytest.approx(2 * delta / (10 * 2), abs=1e-16)
 
