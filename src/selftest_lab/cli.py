@@ -106,6 +106,10 @@ class RunConfig:
     def __post_init__(self):
         if self.m is not None and self.m < 1:
             raise UsageError(f"m must be >= 1, got {self.m}")
+        if self.rounds < 0 or self.rounds == 1:
+            raise UsageError(
+                f"--rounds must be 0 (exact value only) or >= 2, got {self.rounds}"
+            )
         if self.sample_count < 1:
             raise UsageError(f"sample count must be >= 1, got {self.sample_count}")
         if self.strategy and self.strategy not in ("honest-my", "honest-spp"):
@@ -151,7 +155,14 @@ def _resolve_strategy(cfg: RunConfig, flavor: str, check_size) -> Strategy:
     else:
         with open(cfg.strategy) as fh:
             doc = json.load(fh)
-        check_size(int(doc["m"]))
+        if not isinstance(doc, dict):
+            raise ValueError(f"strategy file {cfg.strategy} is not a JSON object")
+        m = doc.get("m")
+        if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+            raise ValueError(
+                f'strategy file {cfg.strategy} needs an integer "m" >= 1, got {m!r}'
+            )
+        check_size(m)
         s = load_strategy(doc)
     missing = FLAVORS[flavor].missing_kinds(s)
     if missing:

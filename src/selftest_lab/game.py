@@ -34,6 +34,9 @@ _PAIR_SIGNS = np.array([WIN_SIGNS[pair] for pair in SPP_ALLOWED_PAIRS], dtype=np
 
 EXACT_GAME_LIMIT = 4  # 10^m question strings are enumerated
 
+# Rounds per sampler draw: bounds the int64 arrays that rng.integers returns.
+_DRAW_ROWS = 1 << 16
+
 
 def win_predicate(qa: str, qb: str, a: int, b: int) -> bool:
     """Referee's accept decision for one sub-test."""
@@ -116,25 +119,35 @@ def sample_game(
     "subtest" outputs the accept value of one uniformly chosen sub-test.
     Both have the same expectation.
 
-    Each distinct question is measured once, for all of its rounds: one
-    stable sort groups the rounds by question code, in increasing code
-    order, and each question draws its rounds' answers in round order.
+    Each distinct question is measured once, for all of its rounds, in
+    increasing code order, and draws its rounds' answers in round order.
+    The questions and the referee's draws are taken _DRAW_ROWS rounds at a
+    time, which continues the stream of one full-size draw.  The arrays of
+    one entry per round are narrow: the question codes, a bit mask of the
+    sub-tests that accept, and the int8 referee outcomes; the round counts
+    have one entry per possible question (10^m).
     """
     if referee not in ("threshold", "subtest"):
         raise ValueError(f"unknown referee {referee!r}")
+    if rounds < 2:
+        raise ValueError(f"a standard error needs at least 2 rounds, got {rounds}")
     m = s.m
     rng = np.random.default_rng(seed)
-    combos = rng.integers(0, 10, size=(rounds, m))
-    codes = (combos @ 10 ** np.arange(m)).astype(np.min_scalar_type(10**m - 1))
-    del combos
-    order = np.argsort(codes, kind="stable")
-    codes = codes[order]
-    first = np.ones(rounds, dtype=bool)
-    np.not_equal(codes[1:], codes[:-1], out=first[1:])
-    starts = np.flatnonzero(first).tolist()
-    accept_vals = np.empty((rounds, m), dtype=np.int8)
-    for start, stop in zip(starts, starts[1:] + [rounds]):
-        code = int(codes[start])
+    slices = [
+        slice(start, min(start + _DRAW_ROWS, rounds))
+        for start in range(0, rounds, _DRAW_ROWS)
+    ]
+    codes = np.empty(rounds, dtype=np.min_scalar_type(10**m - 1))
+    counts = np.zeros(10**m, dtype=np.intp)
+    for block in slices:
+        combos = rng.integers(0, 10, size=(block.stop - block.start, m))
+        codes[block] = combos @ 10 ** np.arange(m)
+        counts += np.bincount(codes[block], minlength=10**m)
+    # masks[starts[c]:starts[c] + counts[c]] holds the accept masks of
+    # question c's rounds, in round order; bit k is set when sub-test k accepts.
+    starts = np.cumsum(counts) - counts
+    masks = np.empty(rounds, dtype=np.min_scalar_type(2**m - 1))
+    for code in np.flatnonzero(counts).tolist():
         combo = [(code // 10**k) % 10 for k in range(m)]
         qa, qb = _party_strings(combo)
         prods, probs = _joint_distribution(s, qa, qb)
@@ -144,17 +157,35 @@ def sample_game(
         if not cdf[-1] > 0:
             raise ValueError(f"question ({qa}, {qb}) has probabilities summing to 0")
         cdf /= cdf[-1]
-        # Generator.choice(len(probs), size=n, p=probs) draws these same picks.
-        picks = cdf.searchsorted(rng.random(stop - start), side="right")
-        accept_vals[order[start:stop]] = (prods * _PAIR_SIGNS[combo])[picks]
-    del codes, order
-    sums = accept_vals.sum(axis=1)
-    if referee == "threshold":
-        thresholds = rng.integers(-m + 1, m + 1, size=rounds)
-        accepted = np.where(sums >= thresholds, 1, -1)
-    else:
-        picks = rng.integers(0, m, size=rounds)
-        accepted = accept_vals[np.arange(rounds), picks]
+        start, count = int(starts[code]), int(counts[code])
+        # Generator.choice(len(probs), size=count, p=probs) draws these same picks.
+        picks = cdf.searchsorted(rng.random(count), side="right")
+        table = (prods == _PAIR_SIGNS[combo]) @ (1 << np.arange(m))
+        masks[start : start + count] = table[picks]
+    accepted = np.empty(rounds, dtype=np.int8)
+    for block in slices:
+        # A round reads its question's next unread mask.  The stable sort
+        # lists the block's rounds of question c in round order, from sorted
+        # index first[c] on, so the i-th sorted round reads
+        # starts[c] + i - first[c].
+        block_codes = codes[block]
+        order = np.argsort(block_codes, kind="stable")
+        block_counts = np.bincount(block_codes, minlength=10**m)
+        first = np.cumsum(block_counts) - block_counts
+        rows = (starts - first)[block_codes[order]] + np.arange(len(order))
+        starts += block_counts
+        block_masks = np.empty(len(rows), dtype=masks.dtype)
+        block_masks[order] = masks[rows]
+        del order, rows
+        if referee == "threshold":
+            # A round's accept values sum to 2 * (accepting sub-tests) - m.
+            sums = 2 * np.bitwise_count(block_masks).astype(np.int8) - m
+            accept = sums >= rng.integers(-m + 1, m + 1, size=len(block_masks))
+        else:
+            picks = rng.integers(0, m, size=len(block_masks)).astype(masks.dtype)
+            accept = ((block_masks >> picks) & 1) == 1
+        accepted[block] = 2 * accept.astype(np.int8) - 1
+    del codes, masks
     mean = float(accepted.mean())
     stderr = float(accepted.std(ddof=1) / math.sqrt(rounds))
     return {

@@ -277,17 +277,14 @@ def select_pairs(
     n: int, pairs: str = "auto", seed: int = 0, sample_count: int = 64
 ) -> list[tuple[BitString, BitString]]:
     """(p, q) pairs to verify: all 4^n when affordable, else a seeded sample."""
-    exhaustive = [
-        (p, q)
-        for p in BitString.all_strings(n)
-        for q in BitString.all_strings(n)
-    ]
-    if pairs == "exhaustive":
-        return exhaustive
     if pairs == "auto":
-        if len(exhaustive) <= 256:
-            return exhaustive
-        pairs = "sample"
+        pairs = "exhaustive" if 4**n <= 256 else "sample"
+    if pairs == "exhaustive":
+        return [
+            (p, q)
+            for p in BitString.all_strings(n)
+            for q in BitString.all_strings(n)
+        ]
     if pairs == "sample":
         rng = np.random.default_rng(seed)
         return [

@@ -190,6 +190,23 @@ class TestGame:
     def test_rounds_without_seed_usage_error(self, capsys):
         assert cli.main(["game", "--m", "1", "--rounds", "100"]) == 2
 
+    @pytest.mark.parametrize("rounds", ["1", "-5"])
+    def test_rounds_without_a_standard_error(self, capsys, rounds):
+        # One round has no standard error and a negative count no rounds;
+        # neither may reach the sampler.
+        code = cli.main(["game", "--m", "1", "--rounds", rounds, "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"usage error: --rounds must be 0 (exact value only) or >= 2, got {rounds}\n"
+        )
+
+    def test_two_rounds_sample(self, capsys):
+        code, report = run_cli(capsys, "game", "--m", "1", "--rounds", "2", "--seed", "1")
+        assert code == (0 if report["passed"] else 1)
+        assert math.isfinite(report["monte_carlo"]["stderr"])
+
     def test_wrong_flavor_strategy_exits_cleanly(self, capsys):
         # The pair-test strategy lacks the question strings the game needs.
         code = cli.main(["game", "--strategy", "honest-my", "--m", "2"])
@@ -245,6 +262,27 @@ class TestRejectedInput:
         assert code == 2
         assert "Traceback" not in err
         assert err == "error: residual state norm 1.08 deviates from 1\n"
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([1, 2], "is not a JSON object"),
+            ("honest-spp", "is not a JSON object"),
+            ({"type": "honest-spp"}, 'needs an integer "m" >= 1, got None'),
+            ({"type": "honest-spp", "m": "2"}, "needs an integer \"m\" >= 1, got '2'"),
+            ({"type": "honest-spp", "m": 1.5}, 'needs an integer "m" >= 1, got 1.5'),
+            ({"type": "honest-spp", "m": True}, 'needs an integer "m" >= 1, got True'),
+            ({"type": "honest-spp", "m": 0}, 'needs an integer "m" >= 1, got 0'),
+        ],
+    )
+    def test_strategy_file_without_an_integer_m(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["game", "--strategy", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: strategy file {path} {message}\n"
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_sample_count_below_one(self, capsys, count):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -243,6 +244,16 @@ class TestSamplerAgainstPerQuestionOracle:
             s, 20_000, 8, referee
         )
 
+    @pytest.mark.parametrize("referee", ["threshold", "subtest"])
+    def test_rounds_spanning_several_draw_slices(self, referee):
+        # Two full slices and three rounds of a third: the sliced draws must
+        # continue the oracle's one-shot stream across slice boundaries.
+        s = perturb_strategy(honest_spp_strategy(2), NoiseSpec(theta=0.04, w=0.03), seed=6)
+        rounds = 2 * game._DRAW_ROWS + 3
+        assert sample_game(s, rounds, 21, referee) == per_question_sample_game(
+            s, rounds, 21, referee
+        )
+
     def test_one_distribution_per_distinct_question(self, monkeypatch):
         s = honest_spp_strategy(2)
         asked = []
@@ -279,6 +290,24 @@ class TestSamplerAgainstPerQuestionOracle:
             sample_game(honest_spp_strategy(1), 50, seed=3)
 
 
+class TestSamplerMemory:
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("referee", ["threshold", "subtest"])
+    def test_peak_bytes_per_round(self, m, referee):
+        # The per-round arrays are a question code, an accept mask and an
+        # int8 outcome; the final std needs one float64 per round.
+        s = perturb_strategy(honest_spp_strategy(m), NoiseSpec(theta=0.03, w=0.01), seed=1)
+        rounds = 200_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sample_game(s, rounds, seed=4, referee=referee)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak / rounds <= 24
+
+
 class TestSampledExpectation:
     def test_honest_m1_within_three_sigma(self):
         s = honest_spp_strategy(1)
@@ -309,6 +338,11 @@ class TestSampledExpectation:
     def test_unknown_referee(self):
         with pytest.raises(ValueError):
             sample_game(honest_spp_strategy(1), 10, seed=0, referee="oracle")
+
+    @pytest.mark.parametrize("rounds", [1, 0, -4])
+    def test_too_few_rounds_for_a_standard_error(self, rounds):
+        with pytest.raises(ValueError, match="at least 2 rounds"):
+            sample_game(honest_spp_strategy(1), rounds, seed=0)
 
 
 class TestDeltaEpsilon:

@@ -246,6 +246,15 @@ class TestSelectPairs:
         pairs = select_pairs(6, "auto", seed=1)
         assert len(pairs) == 64
 
+    @pytest.mark.parametrize("policy", ["sample", "auto"])
+    def test_sample_never_lists_every_pair(self, monkeypatch, policy):
+        def unreachable(n):
+            raise AssertionError(f"all 4^{n} pairs listed")
+
+        monkeypatch.setattr(BitString, "all_strings", unreachable)
+        pairs = select_pairs(8, policy, seed=3, sample_count=5)
+        assert len(pairs) == 5
+
     def test_sample_deterministic(self):
         a = select_pairs(4, "sample", seed=5, sample_count=10)
         b = select_pairs(4, "sample", seed=5, sample_count=10)
