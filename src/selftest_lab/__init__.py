@@ -84,7 +84,6 @@ from .bounds import (
     xz_swap_bound,
 )
 from .isometry import (
-    IsometryPlan,
     IsometryReport,
     apply_isometry,
     junk_state,

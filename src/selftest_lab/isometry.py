@@ -12,18 +12,30 @@ Closed form, for ordered strings and P^r = prod_k (I + (-1)^(r_k) Z_k)/2:
     controlled Z, H:  2^(-n/2) sum_(s,t) P^(s^t) X^s psi |s>|t>, since for any
                       operators sum_u (-1)^(u.r) Z^u = prod_k (I + (-1)^(r_k) Z_k)
     controlled X:     image[:, s, t] = 2^(-n/2) X^t P^(s^t) X^s psi
+    residual state:   junk[:, s] = (-1)^(s_A.s_B) P^s psi, the half-swap phase
+                      times the controlled-Z step's Walsh-Hadamard sum
 With Alice on indices 1..m and Bob on m+1..2m, X^t P^(s^t) X^s factors as
-K_A[s_A, t_A] x K_B[s_B, t_B], one table per party's local observables.
+K_A[t_A, s_A] x K_B[t_B, s_B], and P^s as P_A^(s_A) x P_B^(s_B), one table
+per party's local observables.
+
+Distances are taken in the Hadamard basis u of Bob's half t_B of U, with W
+the normalized Walsh-Hadamard, W[u, t_B] = 2^(-m/2) (-1)^(u.t_B); W is
+unitary, so every distance is unchanged.  The ideal state is the half-swap
+graph state 2^(-m) (-1)^(t_A.t_B), and summing over w = t_B ^ q_B gives
+    (I x W) X^q Z^p ideal [t_A, u] = 2^(-m/2) (-1)^(|(t_A^q_A) & p_A| + |u & q_B|)
+                                     if u = t_A ^ q_A ^ p_B, else 0,
+so junk x X^q Z^p ideal fills only 2^m blocks (t_A, u) of the rotated image,
+each a signed copy of 2^(-m/2) junk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .bitstrings import AdjacencyMatrix, BitString, PhaseFunction, hamming_weight
+from .bitstrings import BitString, hamming_weight
 from .bounds import (
     VACUOUS_THRESHOLD,
     my_parallel_bound,
@@ -31,12 +43,15 @@ from .bounds import (
     spp_recomputed_bound,
     spp_selftest_bound,
 )
-from .linalg import StateVector, graph_state, walsh_hadamard
+from .linalg import StateVector
 from .protocols import TestSpec
 from .strategies import FLAVORS, Strategy
 
 # n = 2m X/Z indices at most; at n = 8 one distance holds a 16 MB image block.
 ISOMETRY_LIMIT = 8
+# Entries of one image chunk of whole t_A rows (512 KB), or one t_A row if
+# larger: m <= 2 is one chunk, m = 3 one t_A row per chunk, m = 4 16 MB.
+_CHUNK_ENTRIES = 1 << 15
 DISTANCE_SLACK = 1e-9  # numerical slack when comparing distance to a bound
 
 
@@ -44,18 +59,6 @@ def check_isometry_size(n: int) -> None:
     if n > ISOMETRY_LIMIT:
         raise ValueError(f"the isometry needs n <= {ISOMETRY_LIMIT} (m <= "
                          f"{ISOMETRY_LIMIT // 2}), got n={n}")
-
-
-@dataclass(frozen=True)
-class IsometryPlan:
-    """Register bookkeeping for the six-step isometry."""
-
-    system_dim: int
-    n: int  # number of X/Z indices; ancillas count 2n
-
-    @property
-    def output_layout(self):
-        return (("system", self.system_dim), ("S", 2**self.n), ("U", 2**self.n))
 
 
 def detect_flavor(s: Strategy) -> str:
@@ -81,28 +84,6 @@ def party_observables(s: Strategy, flavor: Optional[str] = None):
     )
 
 
-def xz_observables(s: Strategy, flavor: Optional[str] = None) -> tuple[list, list]:
-    """Full-system X_k and Z_k observables for k = 1..2m.
-
-    Indices 1..m act on Alice's factor, m+1..2m on Bob's.
-    """
-    (xa, za), (xb, zb) = party_observables(s, flavor)
-    eye_a, eye_b = np.eye(s.dim_a), np.eye(s.dim_b)
-    return tuple(
-        [np.kron(op, eye_b) for op in ops_a] + [np.kron(eye_a, op) for op in ops_b]
-        for ops_a, ops_b in ((xa, xb), (za, zb))
-    )
-
-
-def _apply_string(ops: list[np.ndarray], bits: BitString, vec: np.ndarray) -> np.ndarray:
-    """Apply the ordered operator string to a vector (highest index first)."""
-    out = vec
-    for k in range(bits.n, 0, -1):
-        if bits.bit(k):
-            out = ops[k - 1] @ out
-    return out
-
-
 def _ordered_products(factors: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """F_1^(r_1)...F_m^(r_m) by big-endian index r; factors[k-1] = (F_k^0, F_k^1)."""
     out = np.eye(factors[0][0].shape[0], dtype=complex)[None]
@@ -112,42 +93,44 @@ def _ordered_products(factors: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarra
 
 
 def _party_tables(xs: list[np.ndarray], zs: list[np.ndarray]):
-    """One party's X strings, Z strings and K[s, t] = X^t P^(s^t) X^s."""
+    """One party's X strings, Z strings, P strings and K[t, s] = X^t P^(s^t) X^s."""
     eye = np.eye(xs[0].shape[0])
     x = _ordered_products([(eye, op) for op in xs])
     z = _ordered_products([(eye, op) for op in zs])
     proj = _ordered_products([((eye + op) / 2, (eye - op) / 2) for op in zs])
     idx = np.arange(len(x))
-    return x, z, x[None, :] @ proj[idx[:, None] ^ idx] @ x[:, None]
+    return x, z, proj, x[:, None] @ proj[idx[:, None] ^ idx] @ x[None, :]
 
 
 class KrausTables:
-    """The isometry as K_A[s_A, t_A] x K_B[s_B, t_B] on (d_A, d_B) state matrices."""
+    """The isometry as K_A[t_A, s_A] x K_B[t_B, s_B] on (d_A, d_B) state matrices."""
 
     def __init__(self, alice, bob):
         self.m = len(alice[0])
-        self.x_a, self.z_a, k_a = _party_tables(*alice)
-        self.x_b, self.z_b, k_b = _party_tables(*bob)
+        self.x_a, self.z_a, self.p_a, k_a = _party_tables(*alice)
+        self.x_b, self.z_b, self.p_b, k_b = _party_tables(*bob)
         self.dims = (k_a.shape[-1], k_b.shape[-1])
-        # Rows (s_A, t_A, a) and columns (s_B, t_B, b): one gemm per s_A block.
+        bits = np.arange(2**self.m)
+        self.hadamard = (-1.0) ** np.bitwise_count(bits[:, None] & bits)  # entries +-1
+        # Rows (t_A, s_A, a) and columns (t_B, s_B, b).
         self.rows_a = k_a.reshape(-1, self.dims[0])
-        self.cols_b = np.ascontiguousarray(k_b.reshape(-1, self.dims[1]).T)
-
-    def pauli(self, p: BitString, q: BitString, psi: np.ndarray) -> np.ndarray:
-        """X^q Z^p psi, with psi and the result as (d_A, d_B) matrices."""
-        (pa, pb), (qa, qb) = divmod(p.value, 2**self.m), divmod(q.value, 2**self.m)
-        return (self.x_a[qa] @ self.z_a[pa]) @ psi @ (self.x_b[qb] @ self.z_b[pb]).T
-
-    def blocks(self, psi: np.ndarray) -> Iterator[np.ndarray]:
-        """Per s_A, the image block of a (d_A, d_B) matrix, axes (t_A, a, s_B, t_B, b)."""
-        half = 2**self.m
-        rows = (self.rows_a @ (psi * 2.0**-self.m)).reshape(half, -1, self.dims[1])
-        for block in rows:
-            yield (block @ self.cols_b).reshape(half, self.dims[0], half, half, self.dims[1])
+        self.cols_b = k_b.reshape(-1, self.dims[1]).T
 
     def image(self, psi: np.ndarray) -> np.ndarray:
         """The image of a (d_A, d_B) matrix, axes (a, b, s_A, s_B, t_A, t_B)."""
-        return np.stack(list(self.blocks(psi))).transpose(2, 5, 0, 3, 1, 4)
+        half, (d_a, d_b) = 2**self.m, self.dims
+        image = self.rows_a @ (psi * 2.0**-self.m) @ self.cols_b
+        return image.reshape(half, half, d_a, half, half, d_b).transpose(2, 5, 1, 4, 0, 3)
+
+    def junk(self, psi: np.ndarray) -> np.ndarray:
+        """Residual state, rows (s_A, a) and columns (s_B, b); its norm must be 1."""
+        half, (d_a, d_b) = 2**self.m, self.dims
+        junk = self.p_a.reshape(-1, d_a) @ psi @ self.p_b.reshape(-1, d_b).T
+        junk = junk.reshape(half, d_a, half, d_b) * self.hadamard[:, None, :, None]
+        norm = np.linalg.norm(junk)
+        if abs(norm - 1.0) > 1e-9:
+            raise RuntimeError(f"residual state norm {norm} deviates from 1")
+        return junk.reshape(half * d_a, half * d_b)
 
 
 def apply_isometry(
@@ -161,94 +144,80 @@ def apply_isometry(
     yields the raw image (useful for linearity checks, no normalization).
     """
     tables = KrausTables(*party_observables(s, flavor))
-    plan = IsometryPlan(system_dim=s.dim_a * s.dim_b, n=2 * s.m)
+    system_dim, ancilla_dim = s.dim_a * s.dim_b, 4**s.m
     raw = isinstance(input_state, np.ndarray)
     vec = input_state if raw else input_state.amps
-    if vec.shape != (plan.system_dim,):
-        raise ValueError(
-            f"input dimension {vec.shape} != system dimension {plan.system_dim}"
-        )
+    if vec.shape != (system_dim,):
+        raise ValueError(f"input dimension {vec.shape} != system dimension {system_dim}")
     psi = np.asarray(vec, dtype=complex).reshape(s.dim_a, s.dim_b)
     image = tables.image(psi).reshape(-1)
     if raw:
         return image
-    return StateVector(image, plan.output_layout)
-
-
-def _junk_matrix(zs: list[np.ndarray], psi: np.ndarray) -> np.ndarray:
-    """Residual state as a (system, S) matrix; exactly normalized in theory."""
-    n = len(zs)
-    big = 2**n
-    cols = np.empty((psi.shape[0], big), dtype=complex)
-    for t in BitString.all_strings(n):
-        cols[:, t.value] = _apply_string(zs, t, psi)
-    phase = PhaseFunction.from_adjacency(AdjacencyMatrix.half_swap(n))
-    signs = np.array(
-        [-1.0 if phase(sb) else 1.0 for sb in BitString.all_strings(n)]
-    )
-    return (cols @ walsh_hadamard(n)) * signs[None, :] * 2.0 ** (-n / 2)
-
-
-def _checked_junk(s: Strategy, flavor: Optional[str]) -> np.ndarray:
-    _, zs = xz_observables(s, flavor)
-    junk = _junk_matrix(zs, s.state.amps)
-    norm = np.linalg.norm(junk)
-    if abs(norm - 1.0) > 1e-9:
-        raise RuntimeError(f"residual state norm {norm} deviates from 1")
-    return junk
+    return StateVector(image, (("system", system_dim), ("S", ancilla_dim), ("U", ancilla_dim)))
 
 
 def junk_state(s: Strategy, flavor: Optional[str] = None) -> StateVector:
     """The residual state on (system, S); its norm must come out 1."""
-    junk = _checked_junk(s, flavor)
-    layout = (("system", junk.shape[0]), ("S", junk.shape[1]))
+    junk = KrausTables(*party_observables(s, flavor)).junk(s.state.reshaped())
+    half = 2**s.m
+    junk = junk.reshape(half, s.dim_a, half, s.dim_b).transpose(1, 3, 0, 2)
+    layout = (("system", s.dim_a * s.dim_b), ("S", half * half))
     return StateVector(junk.reshape(-1), layout, atol=1e-9)
 
 
-def ideal_pair_state(n: int) -> StateVector:
-    """Graph state of n/2 isolated edges on the U block."""
-    return graph_state(AdjacencyMatrix.half_swap(n))
-
-
-def pauli_string_state(p: BitString, q: BitString, base: np.ndarray) -> np.ndarray:
-    """X^q Z^p applied to a computational-basis-indexed amplitude vector."""
-    n = p.n
-    if q.n != n or base.shape != (2**n,):
-        raise ValueError("p, q and the base state must share one qubit count")
-    v = np.arange(2**n)
-    signs = (-1.0) ** np.bitwise_count(v & p.value)
-    out = np.empty_like(base)
-    out[v ^ q.value] = signs * base
-    return out
-
-
 class IsometryContext:
-    """Shared pieces for many distance evaluations of one strategy."""
+    """Shared pieces for many distance evaluations of one strategy.
+
+    The image is held in the Hadamard basis u of Bob's half of U, rows
+    (t_A, s_A, a) and columns (u, s_B, b), where the target is 2^m signed
+    junk blocks (module docstring).  One buffer holds a chunk of image rows.
+    """
 
     def __init__(self, s: Strategy, flavor: Optional[str] = None):
-        self.strategy = s
         self.n = 2 * s.m
-        self.tables = KrausTables(*party_observables(s, flavor))
-        self.junk = _checked_junk(s, flavor)
-        self.ideal = ideal_pair_state(self.n).amps
-        self._psi = s.state.amps.reshape(s.dim_a, s.dim_b)
-        # The junk as (s_A, 1, a, s_B, 1, b), to line up with the image blocks.
-        self._junk_blocks = np.ascontiguousarray(
-            self.junk.reshape(s.dim_a, s.dim_b, 2**s.m, 2**s.m).transpose(2, 0, 3, 1)
-        )[:, None, :, :, None, :]
+        tables = KrausTables(*party_observables(s, flavor))
+        half, (d_a, d_b) = 2**s.m, tables.dims
+        self._psi = s.state.reshaped()
+        junk = tables.junk(self._psi)
+        self._targets = np.stack([junk, -junk])
+        # X^q Z^p of each party by [q, p]; Bob's transposed, to act on columns.
+        self._pauli_a = tables.x_a[:, None] @ tables.z_a[None]
+        self._pauli_b = (tables.x_b[:, None] @ tables.z_b[None]).swapaxes(2, 3)
+        self._rows = tables.rows_a.reshape(half, half * d_a, d_a) * 2.0**-s.m
+        # H = 2^(m/2) W has entries +-1: H image - (+-junk) is 2^(m/2) times
+        # the residual, with no inexact 2^(-m/2) scale at odd m.
+        self._cols = (tables.hadamard @ tables.cols_b.reshape(d_b, half, -1)).reshape(d_b, -1)
+        self._bits = bits = np.arange(half)
+        # _flips[x, y, r] = parity of (r ^ x) & y.
+        self._flips = np.bitwise_count((bits ^ bits[:, None, None]) & bits[:, None]) & 1
+        row_entries = half * d_a * self._cols.shape[1]  # image entries per t_A
+        self._chunk = min(half, max(1, _CHUNK_ENTRIES // row_entries))
+        self._buf = np.empty((self._chunk * half * d_a, self._cols.shape[1]), dtype=complex)
 
     def distance(self, p: BitString, q: BitString) -> float:
         """|| Phi(X^q Z^p psi') - junk x (X^q Z^p ideal) ||, phase-exact."""
         if p.n != self.n or q.n != self.n:
             raise ValueError(f"p, q must have length {self.n}")
-        half = 2 ** (self.n // 2)
-        ideal = pauli_string_state(p, q, self.ideal).reshape(half, 1, 1, half, 1)
+        half, chunk = len(self._bits), self._chunk
+        (pa, pb), (qa, qb) = divmod(p.value, half), divmod(q.value, half)
+        psi = self._pauli_a[qa, pa] @ self._psi @ self._pauli_b[qb, pb]
+        # Row block r holds t_A = r ^ q_A ^ p_B, so its target block is u = r,
+        # with sign (-1)^(|(r ^ p_B) & p_A| + |r & q_B|).
+        order = self._bits ^ (qa ^ pb)
+        flips = self._flips[pb, pa] ^ self._flips[0, qb]
         total = 0.0
-        blocks = self.tables.blocks(self.tables.pauli(p, q, self._psi))
-        for s_a, block in enumerate(blocks):
-            block -= ideal * self._junk_blocks[s_a]
-            total += np.vdot(block, block).real
-        return float(np.sqrt(total))
+        for lo in range(0, half, chunk):
+            hi = min(lo + chunk, half)
+            rows = (self._rows[order[lo:hi]] @ psi).reshape(-1, psi.shape[1])
+            image = np.matmul(rows, self._cols, out=self._buf[:len(rows)])
+            blocks = image.reshape(hi - lo, -1, half, self._cols.shape[1] // half)
+            diagonal = np.einsum("iriu->iru", blocks[:, :, lo:hi])  # a writable view
+            diagonal -= self._targets[flips[lo:hi]]
+            # One dot per row, then numpy's pairwise sum of the rows: one running
+            # sum (vdot) over a 16 MB chunk drifts by 1e-14.
+            flat = image.view(np.float64)
+            total += (flat[:, None] @ flat[:, :, None]).sum()
+        return float(np.sqrt(total / half))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from selftest_lab.bitstrings import BitString
+from selftest_lab.bitstrings import AdjacencyMatrix, BitString, PhaseFunction
 from selftest_lab.bounds import (
     my_parallel_bound,
     my_parallel_recomputed_bound,
@@ -12,6 +13,7 @@ from selftest_lab.linalg import (
     PAULI_X,
     PAULI_Z,
     StateVector,
+    graph_state,
     kron,
     ordered_power,
     qubit_layout,
@@ -21,26 +23,24 @@ from selftest_lab.linalg import (
 from selftest_lab.isometry import (
     ISOMETRY_LIMIT,
     IsometryContext,
-    IsometryPlan,
     KrausTables,
-    _apply_string,
     apply_isometry,
     detect_flavor,
-    ideal_pair_state,
     junk_state,
-    pauli_string_state,
+    party_observables,
     select_pairs,
     verify_bound,
-    xz_observables,
 )
 from selftest_lab.protocols import epsilon_my, epsilon_spp, my_test_spec, spp_test_spec
 from selftest_lab.strategies import (
+    Measurement,
     NoiseSpec,
     Strategy,
     honest_my_strategy,
     honest_spp_strategy,
     perturb_strategy,
     product_basis_measurement,
+    validate_strategy,
 )
 
 from test_protocols import deterministic_strategy
@@ -73,11 +73,64 @@ def six_step_image(
     return amps
 
 
+def xz_observables(s: Strategy, flavor=None) -> tuple[list, list]:
+    """Full-system X_k and Z_k observables for k = 1..2m.
+
+    Indices 1..m act on Alice's factor, m+1..2m on Bob's.
+    """
+    (xa, za), (xb, zb) = party_observables(s, flavor)
+    eye_a, eye_b = np.eye(s.dim_a), np.eye(s.dim_b)
+    return tuple(
+        [np.kron(op, eye_b) for op in ops_a] + [np.kron(eye_a, op) for op in ops_b]
+        for ops_a, ops_b in ((xa, xb), (za, zb))
+    )
+
+
+def apply_string(ops: list[np.ndarray], bits: BitString, vec: np.ndarray) -> np.ndarray:
+    """Apply the ordered operator string to a vector (highest index first)."""
+    out = vec
+    for k in range(bits.n, 0, -1):
+        if bits.bit(k):
+            out = ops[k - 1] @ out
+    return out
+
+
+def junk_matrix(zs: list[np.ndarray], psi: np.ndarray) -> np.ndarray:
+    """Oracle: the residual state as a (system, S) matrix, from full-system Z_k.
+
+    The Walsh-Hadamard sum of Z^t psi over all t, times the half-swap phase.
+    """
+    n = len(zs)
+    cols = np.empty((psi.shape[0], 2**n), dtype=complex)
+    for t in BitString.all_strings(n):
+        cols[:, t.value] = apply_string(zs, t, psi)
+    phase = PhaseFunction.from_adjacency(AdjacencyMatrix.half_swap(n))
+    signs = np.array([-1.0 if phase(sb) else 1.0 for sb in BitString.all_strings(n)])
+    return (cols @ walsh_hadamard(n)) * signs[None, :] * 2.0 ** (-n / 2)
+
+
+def ideal_pair_state(n: int) -> StateVector:
+    """Graph state of n/2 isolated edges on the U block."""
+    return graph_state(AdjacencyMatrix.half_swap(n))
+
+
+def pauli_string_state(p: BitString, q: BitString, base: np.ndarray) -> np.ndarray:
+    """X^q Z^p applied to a computational-basis-indexed amplitude vector."""
+    n = p.n
+    if q.n != n or base.shape != (2**n,):
+        raise ValueError("p, q and the base state must share one qubit count")
+    v = np.arange(2**n)
+    signs = (-1.0) ** np.bitwise_count(v & p.value)
+    out = np.empty_like(base)
+    out[v ^ q.value] = signs * base
+    return out
+
+
 def six_step_distance(s, flavor, p, q) -> float:
     """Oracle: the distance from the six-step image of X^q Z^p psi."""
     xs, zs = xz_observables(s, flavor)
-    vec = _apply_string(xs, q, _apply_string(zs, p, s.state.amps))
-    junk = junk_state(s, flavor).amps.reshape(s.dim_a * s.dim_b, -1)
+    vec = apply_string(xs, q, apply_string(zs, p, s.state.amps))
+    junk = junk_matrix(zs, s.state.amps)
     ideal = pauli_string_state(p, q, ideal_pair_state(p.n).amps)
     target = junk[:, :, None] * ideal[None, None, :]
     return float(np.linalg.norm(six_step_image(xs, zs, vec) - target))
@@ -98,8 +151,10 @@ def classical_diagonal_strategy():
 
 class TestPlanAndExtraction:
     def test_plan_dimensions(self):
-        plan = IsometryPlan(system_dim=4, n=2)
-        assert plan.output_layout == (("system", 4), ("S", 4), ("U", 4))
+        # n = 2m ancilla pairs: S and U hold 2^n dimensions each.
+        s = with_junk(honest_spp_strategy(2), seed=1)
+        out = apply_isometry(s, s.state)
+        assert out.layout == (("system", 96), ("S", 16), ("U", 16))
 
     def test_flavor_detection(self):
         assert detect_flavor(honest_my_strategy(2)) == "my"
@@ -353,9 +408,9 @@ class TestAgainstClosedFormImage:
             for t in BitString.all_strings(n):
                 for u in BitString.all_strings(n):
                     phase = (-1.0) ** ((t.value & (s.value ^ u.value)).bit_count())
-                    vec = _apply_string(xs, s, v)
-                    vec = _apply_string(zs, t, vec)
-                    vec = _apply_string(xs, u, vec)
+                    vec = apply_string(xs, s, v)
+                    vec = apply_string(zs, t, vec)
+                    vec = apply_string(xs, u, vec)
                     expected[:, s.value, u.value] += phase * vec
         expected /= 2.0 ** (3 * n / 2)
         assert np.allclose(got, expected, atol=1e-12)
@@ -363,15 +418,23 @@ class TestAgainstClosedFormImage:
 
     def test_residual_normalization_without_commutation(self):
         # The residual state has unit norm for any Hermitian unitary family,
-        # commuting or not.
-        from selftest_lab.isometry import _junk_matrix
-
+        # commuting or not, and the party tables give the oracle's residual.
         rng = np.random.default_rng(5)
-        for dim, n in ((4, 2), (4, 4)):
-            zs = [random_reflection(rng, dim) for _ in range(n)]
-            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        for m, dims in ((1, (2, 2)), (2, (3, 4))):
+            parties = [
+                tuple([random_reflection(rng, d) for _ in range(m)] for _ in "xz")
+                for d in dims
+            ]
+            v = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
             v /= np.linalg.norm(v)
-            assert abs(np.linalg.norm(_junk_matrix(zs, v)) - 1.0) < 1e-12
+            junk = KrausTables(*parties).junk(v)
+            assert abs(np.linalg.norm(junk) - 1.0) < 1e-12
+            eye_a, eye_b = (np.eye(d) for d in dims)
+            zs = [np.kron(z, eye_b) for z in parties[0][1]]
+            zs += [np.kron(eye_a, z) for z in parties[1][1]]
+            expected = junk_matrix(zs, v.reshape(-1)).reshape(*dims, 2**m, 2**m)
+            got = junk.reshape(2**m, dims[0], 2**m, dims[1]).transpose(1, 3, 0, 2)
+            assert np.allclose(got, expected, atol=1e-12)
 
 
 ORACLE_CASES = [
@@ -428,3 +491,69 @@ class TestSizeLimit:
         ctx = IsometryContext(s)
         n = ctx.n
         assert ctx.distance(BitString.zeros(n), BitString.from_index(2**n - 1, n)) < 1e-9
+
+
+def haar_unitary(rng, dim):
+    """Haar-random unitary: QR of a complex Gaussian, phases of R divided out."""
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(a)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def with_junk(s: Strategy, seed: int, junk_dims=(3, 2)) -> Strategy:
+    """s tensored with a random junk state, then seeded Haar local unitaries.
+
+    Party dimensions become (d_A * 3, d_B * 2): neither equal nor 2^m.
+    """
+    rng = np.random.default_rng(seed)
+    junk = rng.standard_normal(junk_dims) + 1j * rng.standard_normal(junk_dims)
+    junk /= np.linalg.norm(junk)
+    dims = (s.dim_a * junk_dims[0], s.dim_b * junk_dims[1])
+    ua, ub = haar_unitary(rng, dims[0]), haar_unitary(rng, dims[1])
+    psi = ua @ np.kron(s.state.reshaped(), junk) @ ub.T
+
+    def rotated(table, u, junk_dim):
+        eye = np.eye(junk_dim)
+        return {
+            kind: Measurement({a: u @ np.kron(p, eye) @ u.conj().T for a, p in meas})
+            for kind, meas in table.items()
+        }
+
+    return Strategy(
+        state=StateVector(psi.reshape(-1), (("A", dims[0]), ("B", dims[1]))),
+        alice=rotated(s.alice, ua, junk_dims[0]),
+        bob=rotated(s.bob, ub, junk_dims[1]),
+        m=s.m,
+    )
+
+
+class TestStrategyWithJunk:
+    @pytest.mark.parametrize("flavor,m,noisy", ORACLE_CASES)
+    def test_distance_over_all_pairs(self, flavor, m, noisy):
+        s = with_junk(oracle_case_strategy(flavor, m, noisy), seed=10 * m + noisy)
+        assert (s.dim_a, s.dim_b) == (3 * 2**m, 2 * 2**m)
+        assert validate_strategy(s).ok
+        ctx = IsometryContext(s, flavor)
+        for p, q in itertools.product(BitString.all_strings(2 * m), repeat=2):
+            expected = six_step_distance(s, flavor, p, q)
+            assert abs(ctx.distance(p, q) - expected) <= 1e-12
+            if not noisy:
+                assert expected < 1e-9
+
+
+class TestDistanceMemory:
+    def test_chunk_buffer_at_m3(self):
+        ctx = IsometryContext(honest_my_strategy(3))
+        assert ctx._buf.nbytes <= 512 * 1024
+
+    def test_peak_of_one_call_at_m3(self):
+        s = perturb_strategy(honest_my_strategy(3), NoiseSpec(theta=0.03, w=0.01), seed=1)
+        ctx = IsometryContext(s)
+        p, q = BitString.from_index(45, 6), BitString.from_index(27, 6)
+        tracemalloc.start()
+        try:
+            ctx.distance(p, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * 2**20

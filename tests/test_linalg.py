@@ -96,17 +96,17 @@ class TestOrderedPower:
             assert np.allclose(lhs, ordered_power(ops, s ^ t), atol=1e-12)
 
     def test_operator_string_wrapper(self):
-        # The isometry applies operator strings to vectors without forming
+        # The six-step oracle applies operator strings to vectors without forming
         # the product; the highest selected index acts first.
-        from selftest_lab.isometry import _apply_string
+        from test_isometry import apply_string
 
         ops = [PAULI_X, PAULI_Z, DIAG_XZ]
         v = np.array([1.0, 0.0], dtype=complex)
         assert np.allclose(
-            _apply_string(ops[:2], BitString.from_str("11"), v), PAULI_X @ (PAULI_Z @ v)
+            apply_string(ops[:2], BitString.from_str("11"), v), PAULI_X @ (PAULI_Z @ v)
         )
         for t in BitString.all_strings(3):
-            assert np.allclose(_apply_string(ops, t, v), ordered_power(ops, t) @ v)
+            assert np.allclose(apply_string(ops, t, v), ordered_power(ops, t) @ v)
 
 
 class TestPauliObservables:
