@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -418,10 +418,22 @@ def _interleave(a: np.ndarray) -> list[float]:
     return out.tolist()
 
 
-def _deinterleave(values: Sequence[float], shape) -> np.ndarray:
+def _numbers(values, count=None) -> bool:
+    """Whether values is a JSON list of numbers, of count entries if given."""
+    return isinstance(values, list) and count in (None, len(values)) and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in values)
+
+
+def _check_field(ok: bool, field: str, want: str, got) -> None:
+    """Reject a malformed strategy-file field by name, before it is used."""
+    if not ok:
+        raise ValueError(f"strategy field {field} must be {want}, got {got!r:.60}")
+
+
+def _deinterleave(values, shape, field: str) -> np.ndarray:
+    size = 2 * math.prod(shape)
+    _check_field(_numbers(values, size), field, f"a list of {size} numbers", values)
     arr = np.asarray(values, dtype=float)
-    if arr.size != 2 * math.prod(shape):
-        raise ValueError(f"expected {2 * math.prod(shape)} floats, got {arr.size}")
     return (arr[0::2] + 1j * arr[1::2]).reshape(shape)
 
 
@@ -448,18 +460,31 @@ def strategy_to_json(s: Strategy) -> dict:
 
 
 def strategy_from_json(doc: Mapping) -> Strategy:
-    da, db = (int(d) for d in doc["dims"])
+    dims, questions = doc.get("dims"), doc.get("questions")
+    _check_field(_numbers(dims, 2) and all(isinstance(d, int) and d >= 1 for d in dims),
+                 "dims", "two integers >= 1", dims)
+    da, db = dims
     m = int(doc["m"])
-    amps = _deinterleave(doc["state"], (da * db,))
+    amps = _deinterleave(doc.get("state"), (da * db,), "state")
+    _check_field(isinstance(questions, list), "questions", "a list", questions)
     tables = {"alice": {}, "bob": {}}
-    for q in doc["questions"]:
-        party, kind = q["party"], q["kind"]
+    for i, q in enumerate(questions):
+        field = f"questions[{i}]"
+        _check_field(isinstance(q, dict), field, "an object", q)
+        party, kind, entries = q.get("party"), q.get("kind"), q.get("projectors")
+        _check_field(party in ("alice", "bob"), f"{field}.party", '"alice" or "bob"', party)
+        _check_field(isinstance(kind, str), f"{field}.kind", "a string", kind)
+        _check_field(
+            isinstance(entries, list)
+            and all(isinstance(e, dict) and _numbers(e.get("answer")) for e in entries),
+            f"{field}.projectors", 'a list of objects with an "answer" list', entries,
+        )
         dim = da if party == "alice" else db
         projectors = {
             tuple(int(x) for x in entry["answer"]): _deinterleave(
-                entry["matrix"], (dim, dim)
+                entry.get("matrix"), (dim, dim), f"{field}.projectors[{j}].matrix"
             )
-            for entry in q["projectors"]
+            for j, entry in enumerate(entries)
         }
         tables[party][kind] = Measurement(projectors)
     state = StateVector(amps, (("A", da), ("B", db)))
@@ -472,10 +497,14 @@ def load_strategy(doc: Mapping) -> Strategy:
         kind = doc["type"]
         m = int(doc["m"])
         builders = {"honest-my": honest_my_strategy, "honest-spp": honest_spp_strategy}
-        if kind not in builders:
+        if not isinstance(kind, str) or kind not in builders:
             raise ValueError(f"unknown strategy type {kind!r}")
         s = builders[kind](m)
-        noise = doc.get("noise")
+        noise = doc.get("noise", {})
+        _check_field(
+            isinstance(noise, dict) and _numbers([noise.get(k, 0) for k in ("theta", "w", "seed")]),
+            "noise", 'an object with numeric "theta", "w" and "seed"', noise,
+        )
         if noise:
             spec = NoiseSpec(
                 theta=float(noise.get("theta", 0.0)),

@@ -284,6 +284,55 @@ class TestRejectedInput:
         assert captured.out == ""
         assert captured.err == f"error: strategy file {path} {message}\n"
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"questions": 7}, "questions must be a list, got 7"),
+            ({"dims": [2]}, "dims must be two integers >= 1, got [2]"),
+            ({"dims": [2, "2"]}, "dims must be two integers >= 1, got [2, '2']"),
+            ({"state": [1, 0, 0]}, "state must be a list of 8 numbers, got [1, 0, 0]"),
+            ({"state": None}, "state must be a list of 8 numbers, got None"),
+            ({"questions": [3]}, "questions[0] must be an object, got 3"),
+            ({"questions": [{"party": "carol", "kind": "X", "projectors": []}]},
+             "questions[0].party must be \"alice\" or \"bob\", got 'carol'"),
+            ({"questions": [{"party": "bob", "kind": 5, "projectors": []}]},
+             "questions[0].kind must be a string, got 5"),
+            ({"questions": [{"party": "bob", "kind": "X", "projectors": 2}]},
+             'questions[0].projectors must be a list of objects with an "answer" list, got 2'),
+            ({"questions": [{"party": "bob", "kind": "X",
+                             "projectors": [{"answer": [1], "matrix": "m"}]}]},
+             "questions[0].projectors[0].matrix must be a list of 8 numbers, got 'm'"),
+        ],
+    )
+    def test_malformed_strategy_file_field(self, capsys, tmp_path, fields, message):
+        doc = {"dims": [2, 2], "m": 1, "state": [1, 0] + [0] * 6, "questions": []}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({**doc, **fields}))
+        code = cli.main(["game", "--strategy", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: strategy field {message}\n"
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"noise": 3}, 'strategy field noise must be an object with numeric "theta", '
+                           '"w" and "seed", got 3'),
+            ({"noise": {"theta": "0.1"}}, 'strategy field noise must be an object with '
+                                          'numeric "theta", "w" and "seed", got {\'theta\': \'0.1\'}'),
+            ({"type": ["honest-spp"]}, "unknown strategy type ['honest-spp']"),
+        ],
+    )
+    def test_malformed_strategy_recipe(self, capsys, tmp_path, fields, message):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"type": "honest-spp", "m": 1, **fields}))
+        code = cli.main(["game", "--strategy", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_sample_count_below_one(self, capsys, count):
         code = cli.main(
