@@ -183,7 +183,7 @@ class IsometryContext:
         # X^q Z^p of each party by [q, p]; Bob's transposed, to act on columns.
         self._pauli_a = tables.x_a[:, None] @ tables.z_a[None]
         self._pauli_b = (tables.x_b[:, None] @ tables.z_b[None]).swapaxes(2, 3)
-        self._rows = tables.rows_a.reshape(half, half * d_a, d_a) * 2.0**-s.m
+        self._rows = tables.rows_a * 2.0**-s.m
         # H = 2^(m/2) W has entries +-1: H image - (+-junk) is 2^(m/2) times
         # the residual, with no inexact 2^(-m/2) scale at odd m.
         self._cols = (tables.hadamard @ tables.cols_b.reshape(d_b, half, -1)).reshape(d_b, -1)
@@ -205,10 +205,11 @@ class IsometryContext:
         # with sign (-1)^(|(r ^ p_B) & p_A| + |r & q_B|).
         order = self._bits ^ (qa ^ pb)
         flips = self._flips[pb, pa] ^ self._flips[0, qb]
+        row_blocks = (self._rows @ psi).reshape(half, -1, psi.shape[1])
         total = 0.0
         for lo in range(0, half, chunk):
             hi = min(lo + chunk, half)
-            rows = (self._rows[order[lo:hi]] @ psi).reshape(-1, psi.shape[1])
+            rows = row_blocks[order[lo:hi]].reshape(-1, psi.shape[1])
             image = np.matmul(rows, self._cols, out=self._buf[:len(rows)])
             blocks = image.reshape(hi - lo, -1, half, self._cols.shape[1] // half)
             diagonal = np.einsum("iriu->iru", blocks[:, :, lo:hi])  # a writable view
