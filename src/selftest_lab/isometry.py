@@ -49,8 +49,8 @@ from .strategies import FLAVORS, Strategy
 
 # n = 2m X/Z indices at most; at n = 8 one distance holds a 16 MB image block.
 ISOMETRY_LIMIT = 8
-# Entries of one image chunk of whole t_A rows (512 KB), or one t_A row if
-# larger: m <= 2 is one chunk, m = 3 one t_A row per chunk, m = 4 16 MB.
+# Image entries per chunk of whole t_A row blocks (512 KB), or one row block
+# if that is larger: m <= 2 is one chunk, m = 3 one block, m = 4 one 16 MB block.
 _CHUNK_ENTRIES = 1 << 15
 DISTANCE_SLACK = 1e-9  # numerical slack when comparing distance to a bound
 
