@@ -96,6 +96,11 @@ def _check_same_length(x: BitString, y: BitString) -> None:
         raise ValueError(f"length mismatch: {x.n} vs {y.n}")
 
 
+def _check_exhaustive(n: int) -> None:
+    if n > EXHAUSTIVE_LIMIT:
+        raise ValueError(f"n={n} exceeds exhaustive-check limit {EXHAUSTIVE_LIMIT}")
+
+
 def _check_even(x: BitString) -> None:
     if x.n % 2:
         raise ValueError(f"length {x.n} is odd; half-split operations need even length")
@@ -226,17 +231,14 @@ class PhaseFunction:
 
 
 def find_phase_violation(
-    adj: AdjacencyMatrix,
-    limit: int = EXHAUSTIVE_LIMIT,
-    phase: Optional[PhaseFunction] = None,
+    adj: AdjacencyMatrix, phase: Optional[PhaseFunction] = None
 ) -> Optional[tuple[BitString, BitString]]:
     """First (s, t) pair violating P(s) + P(t) = P(s xor t) + s.A(s xor t) mod 2.
 
     Returns None when the additivity property holds for all 2^(2n) pairs.
     """
     n = adj.n
-    if n > limit:
-        raise ValueError(f"n={n} exceeds exhaustive-check limit {limit}")
+    _check_exhaustive(n)
     if phase is None:
         phase = PhaseFunction.from_adjacency(adj)
     strings = list(BitString.all_strings(n))
@@ -255,44 +257,39 @@ def find_phase_violation(
 
 
 def check_phase_consistency(
-    adj: AdjacencyMatrix,
-    limit: int = EXHAUSTIVE_LIMIT,
-    phase: Optional[PhaseFunction] = None,
+    adj: AdjacencyMatrix, phase: Optional[PhaseFunction] = None
 ) -> bool:
-    return find_phase_violation(adj, limit=limit, phase=phase) is None
+    return find_phase_violation(adj, phase=phase) is None
 
 
-def average_dot(t: BitString, limit: int = EXHAUSTIVE_LIMIT) -> Fraction:
+def average_dot(t: BitString) -> Fraction:
     """(1/2^n) Sum_s s.t by explicit enumeration; equals |t|/2."""
     n = t.n
-    if n > limit:
-        raise ValueError(f"n={n} exceeds exhaustive-check limit {limit}")
+    _check_exhaustive(n)
     tv = t.value
     total = sum((s & tv).bit_count() for s in range(2**n))
     return Fraction(total, 2**n)
 
 
-def double_average_dot(n: int, limit: int = EXHAUSTIVE_LIMIT) -> Fraction:
+def double_average_dot(n: int) -> Fraction:
     """(1/2^(2n)) Sum_{s,t} s.t by explicit enumeration; equals n/4."""
-    if n > limit:
-        raise ValueError(f"n={n} exceeds exhaustive-check limit {limit}")
+    _check_exhaustive(n)
     total = sum(
         (s & t).bit_count() for s in range(2**n) for t in range(2**n)
     )
     return Fraction(total, 2 ** (2 * n))
 
 
-def parity_average(t: BitString, limit: int = EXHAUSTIVE_LIMIT) -> Fraction:
+def parity_average(t: BitString) -> Fraction:
     """(1/2^n) Sum_s (-1)^(s.t) by explicit enumeration; equals 1 iff t = 0."""
     n = t.n
-    if n > limit:
-        raise ValueError(f"n={n} exceeds exhaustive-check limit {limit}")
+    _check_exhaustive(n)
     tv = t.value
     total = sum(1 - 2 * ((s & tv).bit_count() & 1) for s in range(2**n))
     return Fraction(total, 2**n)
 
 
-def check_half_swap_identity(n: int, limit: int = EXHAUSTIVE_LIMIT) -> bool:
+def check_half_swap_identity(n: int) -> bool:
     """Exhaustively verify the half-swap phase decomposition over all (s, u).
 
     With R the half-swap matrix, checks for every pair of n-bit strings:
@@ -300,8 +297,7 @@ def check_half_swap_identity(n: int, limit: int = EXHAUSTIVE_LIMIT) -> bool:
     """
     if n % 2:
         raise ValueError(f"identity needs even n, got {n}")
-    if n > limit:
-        raise ValueError(f"n={n} exceeds exhaustive-check limit {limit}")
+    _check_exhaustive(n)
     for s, u in itertools.product(BitString.all_strings(n), repeat=2):
         w = s ^ u
         lhs = dot_mod2(swap_halves(w), s) ^ dot_mod2(

@@ -71,7 +71,6 @@ def graph_state_bound(
     p: BitString,
     e_ac: Callable[[BitString, BitString], float],
     e_xz: Callable[[BitString], float],
-    limit: int = GRAPH_BOUND_LIMIT,
 ) -> float:
     """Generic self-test distance bound, enumerating both double sums.
 
@@ -80,8 +79,8 @@ def graph_state_bound(
     """
     if p.n != n:
         raise ValueError(f"p has length {p.n}, expected {n}")
-    if n > limit:
-        raise ValueError(f"n={n} exceeds enumeration limit {limit}")
+    if n > GRAPH_BOUND_LIMIT:
+        raise ValueError(f"n={n} exceeds enumeration limit {GRAPH_BOUND_LIMIT}")
     strings = list(BitString.all_strings(n))
     weight = 1.0 / 2 ** (2 * n - 1)
     first = sum(
@@ -166,18 +165,24 @@ def my_parallel_bound(n: int, weight_p: int, eps: float) -> float:
     return math.sqrt(first) + math.sqrt(second)
 
 
-def my_parallel_recomputed_bound(n: int, weight_p: int, eps: float) -> float:
-    """Same bound re-derived by substituting the primitive estimates
-    (eps1 = 4 sqrt(2 eps), eps2 = sqrt(2 eps), eps3 = the Mayers-Yao
-    anticommutation estimate) into the sufficient-conditions closed form.
-    Does not match the published constants; consumers take the max.
-    """
+def _recomputed_bound(
+    n: int, weight_p: int, eps: float, anticommute: Callable[[float], float]
+) -> float:
+    """The sufficient-conditions closed form at eps1 = 4 sqrt(2 eps),
+    eps2 = sqrt(2 eps) and eps3 = anticommute(eps)."""
     _check_nonneg("eps", eps)
     root = math.sqrt(2 * eps)
-    bundle = EpsilonBundle(
-        eps1=4 * root, eps2=root, eps3=mayers_yao_anticommute_bound(eps)
-    )
+    bundle = EpsilonBundle(eps1=4 * root, eps2=root, eps3=anticommute(eps))
     return sufficient_conditions_bound(n, weight_p, bundle)
+
+
+def my_parallel_recomputed_bound(n: int, weight_p: int, eps: float) -> float:
+    """Same bound re-derived by substituting the primitive estimates, with
+    the Mayers-Yao anticommutation estimate as eps3, into the
+    sufficient-conditions closed form.  Does not match the published
+    constants; consumers take the max.
+    """
+    return _recomputed_bound(n, weight_p, eps, mayers_yao_anticommute_bound)
 
 
 def spp_radicands(n: int, weight_p: int, eps_or_root) -> tuple[float, float]:
@@ -201,12 +206,7 @@ def spp_selftest_bound(n: int, weight_p: int, eps: float) -> float:
 def spp_recomputed_bound(n: int, weight_p: int, eps: float) -> float:
     """Strictly parallel analogue of the recomputed path, with the CHSH
     anticommutation estimate in place of the Mayers-Yao one."""
-    _check_nonneg("eps", eps)
-    root = math.sqrt(2 * eps)
-    bundle = EpsilonBundle(
-        eps1=4 * root, eps2=root, eps3=chsh_anticommute_bound(eps)
-    )
-    return sufficient_conditions_bound(n, weight_p, bundle)
+    return _recomputed_bound(n, weight_p, eps, chsh_anticommute_bound)
 
 
 def game_robustness_bound(n: int, weight_p: int, delta: float) -> float:
@@ -249,7 +249,6 @@ def _report(name, n, weight_p, e, value, terms=None) -> BoundReport:
             "eps1": e.eps1,
             "eps2": e.eps2,
             "eps3": e.eps3,
-            "eps4": e.eps4,
             "delta": e.delta,
         },
         value=float(value),

@@ -289,7 +289,6 @@ def cmd_bounds(args) -> tuple[int, dict, None]:
         eps1=args.eps1,
         eps2=args.eps2,
         eps3=args.eps3,
-        eps4=args.eps4,
         delta=args.delta,
     )
     names = bnd.bound_names() if args.bound == "all" else (args.bound,)
@@ -306,7 +305,6 @@ def cmd_bounds(args) -> tuple[int, dict, None]:
         "eps1": args.eps1,
         "eps2": args.eps2,
         "eps3": args.eps3,
-        "eps4": args.eps4,
         "delta": args.delta,
     }
     report = {
@@ -555,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_lemma_checks, phase_override=None)
 
     p = subs.add_parser("honest-check", help="ideal correlations of an honest strategy")
-    p.add_argument("--flavor", choices=("my", "spp"), required=True)
+    p.add_argument("--flavor", choices=tuple(FLAVORS), required=True)
     p.add_argument("--m", type=int, default=1)
     p.set_defaults(fn=cmd_honest_check)
 
@@ -568,13 +566,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps1", type=float, default=0.0)
     p.add_argument("--eps2", type=float, default=0.0)
     p.add_argument("--eps3", type=float, default=0.0)
-    p.add_argument("--eps4", type=float, default=0.0)
     p.add_argument("--delta", type=float, default=0.0)
     p.set_defaults(fn=cmd_bounds)
 
     p = subs.add_parser("verify-isometry", help="distance vs bound over (p,q) pairs")
     _add_strategy_flags(p)
-    p.add_argument("--test", choices=("my", "spp"), required=True)
+    p.add_argument("--test", choices=tuple(FLAVORS), required=True)
     p.add_argument("--pairs", default="auto", help="auto, exhaustive, or sample:<count>")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_verify_isometry)
@@ -588,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_game)
 
     p = subs.add_parser("sweep-noise", help="noise grid: eps, distances, bounds")
-    p.add_argument("--flavor", choices=("my", "spp"), default="my")
+    p.add_argument("--flavor", choices=tuple(FLAVORS), default="my")
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--thetas", default="0,0.01,0.02,0.03,0.04,0.05")
     p.add_argument("--ws", default="0")

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .linalg import real_expectation
 from .protocols import SPP_ALLOWED_PAIRS
 from .strategies import Strategy
 
@@ -47,12 +48,6 @@ def win_predicate(qa: str, qb: str, a: int, b: int) -> bool:
     return a * b == WIN_SIGNS[(qa, qb)]
 
 
-def _real(val: complex) -> float:
-    if abs(val.imag) >= 1e-10:
-        raise RuntimeError(f"expectation has imaginary part {val.imag}")
-    return val.real
-
-
 def _party_strings(combo: Sequence[int]) -> tuple[str, str]:
     qa = "".join(SPP_ALLOWED_PAIRS[i][0] for i in combo)
     qb = "".join(SPP_ALLOWED_PAIRS[i][1] for i in combo)
@@ -81,7 +76,7 @@ def game_expectation_exact(s: Strategy) -> float:
                 applied_a[(qa, k)] = s.observable("alice", qa, k) @ psi
             if (qb, k) not in applied_b:
                 applied_b[(qb, k)] = psi @ s.observable("bob", qb, k).T
-            corr = _real(complex(np.vdot(applied_a[(qa, k)], applied_b[(qb, k)])))
+            corr = real_expectation(complex(np.vdot(applied_a[(qa, k)], applied_b[(qb, k)])))
             total += WIN_SIGNS[SPP_ALLOWED_PAIRS[combo[k - 1]]] * corr
     return total / (10**m * m)
 

@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .bitstrings import AdjacencyMatrix, BitString, PhaseFunction, check_phase_consistency
+from .bitstrings import AdjacencyMatrix, BitString, adjacency_phase
 
 STRUCTURAL_ATOL = 1e-10  # Hermitian/unitary/projector checks
 NORM_ATOL = 1e-12  # state normalization at construction
@@ -23,7 +23,6 @@ NORM_ATOL = 1e-12  # state normalization at construction
 _SQRT2 = math.sqrt(2.0)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 DIAG_XZ = (PAULI_X + PAULI_Z) / _SQRT2
 ANTIDIAG_XZ = (PAULI_X - PAULI_Z) / _SQRT2
@@ -155,41 +154,26 @@ def ordered_power(ops: Sequence[np.ndarray], t: BitString) -> np.ndarray:
     return acc
 
 
-def graph_state(
-    adj: AdjacencyMatrix, phase: Optional[PhaseFunction] = None
-) -> StateVector:
-    """The n-qubit state 2^(-n/2) Sum_u (-1)^(P(u)) |u> for phase P of adj."""
-    if phase is None:
-        phase = PhaseFunction.from_adjacency(adj)
-    elif not check_phase_consistency(adj, phase=phase):
-        raise ValueError("phase function is inconsistent with the adjacency matrix")
+def graph_state(adj: AdjacencyMatrix) -> StateVector:
+    """The n-qubit state 2^(-n/2) Sum_u (-1)^(P(u)) |u> for the phase P of adj."""
     n = adj.n
     scale = 2.0 ** (-n / 2)
     amps = np.empty(2**n, dtype=complex)
     for u in BitString.all_strings(n):
-        amps[u.value] = -scale if phase(u) else scale
+        amps[u.value] = -scale if adjacency_phase(u, adj) else scale
     return StateVector(amps, qubit_layout(n))
 
 
-def inner(v: StateVector, w: StateVector) -> complex:
-    if v.dim != w.dim:
-        raise ValueError(f"dimension mismatch: {v.dim} vs {w.dim}")
-    return complex(np.vdot(v.amps, w.amps))
-
-
-def distance2(v: StateVector, w: StateVector) -> float:
-    """Plain 2-norm of the difference; no global-phase optimization."""
-    if v.dim != w.dim:
-        raise ValueError(f"dimension mismatch: {v.dim} vs {w.dim}")
-    return float(np.linalg.norm(v.amps - w.amps))
+def real_expectation(val: complex) -> float:
+    """The real part of an expectation value; a large imaginary part is an error."""
+    if abs(val.imag) >= 1e-10:
+        raise RuntimeError(f"expectation has imaginary part {val.imag}")
+    return val.real
 
 
 def expectation(state: StateVector, op: np.ndarray) -> float:
     """Real expectation <state|op|state>; a large imaginary part is an error."""
-    val = complex(np.vdot(state.amps, op @ state.amps))
-    if abs(val.imag) >= 1e-10:
-        raise RuntimeError(f"expectation has imaginary part {val.imag}")
-    return val.real
+    return real_expectation(complex(np.vdot(state.amps, op @ state.amps)))
 
 
 def bipartite_expectation(
@@ -206,10 +190,7 @@ def bipartite_expectation(
         out = op_a @ out
     if op_b is not None:
         out = out @ op_b.T
-    val = complex(np.vdot(psi, out))
-    if abs(val.imag) >= 1e-10:
-        raise RuntimeError(f"expectation has imaginary part {val.imag}")
-    return val.real
+    return real_expectation(complex(np.vdot(psi, out)))
 
 
 def walsh_hadamard(n: int) -> np.ndarray:

@@ -147,32 +147,25 @@ def epsilon_my(s: Strategy) -> CorrelationReport:
     return CorrelationReport(tuple(entries), max(e.deviation for e in entries))
 
 
+# (X/Z symbol, D/E symbol, sign) of the four CHSH terms, in summation order.
+_CHSH_TERMS = (("X", "D", 1), ("X", "E", -1), ("Z", "D", 1), ("Z", "E", 1))
+
+
 def chsh_value(s: Strategy, k: int, direction: str = "ab") -> float:
     """CHSH combination for sub-test k.
 
     Direction "ab": Alice's X/Z observables against Bob's D/E; "ba" swaps
     the roles.  All four observables come from the all-one-symbol questions.
     """
+    if direction not in ("ab", "ba"):
+        raise ValueError(f"direction must be 'ab' or 'ba', got {direction!r}")
     kind = {sym: FLAVORS[SPP_FLAVOR].symbol_kind(sym, s.m) for sym in "XZDE"}
-    if direction == "ab":
-        x = s.observable("alice", kind["X"], k)
-        z = s.observable("alice", kind["Z"], k)
-        d = s.observable("bob", kind["D"], k)
-        e = s.observable("bob", kind["E"], k)
-        terms = [(x, d, 1), (x, e, -1), (z, d, 1), (z, e, 1)]
-        return sum(
-            sign * bipartite_expectation(s.state, a, b) for a, b, sign in terms
-        )
-    if direction == "ba":
-        x = s.observable("bob", kind["X"], k)
-        z = s.observable("bob", kind["Z"], k)
-        d = s.observable("alice", kind["D"], k)
-        e = s.observable("alice", kind["E"], k)
-        terms = [(d, x, 1), (e, x, -1), (d, z, 1), (e, z, 1)]
-        return sum(
-            sign * bipartite_expectation(s.state, a, b) for a, b, sign in terms
-        )
-    raise ValueError(f"direction must be 'ab' or 'ba', got {direction!r}")
+
+    def term(xz: str, de: str) -> float:
+        qa, qb = (xz, de) if direction == "ab" else (de, xz)
+        return correlation_exact(s, kind[qa], kind[qb], k)
+
+    return sum(sign * term(xz, de) for xz, de, sign in _CHSH_TERMS)
 
 
 def _complement(sym: str) -> str:
@@ -210,11 +203,7 @@ def epsilon_spp(s: Strategy) -> CorrelationReport:
             for rb in xz_strings:
                 if rb[k - 1] != need:
                     continue
-                val = bipartite_expectation(
-                    s.state,
-                    s.observable("alice", qa, k),
-                    s.observable("bob", rb, k),
-                )
+                val = correlation_exact(s, qa, rb, k)
                 entries.append(
                     CorrelationEntry(
                         alice=qa,

@@ -86,11 +86,10 @@ class EpsilonBundle:
     eps1: float = 0.0
     eps2: float = 0.0
     eps3: float = 0.0
-    eps4: float = 0.0
     delta: float = 0.0
 
     def __post_init__(self):
-        for name in ("eps", "eps1", "eps2", "eps3", "eps4", "delta"):
+        for name in ("eps", "eps1", "eps2", "eps3", "delta"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
@@ -351,7 +350,7 @@ class StrategyValidation:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def validate_strategy(s: Strategy, atol: float = STRUCTURAL_ATOL) -> StrategyValidation:
+def validate_strategy(s: Strategy) -> StrategyValidation:
     """Check completeness, orthogonality, observable structure, commutation.
 
     Never raises on a bad strategy; every deviation lands in the report.
@@ -362,7 +361,7 @@ def validate_strategy(s: Strategy, atol: float = STRUCTURAL_ATOL) -> StrategyVal
     checks = []
 
     def record(name, subject, dev):
-        checks.append(CheckResult(name, subject, float(dev), bool(dev <= atol)))
+        checks.append(CheckResult(name, subject, float(dev), bool(dev <= STRUCTURAL_ATOL)))
 
     for party in ("alice", "bob"):
         for kind, meas in getattr(s, party).items():
@@ -418,10 +417,11 @@ def _interleave(a: np.ndarray) -> list[float]:
     return out.tolist()
 
 
-def _numbers(values, count=None) -> bool:
-    """Whether values is a JSON list of numbers, of count entries if given."""
+def _numbers(values, count=None, types=(int, float)) -> bool:
+    """Whether values is a JSON list of numbers of the given types, of count
+    entries if given."""
     return isinstance(values, list) and count in (None, len(values)) and all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in values)
+        isinstance(x, types) and not isinstance(x, bool) for x in values)
 
 
 def _check_field(ok: bool, field: str, want: str, got) -> None:
@@ -461,7 +461,7 @@ def strategy_to_json(s: Strategy) -> dict:
 
 def strategy_from_json(doc: Mapping) -> Strategy:
     dims, questions = doc.get("dims"), doc.get("questions")
-    _check_field(_numbers(dims, 2) and all(isinstance(d, int) and d >= 1 for d in dims),
+    _check_field(_numbers(dims, 2, types=int) and all(d >= 1 for d in dims),
                  "dims", "two integers >= 1", dims)
     da, db = dims
     m = int(doc["m"])
@@ -480,12 +480,14 @@ def strategy_from_json(doc: Mapping) -> Strategy:
             f"{field}.projectors", 'a list of objects with an "answer" list', entries,
         )
         dim = da if party == "alice" else db
-        projectors = {
-            tuple(int(x) for x in entry["answer"]): _deinterleave(
-                entry.get("matrix"), (dim, dim), f"{field}.projectors[{j}].matrix"
+        projectors = {}
+        for j, entry in enumerate(entries):
+            where, answer = f"{field}.projectors[{j}]", entry["answer"]
+            _check_field(_numbers(answer, types=int), f"{where}.answer",
+                         "a list of integers", answer)
+            projectors[tuple(answer)] = _deinterleave(
+                entry.get("matrix"), (dim, dim), f"{where}.matrix"
             )
-            for j, entry in enumerate(entries)
-        }
         tables[party][kind] = Measurement(projectors)
     state = StateVector(amps, (("A", da), ("B", db)))
     return Strategy(state=state, alice=tables["alice"], bob=tables["bob"], m=m)
@@ -505,11 +507,13 @@ def load_strategy(doc: Mapping) -> Strategy:
             isinstance(noise, dict) and _numbers([noise.get(k, 0) for k in ("theta", "w", "seed")]),
             "noise", 'an object with numeric "theta", "w" and "seed"', noise,
         )
+        seed = noise.get("seed", 0)
+        _check_field(isinstance(seed, int), "noise.seed", "an integer", seed)
         if noise:
             spec = NoiseSpec(
                 theta=float(noise.get("theta", 0.0)),
                 w=float(noise.get("w", 0.0)),
             )
-            s = perturb_strategy(s, spec, seed=int(noise.get("seed", 0)))
+            s = perturb_strategy(s, spec, seed=seed)
         return s
     return strategy_from_json(doc)

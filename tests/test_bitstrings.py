@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as hst
 
 from selftest_lab.bitstrings import (
+    EXHAUSTIVE_LIMIT,
     AdjacencyMatrix,
     BitString,
     PhaseFunction,
@@ -176,7 +177,7 @@ class TestPhase:
 
     def test_limit_guard(self):
         with pytest.raises(ValueError):
-            check_phase_consistency(AdjacencyMatrix.zeros(12), limit=10)
+            check_phase_consistency(AdjacencyMatrix.zeros(12))
 
     def test_corrupted_phase_detected(self):
         adj = AdjacencyMatrix.half_swap(2)
@@ -209,6 +210,24 @@ class TestStringSums:
             average_dot(BitString.zeros(11))
         with pytest.raises(ValueError):
             double_average_dot(11)
+
+
+# Every exhaustive check refuses the first size over the limit (12 for the
+# even-n checks) before it enumerates anything.
+@pytest.mark.parametrize(
+    "check, arg",
+    [
+        (average_dot, BitString.zeros(EXHAUSTIVE_LIMIT + 1)),
+        (double_average_dot, EXHAUSTIVE_LIMIT + 1),
+        (parity_average, BitString.zeros(EXHAUSTIVE_LIMIT + 1)),
+        (check_half_swap_identity, 12),
+        (find_phase_violation, AdjacencyMatrix.half_swap(12)),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else None,
+)
+def test_exhaustive_guard(check, arg):
+    with pytest.raises(ValueError, match="exceeds exhaustive-check limit"):
+        check(arg)
 
 
 class TestHalfSwapIdentity:

@@ -302,6 +302,9 @@ class TestRejectedInput:
             ({"questions": [{"party": "bob", "kind": "X",
                              "projectors": [{"answer": [1], "matrix": "m"}]}]},
              "questions[0].projectors[0].matrix must be a list of 8 numbers, got 'm'"),
+            ({"questions": [{"party": "bob", "kind": "X",
+                             "projectors": [{"answer": [1.5], "matrix": "m"}]}]},
+             "questions[0].projectors[0].answer must be a list of integers, got [1.5]"),
         ],
     )
     def test_malformed_strategy_file_field(self, capsys, tmp_path, fields, message):
@@ -322,6 +325,7 @@ class TestRejectedInput:
             ({"noise": {"theta": "0.1"}}, 'strategy field noise must be an object with '
                                           'numeric "theta", "w" and "seed", got {\'theta\': \'0.1\'}'),
             ({"type": ["honest-spp"]}, "unknown strategy type ['honest-spp']"),
+            ({"noise": {"seed": 1.5}}, "strategy field noise.seed must be an integer, got 1.5"),
         ],
     )
     def test_malformed_strategy_recipe(self, capsys, tmp_path, fields, message):

@@ -12,11 +12,9 @@ from selftest_lab.linalg import (
     PAULI_Z,
     StateVector,
     bipartite_expectation,
-    distance2,
     embed,
     expectation,
     graph_state,
-    inner,
     kron,
     ordered_power,
     pauli_observables,
@@ -143,14 +141,6 @@ class TestGraphState:
             expected[idx] = pair[(a1 << 1) | b1] * pair[(a2 << 1) | b2]
         assert np.array_equal(psi.amps, expected)
 
-    def test_inconsistent_phase_rejected(self):
-        from selftest_lab.bitstrings import PhaseFunction
-
-        adj = AdjacencyMatrix.half_swap(2)
-        bad = PhaseFunction(adjacency=adj, fn=lambda s: s.bit(1))
-        with pytest.raises(ValueError):
-            graph_state(adj, bad)
-
 
 class TestStateVector:
     def test_norm_enforced(self):
@@ -165,51 +155,6 @@ class TestStateVector:
         psi = ebit_state()
         with pytest.raises(ValueError):
             psi.amps[0] = 9.0
-
-
-class TestInnerDistance:
-    def test_identical(self):
-        psi = ebit_state()
-        assert inner(psi, psi) == pytest.approx(1.0)
-        assert distance2(psi, psi) == 0.0
-
-    def test_orthonormal(self):
-        v = StateVector(np.eye(4)[0], (("q", 4),))
-        w = StateVector(np.eye(4)[1], (("q", 4),))
-        assert inner(v, w) == 0
-        assert distance2(v, w) == pytest.approx(SQRT2)
-
-    def test_overlap_to_distance_with_real_overlap(self):
-        # cos(alpha) = 1 - eps gives distance exactly sqrt(2*eps).
-        eps = 0.02
-        alpha = math.acos(1 - eps)
-        v = StateVector(np.eye(4)[0], (("q", 4),))
-        w_amps = math.cos(alpha) * np.eye(4)[0] + math.sin(alpha) * np.eye(4)[1]
-        w = StateVector(w_amps, (("q", 4),))
-        assert abs(inner(v, w)) == pytest.approx(1 - eps)
-        assert distance2(v, w) == pytest.approx(math.sqrt(2 * eps))
-        assert distance2(v, w) <= 0.2 + 1e-12
-
-    def test_overlap_to_distance_random_pairs(self):
-        # 1000 random pairs: after phase alignment the distance obeys
-        # ||v - w|| <= sqrt(2 * (1 - |<v|w>|)).
-        rng = np.random.default_rng(42)
-        for _ in range(1000):
-            dim = int(rng.integers(2, 65))
-            a = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            b = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            v = StateVector(a / np.linalg.norm(a), (("q", dim),))
-            w = StateVector(b / np.linalg.norm(b), (("q", dim),))
-            ip = inner(v, w)
-            eps = 1 - abs(ip)
-            aligned = StateVector((ip.conjugate() / abs(ip)) * w.amps, w.layout)
-            assert distance2(v, aligned) <= math.sqrt(2 * eps) + 1e-12
-
-    def test_dimension_mismatch(self):
-        v = StateVector(np.eye(2)[0], (("q", 2),))
-        w = StateVector(np.eye(4)[0], (("q", 4),))
-        with pytest.raises(ValueError):
-            inner(v, w)
 
 
 class TestExpectation:

@@ -10,6 +10,7 @@ from selftest_lab.linalg import (
     PAULI_X,
     PAULI_Z,
     StateVector,
+    bipartite_expectation,
     graph_state,
 )
 from selftest_lab.protocols import (
@@ -216,6 +217,35 @@ class TestChshValue:
         for k in (1, 2):
             assert chsh_value(s, k, "ab") == pytest.approx(CHSH_MAX, abs=1e-12)
             assert chsh_value(s, k, "ba") == pytest.approx(CHSH_MAX, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_each_direction_on_rotated_alice(self, m):
+        # Only Alice's all-D question is rotated.  Rotating all of one party's
+        # questions would keep D - E = sqrt(2) Z and D + E = sqrt(2) X, and
+        # with them "ab" = "ba"; here the directions differ, and each must
+        # equal its explicit four-term sum.
+        honest = honest_spp_strategy(m)
+        rotated = perturb_strategy(honest, NoiseSpec(theta=0.1, parties=("alice",)), seed=0)
+        s = Strategy(
+            state=honest.state,
+            alice={**honest.alice, "D" * m: rotated.alice["D" * m]},
+            bob=honest.bob,
+            m=m,
+        )
+
+        def corr(qa, qb, k):
+            a = s.observable("alice", qa * m, k)
+            b = s.observable("bob", qb * m, k)
+            return bipartite_expectation(s.state, a, b)
+
+        for k in range(1, m + 1):
+            ab = (corr("X", "D", k) - corr("X", "E", k)
+                  + corr("Z", "D", k) + corr("Z", "E", k))
+            ba = (corr("D", "X", k) - corr("E", "X", k)
+                  + corr("D", "Z", k) + corr("E", "Z", k))
+            assert abs(chsh_value(s, k, "ab") - ab) <= 1e-15
+            assert abs(chsh_value(s, k, "ba") - ba) <= 1e-15
+            assert abs(ab - ba) > 1e-3
 
     def test_bad_direction(self):
         with pytest.raises(ValueError):
