@@ -87,18 +87,16 @@ def _joint_distribution(s: Strategy, qa: str, qb: str) -> tuple[np.ndarray, np.n
     Row i * nb + j pairs Alice's i-th answer string with Bob's j-th, in the
     order of each party's measurement.  Returns ``(prods, probs)``: the
     int8 table ``prods[row, k] = a_k * b_k`` and the normalised
-    probabilities ``||P_a psi P_b^T||^2``.
+    probabilities ``||P_a psi P_b^T||^2 = ||U_a^H psi conj(U_b)||^2``, the
+    squared amplitudes of each pair of basis columns summed over the
+    columns of each answer pair.
     """
-    psi = s.state.reshaped()
-    answers_a, projs_a = zip(*s.measurement("alice", qa))
-    answers_b, projs_b = zip(*s.measurement("bob", qb))
-    na, nb = len(projs_a), len(projs_b)
-    da, db = psi.shape
-    # left[(a, i), j] = (P_a psi)[i, j]; joint[(a, i), (b, l)] = (P_a psi P_b^T)[i, l]
-    left = np.array(projs_a).reshape(na * da, da) @ psi
-    joint = (left @ np.array(projs_b).reshape(nb * db, db).T).reshape(na, da, nb, db)
-    probs = (joint.real**2 + joint.imag**2).sum(axis=(1, 3)).ravel()
-    prods = np.array(answers_a, dtype=np.int8)[:, None] * np.array(answers_b, dtype=np.int8)
+    meas_a, meas_b = s.measurement("alice", qa), s.measurement("bob", qb)
+    na, nb = len(meas_a.answers), len(meas_b.answers)
+    amps = meas_a.basis.conj().T @ s.state.reshaped() @ meas_b.basis.conj()
+    rows = meas_a.column_groups[:, None] * nb + meas_b.column_groups
+    probs = np.bincount(rows.ravel(), (amps.real**2 + amps.imag**2).ravel(), na * nb)
+    prods = meas_a.answer_signs[:, None] * meas_b.answer_signs
     return prods.reshape(na * nb, s.m), probs / probs.sum()
 
 
@@ -118,9 +116,10 @@ def sample_game(
     increasing code order, and draws its rounds' answers in round order.
     The questions and the referee's draws are taken _DRAW_ROWS rounds at a
     time, which continues the stream of one full-size draw.  The arrays of
-    one entry per round are narrow: the question codes, a bit mask of the
-    sub-tests that accept, and the int8 referee outcomes; the round counts
-    have one entry per possible question (10^m).
+    one entry per round are narrow: the question codes and a bit mask of
+    the sub-tests that accept; the round counts have one entry per possible
+    question (10^m).  The mean and standard error come from the number of
+    accepting rounds.
     """
     if referee not in ("threshold", "subtest"):
         raise ValueError(f"unknown referee {referee!r}")
@@ -157,7 +156,7 @@ def sample_game(
         picks = cdf.searchsorted(rng.random(count), side="right")
         table = (prods == _PAIR_SIGNS[combo]) @ (1 << np.arange(m))
         masks[start : start + count] = table[picks]
-    accepted = np.empty(rounds, dtype=np.int8)
+    accepts = 0
     for block in slices:
         # A round reads its question's next unread mask.  The stable sort
         # lists the block's rounds of question c in round order, from sorted
@@ -179,10 +178,8 @@ def sample_game(
         else:
             picks = rng.integers(0, m, size=len(block_masks)).astype(masks.dtype)
             accept = ((block_masks >> picks) & 1) == 1
-        accepted[block] = 2 * accept.astype(np.int8) - 1
-    del codes, masks
-    mean = float(accepted.mean())
-    stderr = float(accepted.std(ddof=1) / math.sqrt(rounds))
+        accepts += int(np.count_nonzero(accept))
+    mean, stderr = outcome_statistics(accepts, rounds)
     return {
         "rounds": rounds,
         "seed": seed,
@@ -190,6 +187,19 @@ def sample_game(
         "mean": mean,
         "stderr": stderr,
     }
+
+
+def outcome_statistics(accepts: int, rounds: int) -> tuple[float, float]:
+    """Mean and standard error of rounds outcomes +-1, accepts of them +1.
+
+    With mu = (2k - n) / n, the squared deviations sum to
+    k (1 - mu)^2 + (n - k) (1 + mu)^2 = 4 k (n - k) / n, so the sample
+    standard deviation over sqrt(n) is 2 sqrt(k (n - k) / (n - 1)) / n.
+    The mean is the one numpy's mean of the outcomes gives: the integer sum
+    over n, rounded once.
+    """
+    n, k = rounds, accepts
+    return (2 * k - n) / n, 2.0 * math.sqrt(k * (n - k) / (n - 1)) / n
 
 
 def threshold_referee_expectation(accepts: tuple[int, ...]) -> Fraction:

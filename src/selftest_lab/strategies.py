@@ -2,13 +2,14 @@
 
 A strategy holds a state on H_A x H_B and, per party, a map from question
 kind to a projective measurement whose outcomes are answer strings over
-{-1,+1}.  Observables for individual answer symbols are extracted once at
-construction: the symbol projector sums all answer projectors agreeing at
-one position, and the observable is the +1 projector minus the -1 projector.
+{-1,+1}.  A measurement is one orthonormal basis U whose columns carry
+answer strings, grouped by answer: the projector of answer a is U_a U_a^H
+over a's columns, and the observable of answer symbol k is U diag(a_k) U^H.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -39,43 +40,92 @@ def basis_vectors(symbol: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Measurement:
-    """Projective measurement with answer-string-indexed projectors."""
+    """Projective measurement held as one basis whose columns carry answers.
+
+    ``basis`` is dim x r, with r = dim for a valid measurement.  ``answers``
+    lists the distinct answer strings in first-appearance order, and column
+    j of the basis answers ``answers[column_groups[j]]``.  An answer may own
+    no column (its projector is 0) or several (a projector of rank > 1).
+
+    ``Measurement(projectors)`` converts a projector dict once: each P_a
+    contributes the eigenvectors of its eigenvalues above 1/2, in dict
+    order.  The conversion repairs nothing.  What the input lacks of an
+    orthogonal projector family is kept in ``input_deviation`` under the
+    check names of `validate_strategy`: "hermitian" (max |P_a - P_a^H|),
+    "orthogonality" (max |w (w - 1)| over the eigenvalues w of each P_a,
+    zero exactly when P_a is idempotent) and "completeness"
+    (max |sum_a P_a - I|).
+    """
 
     def __init__(self, projectors: Mapping[tuple[int, ...], np.ndarray]):
         if not projectors:
             raise ValueError("measurement needs at least one projector")
         items = [(tuple(int(x) for x in a), np.asarray(p, dtype=complex))
                  for a, p in projectors.items()]
-        m = len(items[0][0])
         dim = items[0][1].shape[0]
-        for a, p in items:
-            if len(a) != m or any(x not in (-1, 1) for x in a):
-                raise ValueError(f"bad answer string {a}")
+        herm = idem = 0.0
+        columns, groups = [], []
+        for i, (a, p) in enumerate(items):
             if p.shape != (dim, dim):
                 raise ValueError(f"projector shape {p.shape} != ({dim}, {dim})")
-        self.projectors = dict(items)
+            if not np.isfinite(p).all():
+                raise ValueError(f"projector of answer {a} has non-finite entries")
+            herm = max(herm, np.abs(p - p.conj().T).max())
+            w, v = np.linalg.eigh(p)
+            idem = max(idem, np.abs(w * (w - 1.0)).max())
+            columns.append(v[:, w > 0.5])
+            groups += [i] * columns[-1].shape[1]
+        total = sum(p for _, p in items) - np.eye(dim)
+        deviation = {"hermitian": float(herm), "orthogonality": float(idem),
+                     "completeness": float(np.abs(total).max())}
+        self._hold(np.concatenate(columns, axis=1), [a for a, _ in items], groups, deviation)
+
+    @classmethod
+    def from_basis(cls, basis: np.ndarray, answers, column_groups=None,
+                   input_deviation=None) -> Measurement:
+        """Measurement whose basis column j answers answers[column_groups[j]];
+        by default column j answers answers[j]."""
+        meas = cls.__new__(cls)
+        answers = tuple(answers)
+        if column_groups is None:
+            column_groups = np.arange(len(answers))
+        meas._hold(basis, answers, column_groups, input_deviation or {})
+        return meas
+
+    def _hold(self, basis, answers, column_groups, input_deviation) -> None:
+        answers = tuple(answers)
+        m = len(answers[0])
+        for a in answers:
+            if len(a) != m or any(x not in (-1, 1) for x in a):
+                raise ValueError(f"bad answer string {a}")
+        self.basis = np.asarray(basis, dtype=complex)
+        self.answers = answers
+        self.column_groups = np.asarray(column_groups, dtype=np.intp)
+        if self.column_groups.shape != self.basis.shape[1:]:
+            raise ValueError(f"{len(self.column_groups)} column answers for a "
+                             f"basis of shape {self.basis.shape}")
+        self.answer_signs = np.array(answers, dtype=np.int8).reshape(-1, m)
+        self.input_deviation = input_deviation
         self.num_symbols = m
-        self.dim = dim
+        self.dim = self.basis.shape[0]
+
+    @functools.cached_property
+    def observables(self) -> np.ndarray:
+        """observables[k - 1] = U diag(a_k) U^H, the observable of symbol k."""
+        signs = self.answer_signs[self.column_groups].T  # signs[k, j] = a_{k+1} of column j
+        return (self.basis * signs[:, None, :]) @ self.basis.conj().T
+
+    @functools.cached_property
+    def projectors(self) -> dict[tuple[int, ...], np.ndarray]:
+        """Projector U_a U_a^H of each answer, in answer order."""
+        out = {}
+        for i, a in enumerate(self.answers):
+            cols = self.basis[:, self.column_groups == i]
+            out[a] = cols @ cols.conj().T
+        return out
 
     def __iter__(self):
         return iter(self.projectors.items())
-
-
-def symbol_projector(meas: Measurement, k: int, x: int) -> np.ndarray:
-    """Projector onto answers whose k-th symbol equals x."""
-    if not 1 <= k <= meas.num_symbols:
-        raise ValueError(f"symbol index {k} out of range 1..{meas.num_symbols}")
-    if x not in (-1, 1):
-        raise ValueError(f"symbol value must be +-1, got {x}")
-    total = np.zeros((meas.dim, meas.dim), dtype=complex)
-    for a, p in meas:
-        if a[k - 1] == x:
-            total += p
-    return total
-
-
-def _symbol_observable_matrix(meas: Measurement, k: int) -> np.ndarray:
-    return symbol_projector(meas, k, 1) - symbol_projector(meas, k, -1)
 
 
 @dataclass(frozen=True)
@@ -141,12 +191,6 @@ class Strategy:
                         f"{party} measurement {kind!r} answers {meas.num_symbols} "
                         f"symbols, expected {self.m}"
                     )
-        cache = {}
-        for party in ("alice", "bob"):
-            for kind, meas in getattr(self, party).items():
-                for k in range(1, self.m + 1):
-                    cache[(party, kind, k)] = _symbol_observable_matrix(meas, k)
-        object.__setattr__(self, "_observables", cache)
 
     @property
     def dim_a(self) -> int:
@@ -164,12 +208,10 @@ class Strategy:
 
     def observable(self, party: str, kind: str, k: int) -> np.ndarray:
         """Party-local observable for answer symbol k of a question."""
-        try:
-            return self._observables[(party, kind, k)]
-        except KeyError:
-            raise KeyError(
-                f"no observable for party={party!r} kind={kind!r} k={k}"
-            ) from None
+        table = getattr(self, party) if party in ("alice", "bob") else {}
+        if kind not in table or not 1 <= k <= self.m:
+            raise KeyError(f"no observable for party={party!r} kind={kind!r} k={k}")
+        return table[kind].observables[k - 1]
 
     def kinds(self, party: str) -> tuple[str, ...]:
         return tuple(getattr(self, party).keys())
@@ -244,14 +286,13 @@ def my_basis_string(kind: str, m: int) -> str:
 
 
 def product_basis_measurement(bases: str) -> Measurement:
-    """Measurement of each qubit in the eigenbasis named per position."""
-    vecs = [basis_vectors(sym) for sym in bases]
-    projectors = {}
-    for answer in itertools.product((1, -1), repeat=len(bases)):
-        vec = [vecs[i][0 if a == 1 else 1] for i, a in enumerate(answer)]
-        mats = [np.outer(v, v.conj()) for v in vec]
-        projectors[answer] = kron(*mats)
-    return Measurement(projectors)
+    """Measurement of each qubit in the eigenbasis named per position.
+
+    The basis is the kron of the 2x2 bases [v+, v-], so its column order is
+    the answer order of itertools.product((1, -1), repeat=len(bases)).
+    """
+    basis = kron(*(np.column_stack(basis_vectors(sym)) for sym in bases))
+    return Measurement.from_basis(basis, itertools.product((1, -1), repeat=len(bases)))
 
 
 def _ebit_block_state(m: int) -> StateVector:
@@ -298,7 +339,7 @@ def _rotation(theta: float, num_qubits: int) -> np.ndarray:
 
 
 def perturb_strategy(s: Strategy, noise: NoiseSpec, seed: int = 0) -> Strategy:
-    """Noisy but still valid strategy: rotated projectors, mixed state."""
+    """Noisy but still valid strategy: rotated measurement bases, mixed state."""
     new_meas = {"alice": dict(s.alice), "bob": dict(s.bob)}
     if noise.theta:
         for party in noise.parties:
@@ -310,8 +351,8 @@ def perturb_strategy(s: Strategy, noise: NoiseSpec, seed: int = 0) -> Strategy:
                 )
             u = _rotation(noise.theta, num_qubits)
             new_meas[party] = {
-                kind: Measurement(
-                    {a: u @ p @ u.conj().T for a, p in meas}
+                kind: Measurement.from_basis(
+                    u @ meas.basis, meas.answers, meas.column_groups, meas.input_deviation
                 )
                 for kind, meas in getattr(s, party).items()
             }
@@ -354,6 +395,9 @@ def validate_strategy(s: Strategy) -> StrategyValidation:
     """Check completeness, orthogonality, observable structure, commutation.
 
     Never raises on a bad strategy; every deviation lands in the report.
+    Completeness and orthogonality of a measurement's basis U are
+    |U U^H - I| and |U^H U - I|; a measurement converted from projectors
+    adds what its input lacked (`Measurement.input_deviation`).
     Cross-party commutation holds exactly by construction (different tensor
     factors); on small systems the check forms both embedded products from
     the party factors and compares them.
@@ -366,16 +410,15 @@ def validate_strategy(s: Strategy) -> StrategyValidation:
     for party in ("alice", "bob"):
         for kind, meas in getattr(s, party).items():
             subject = f"{party}:{kind}"
-            total = sum(p for _, p in meas)
-            record("completeness", subject, np.abs(total - np.eye(meas.dim)).max())
-            dev = 0.0
-            projs = np.array([p for _, p in meas])
-            for i, pa in enumerate(projs):
-                prods = pa @ projs[i:]  # P_a P_b for every b from a on
-                prods[0] -= pa
-                dev = max(dev, np.abs(prods).max())
-            record("orthogonality", subject, dev)
-            herm = unit = comm = 0.0
+            u, given = meas.basis, meas.input_deviation
+            uh = u.conj().T
+            record("completeness", subject, max(
+                np.abs(u @ uh - np.eye(meas.dim)).max(), given.get("completeness", 0.0)))
+            record("orthogonality", subject, max(
+                np.abs(uh @ u - np.eye(u.shape[1])).max(initial=0.0),
+                given.get("orthogonality", 0.0)))
+            herm = given.get("hermitian", 0.0)
+            unit = comm = 0.0
             mats = [s.observable(party, kind, k) for k in range(1, s.m + 1)]
             for mk in mats:
                 herm = max(herm, np.abs(mk - mk.conj().T).max())
@@ -507,6 +550,11 @@ def load_strategy(doc: Mapping) -> Strategy:
             isinstance(noise, dict) and _numbers([noise.get(k, 0) for k in ("theta", "w", "seed")]),
             "noise", 'an object with numeric "theta", "w" and "seed"', noise,
         )
+        unknown = sorted(set(noise) - {"theta", "w", "seed"})
+        if unknown:
+            names = ", ".join(map(repr, unknown))
+            raise ValueError(f"strategy field noise has unknown key {names}; "
+                             "the allowed keys are theta, w and seed")
         seed = noise.get("seed", 0)
         _check_field(isinstance(seed, int), "noise.seed", "an integer", seed)
         if noise:

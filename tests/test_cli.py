@@ -337,6 +337,20 @@ class TestRejectedInput:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    def test_unknown_noise_key(self, capsys, tmp_path):
+        # Misspelt "w" and "seed" would otherwise run at w = 0 and seed 0.
+        path = tmp_path / "doc.json"
+        noise = {"theta": 0.03, "wieght": 0.5, "sed": 4}
+        path.write_text(json.dumps({"type": "honest-my", "m": 1, "noise": noise}))
+        code = cli.main(["verify-isometry", "--strategy", str(path), "--test", "my"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: strategy field noise has unknown key 'sed', 'wieght'; "
+            "the allowed keys are theta, w and seed\n"
+        )
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_sample_count_below_one(self, capsys, count):
         code = cli.main(

@@ -19,6 +19,7 @@ from selftest_lab.game import (
     win_predicate,
 )
 from selftest_lab.protocols import SPP_ALLOWED_PAIRS
+from selftest_lab.linalg import StateVector
 from selftest_lab.strategies import (
     Measurement,
     NoiseSpec,
@@ -30,6 +31,7 @@ from selftest_lab.strategies import (
     validate_strategy,
 )
 
+from test_isometry import with_junk
 from test_protocols import deterministic_strategy
 
 SQRT2 = math.sqrt(2.0)
@@ -143,6 +145,22 @@ def per_question_joint_distribution(s, qa, qb):
     return outcomes, probs / probs.sum()
 
 
+def projector_joint_distribution(s, qa, qb):
+    """Oracle: the projector form of game._joint_distribution, row order and
+    all, with probabilities ||P_a psi P_b^T||^2."""
+    psi = s.state.reshaped()
+    answers_a, projs_a = zip(*s.measurement("alice", qa))
+    answers_b, projs_b = zip(*s.measurement("bob", qb))
+    na, nb = len(projs_a), len(projs_b)
+    da, db = psi.shape
+    # left[(a, i), j] = (P_a psi)[i, j]; joint[(a, i), (b, l)] = (P_a psi P_b^T)[i, l]
+    left = np.array(projs_a).reshape(na * da, da) @ psi
+    joint = (left @ np.array(projs_b).reshape(nb * db, db).T).reshape(na, da, nb, db)
+    probs = (joint.real**2 + joint.imag**2).sum(axis=(1, 3)).ravel()
+    prods = np.array(answers_a, dtype=np.int8)[:, None] * np.array(answers_b, dtype=np.int8)
+    return prods.reshape(na * nb, s.m), probs / probs.sum()
+
+
 def per_question_sample_game(s, rounds, seed, referee="threshold"):
     """Oracle sampler: masks every round once per distinct question, scores
     answers with win_predicate and draws them with Generator.choice."""
@@ -185,11 +203,17 @@ def per_question_sample_game(s, rounds, seed, referee="threshold"):
     }
 
 
-def coarse_grained_strategy(m, path):
-    """A valid spp strategy file whose Alice X... and Bob Z... measurements
-    merge the answers that differ in the last symbol, so they have 2^(m-1)
-    projectors and every other question 2^m."""
-    s = perturb_strategy(honest_spp_strategy(m), NoiseSpec(theta=0.05, w=0.02), seed=4)
+def assert_same_sample(got, want):
+    """Every field equal but the standard error, which may differ by 4e-16
+    relative: the sampler takes it in closed form from the accept count, the
+    oracle from numpy's std of the outcomes."""
+    assert {**got, "stderr": None} == {**want, "stderr": None}
+    assert abs(got["stderr"] - want["stderr"]) <= 4e-16 * want["stderr"]
+
+
+def merged_last_symbol(s):
+    """s with Alice's X... and Bob's Z... answers merged over the last symbol:
+    2^(m-1) projectors of rank 2."""
 
     def coarse(meas):
         merged = {}
@@ -205,8 +229,15 @@ def coarse_grained_strategy(m, path):
         }
         for party, first in (("alice", "X"), ("bob", "Z"))
     }
-    coarse_s = Strategy(state=s.state, alice=tables["alice"], bob=tables["bob"], m=m)
-    path.write_text(json.dumps(strategy_to_json(coarse_s)))
+    return Strategy(state=s.state, alice=tables["alice"], bob=tables["bob"], m=s.m)
+
+
+def coarse_grained_strategy(m, path):
+    """A valid spp strategy file whose Alice X... and Bob Z... measurements
+    merge the answers that differ in the last symbol, so they have 2^(m-1)
+    projectors and every other question 2^m."""
+    s = perturb_strategy(honest_spp_strategy(m), NoiseSpec(theta=0.05, w=0.02), seed=4)
+    path.write_text(json.dumps(strategy_to_json(merged_last_symbol(s))))
     return load_strategy(json.loads(path.read_text()))
 
 
@@ -225,8 +256,9 @@ class TestSamplerAgainstPerQuestionOracle:
             s = perturb_strategy(s, NoiseSpec(theta=0.04, w=0.03), seed=m)
         rounds = ORACLE_ROUNDS[m]
         seed = 100 + m
-        assert sample_game(s, rounds, seed, referee) == per_question_sample_game(
-            s, rounds, seed, referee
+        assert_same_sample(
+            sample_game(s, rounds, seed, referee),
+            per_question_sample_game(s, rounds, seed, referee),
         )
 
     @pytest.mark.parametrize("m", [1, 2])
@@ -240,8 +272,8 @@ class TestSamplerAgainstPerQuestionOracle:
             for kind in s.kinds(party)
         }
         assert counts == {2 ** (m - 1), 2**m}
-        assert sample_game(s, 20_000, 8, referee) == per_question_sample_game(
-            s, 20_000, 8, referee
+        assert_same_sample(
+            sample_game(s, 20_000, 8, referee), per_question_sample_game(s, 20_000, 8, referee)
         )
 
     @pytest.mark.parametrize("referee", ["threshold", "subtest"])
@@ -250,8 +282,8 @@ class TestSamplerAgainstPerQuestionOracle:
         # continue the oracle's one-shot stream across slice boundaries.
         s = perturb_strategy(honest_spp_strategy(2), NoiseSpec(theta=0.04, w=0.03), seed=6)
         rounds = 2 * game._DRAW_ROWS + 3
-        assert sample_game(s, rounds, 21, referee) == per_question_sample_game(
-            s, rounds, 21, referee
+        assert_same_sample(
+            sample_game(s, rounds, 21, referee), per_question_sample_game(s, rounds, 21, referee)
         )
 
     def test_one_distribution_per_distinct_question(self, monkeypatch):
@@ -290,12 +322,62 @@ class TestSamplerAgainstPerQuestionOracle:
             sample_game(honest_spp_strategy(1), 50, seed=3)
 
 
+def joint_distribution_cases():
+    """(name, strategy) pairs: honest, rotated, junk-carrying (rank-3 and
+    rank-2 projectors) and fewer-outcome measurements."""
+    for m in (1, 2, 3):
+        honest = honest_spp_strategy(m)
+        rotated = perturb_strategy(honest, NoiseSpec(theta=0.3, w=0.2), seed=m)
+        yield f"honest-m{m}", honest
+        yield f"rotated-m{m}", rotated
+        if m <= 2:
+            yield f"junk-m{m}", with_junk(rotated, seed=m)
+        yield f"fewer-outcomes-m{m}", merged_last_symbol(rotated)
+
+
+class TestJointDistributionAgainstProjectorOracle:
+    @pytest.mark.parametrize("name, s", list(joint_distribution_cases()))
+    def test_every_question(self, name, s):
+        worst = 0.0
+        for combo in itertools.product(range(10), repeat=s.m):
+            qa, qb = game._party_strings(combo)
+            prods, probs = game._joint_distribution(s, qa, qb)
+            want_prods, want_probs = projector_joint_distribution(s, qa, qb)
+            assert np.array_equal(prods, want_prods)
+            worst = max(worst, np.abs(probs - want_probs).max())
+        assert worst <= 1e-15
+
+    def test_rows_follow_answer_order(self):
+        # Answers listed out of product order keep their listed order, and an
+        # answer with a zero projector keeps its (zero-probability) rows.
+        plus, minus = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        meas = Measurement({(-1,): minus, (1,): plus})
+        empty = Measurement({(1,): np.eye(2), (-1,): np.zeros((2, 2))})
+        psi = StateVector(np.array([1, 0, 0, 1]) / SQRT2, (("A", 2), ("B", 2)))
+        s = Strategy(state=psi, alice={"Z": meas}, bob={"Z": empty}, m=1)
+        prods, probs = game._joint_distribution(s, "Z", "Z")
+        assert prods.ravel().tolist() == [-1, 1, 1, -1]
+        assert np.allclose(probs, [0.5, 0.0, 0.5, 0.0], atol=1e-15)
+
+
+class TestOutcomeStatistics:
+    @pytest.mark.parametrize("rounds", [2, 3, 17, 1000, 65_537, 1_000_000])
+    def test_against_numpy(self, rounds):
+        rng = np.random.default_rng(rounds)
+        for accepts in {0, 1, rounds // 2, rounds - 1, rounds, *rng.integers(0, rounds + 1, 20)}:
+            accepted = np.full(rounds, -1, dtype=np.int8)
+            accepted[rng.permutation(rounds)[:accepts]] = 1
+            mean, stderr = game.outcome_statistics(int(accepts), rounds)
+            assert mean == float(accepted.mean())
+            want = float(accepted.std(ddof=1) / math.sqrt(rounds))
+            assert abs(stderr - want) <= 4e-16 * want
+
+
 class TestSamplerMemory:
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("referee", ["threshold", "subtest"])
     def test_peak_bytes_per_round(self, m, referee):
-        # The per-round arrays are a question code, an accept mask and an
-        # int8 outcome; the final std needs one float64 per round.
+        # The per-round arrays are a question code and an accept mask.
         s = perturb_strategy(honest_spp_strategy(m), NoiseSpec(theta=0.03, w=0.01), seed=1)
         rounds = 200_000
         tracemalloc.start()
@@ -306,6 +388,19 @@ class TestSamplerMemory:
         finally:
             tracemalloc.stop()
         assert peak / rounds <= 24
+
+    def test_peak_at_a_million_rounds(self):
+        # One uint16 question code and one uint8 accept mask per round, plus
+        # one draw slice of working arrays; no array of per-round outcomes.
+        s = perturb_strategy(honest_spp_strategy(3), NoiseSpec(theta=0.03, w=0.01), seed=1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sample_game(s, 1_000_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * 2**20
 
 
 class TestSampledExpectation:

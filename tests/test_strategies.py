@@ -31,7 +31,6 @@ from selftest_lab.strategies import (
     spp_question_kinds,
     strategy_from_json,
     strategy_to_json,
-    symbol_projector,
     validate_strategy,
 )
 
@@ -52,6 +51,11 @@ def random_projective_measurement(rng, num_symbols):
     return Measurement(
         {ans: np.outer(q[:, i], q[:, i].conj()) for i, ans in enumerate(answers)}
     )
+
+
+def symbol_projector(meas, k, x):
+    """Projector onto the answers whose k-th symbol is x: (I + x O_k) / 2."""
+    return (np.eye(meas.dim) + x * observable_for_symbol(meas, k)) / 2
 
 
 class TestSymbolProjector:
@@ -79,7 +83,7 @@ class TestSymbolProjector:
 
     def test_index_out_of_range(self):
         meas = product_basis_measurement("X")
-        with pytest.raises(ValueError):
+        with pytest.raises(KeyError, match="k=2"):
             symbol_projector(meas, 2, 1)
 
 
@@ -297,6 +301,29 @@ class TestValidateStrategy:
         assert not ortho.passed
         assert ortho.max_deviation == pytest.approx(0.01, abs=1e-12)
 
+    def test_scaled_projector_is_not_repaired(self):
+        # 1.3 P_+ has the same eigenvectors as P_+, so its basis is a valid
+        # one; the input's completeness and idempotency defects still show.
+        honest = product_basis_measurement("X")
+        scaled = Measurement({a: (1.3 if a == (1,) else 1.0) * p for a, p in honest})
+        assert np.abs(scaled.basis.conj().T @ scaled.basis - np.eye(2)).max() < 1e-15
+        psi = StateVector(np.array([1, 0, 0, 1]) / SQRT2, (("A", 2), ("B", 2)))
+        s = Strategy(state=psi, alice={"X": scaled}, bob={"X": honest}, m=1)
+        checks = {(c.subject, c.name): c for c in validate_strategy(s).checks}
+        assert checks[("alice:X", "completeness")].max_deviation == pytest.approx(0.15)
+        assert checks[("alice:X", "orthogonality")].max_deviation == pytest.approx(0.39)
+        assert checks[("bob:X", "completeness")].passed
+
+    def test_non_hermitian_projector_flagged(self):
+        # An oblique idempotent: complete and orthogonal as a product family,
+        # but eigh reads only its lower triangle.
+        oblique = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
+        meas = Measurement({(1,): oblique, (-1,): np.eye(2) - oblique})
+        psi = StateVector(np.array([1, 0, 0, 1]) / SQRT2, (("A", 2), ("B", 2)))
+        s = Strategy(state=psi, alice={"Z": meas}, bob={"Z": product_basis_measurement("Z")}, m=1)
+        failures = {(c.subject, c.name) for c in validate_strategy(s).failures()}
+        assert failures == {("alice:Z", "hermitian")}
+
     def test_cross_party_commutation_exact(self):
         report = validate_strategy(honest_my_strategy(2))
         cross = [c for c in report.checks if c.name == "cross-party-commute"]
@@ -325,11 +352,26 @@ class TestSerialization:
         for party in ("alice", "bob"):
             assert back.kinds(party) == s.kinds(party)
             for kind in s.kinds(party):
+                # The file holds projectors; loading converts them to a basis
+                # again, so the observables agree to rounding.
                 for k in range(1, s.m + 1):
-                    assert np.array_equal(
-                        back.observable(party, kind, k),
-                        s.observable(party, kind, k),
-                    )
+                    assert np.abs(
+                        back.observable(party, kind, k) - s.observable(party, kind, k)
+                    ).max() <= 4e-15
+
+    @pytest.mark.parametrize("flavor", ["my", "spp"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_round_trip_reproduces_projectors(self, flavor, m):
+        build = honest_my_strategy if flavor == "my" else honest_spp_strategy
+        s = perturb_strategy(build(m), NoiseSpec(theta=0.3, w=0.2), seed=m)
+        back = strategy_from_json(json.loads(json.dumps(strategy_to_json(s))))
+        for party in ("alice", "bob"):
+            for kind in s.kinds(party):
+                meas, loaded = s.measurement(party, kind), back.measurement(party, kind)
+                assert loaded.answers == meas.answers
+                assert list(loaded.projectors) == list(meas.answers)
+                for a, p in meas:
+                    assert np.abs(loaded.projectors[a] - p).max() <= 1e-15
 
     def test_named_forms(self):
         doc = {"type": "honest-my", "m": 2}
