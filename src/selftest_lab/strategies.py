@@ -54,31 +54,32 @@ class Measurement:
     check names of `validate_strategy`: "hermitian" (max |P_a - P_a^H|),
     "orthogonality" (max |w (w - 1)| over the eigenvalues w of each P_a,
     zero exactly when P_a is idempotent) and "completeness"
-    (max |sum_a P_a - I|).
+    (max |sum_a P_a - I|).  ``projectors`` are formed from the basis, so a
+    converted measurement serializes in its converted form.
     """
 
     def __init__(self, projectors: Mapping[tuple[int, ...], np.ndarray]):
         if not projectors:
             raise ValueError("measurement needs at least one projector")
-        items = [(tuple(int(x) for x in a), np.asarray(p, dtype=complex))
-                 for a, p in projectors.items()]
-        dim = items[0][1].shape[0]
-        herm = idem = 0.0
-        columns, groups = [], []
-        for i, (a, p) in enumerate(items):
+        answers = [tuple(int(x) for x in a) for a in projectors]
+        mats = [np.asarray(p, dtype=complex) for p in projectors.values()]
+        dim = mats[0].shape[0]
+        for p in mats:
             if p.shape != (dim, dim):
                 raise ValueError(f"projector shape {p.shape} != ({dim}, {dim})")
-            if not np.isfinite(p).all():
-                raise ValueError(f"projector of answer {a} has non-finite entries")
-            herm = max(herm, np.abs(p - p.conj().T).max())
-            w, v = np.linalg.eigh(p)
-            idem = max(idem, np.abs(w * (w - 1.0)).max())
-            columns.append(v[:, w > 0.5])
-            groups += [i] * columns[-1].shape[1]
-        total = sum(p for _, p in items) - np.eye(dim)
-        deviation = {"hermitian": float(herm), "orthogonality": float(idem),
-                     "completeness": float(np.abs(total).max())}
-        self._hold(np.concatenate(columns, axis=1), [a for a, _ in items], groups, deviation)
+        stack = np.array(mats)
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if not finite.all():
+            bad = answers[np.argmin(finite)]
+            raise ValueError(f"projector of answer {bad} has non-finite entries")
+        w, v = np.linalg.eigh(stack)
+        keep = w > 0.5  # keep[i, j]: eigenvector j of answer i's projector
+        deviation = {
+            "hermitian": float(np.abs(stack - stack.conj().transpose(0, 2, 1)).max()),
+            "orthogonality": float(np.abs(w * (w - 1.0)).max()),
+            "completeness": float(np.abs(stack.sum(axis=0) - np.eye(dim)).max()),
+        }
+        self._hold(v.transpose(1, 0, 2)[:, keep], answers, np.nonzero(keep)[0], deviation)
 
     @classmethod
     def from_basis(cls, basis: np.ndarray, answers, column_groups=None,

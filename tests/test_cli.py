@@ -234,6 +234,18 @@ class TestRejectedInput:
         assert captured.err.count("\n") == 1
         assert f"alice:{kind} completeness" in captured.err
 
+    def test_non_finite_projector_in_strategy_file(self, capsys, tmp_path):
+        # A NaN entry has no eigen-decomposition; it is rejected at load.
+        doc = strategy_to_json(honest_my_strategy(1))
+        doc["questions"][0]["projectors"][1]["matrix"][2] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["verify-isometry", "--strategy", str(path), "--test", "my"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: projector of answer (-1,) has non-finite entries\n"
+
     @pytest.mark.parametrize(
         "argv, message",
         [
