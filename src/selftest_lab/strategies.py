@@ -87,7 +87,6 @@ class Measurement:
         """Measurement whose basis column j answers answers[column_groups[j]];
         by default column j answers answers[j]."""
         meas = cls.__new__(cls)
-        answers = tuple(answers)
         if column_groups is None:
             column_groups = np.arange(len(answers))
         meas._hold(basis, answers, column_groups, input_deviation or {})
@@ -102,9 +101,6 @@ class Measurement:
         self.basis = np.asarray(basis, dtype=complex)
         self.answers = answers
         self.column_groups = np.asarray(column_groups, dtype=np.intp)
-        if self.column_groups.shape != self.basis.shape[1:]:
-            raise ValueError(f"{len(self.column_groups)} column answers for a "
-                             f"basis of shape {self.basis.shape}")
         self.answer_signs = np.array(answers, dtype=np.int8).reshape(-1, m)
         self.input_deviation = input_deviation
         self.num_symbols = m
@@ -293,7 +289,7 @@ def product_basis_measurement(bases: str) -> Measurement:
     the answer order of itertools.product((1, -1), repeat=len(bases)).
     """
     basis = kron(*(np.column_stack(basis_vectors(sym)) for sym in bases))
-    return Measurement.from_basis(basis, itertools.product((1, -1), repeat=len(bases)))
+    return Measurement.from_basis(basis, list(itertools.product((1, -1), repeat=len(bases))))
 
 
 def _ebit_block_state(m: int) -> StateVector:

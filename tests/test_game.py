@@ -18,8 +18,8 @@ from selftest_lab.game import (
     threshold_referee_expectation,
     win_predicate,
 )
-from selftest_lab.protocols import SPP_ALLOWED_PAIRS
 from selftest_lab.linalg import StateVector
+from selftest_lab.protocols import SPP_ALLOWED_PAIRS
 from selftest_lab.strategies import (
     Measurement,
     NoiseSpec,
@@ -336,8 +336,10 @@ def joint_distribution_cases():
 
 
 class TestJointDistributionAgainstProjectorOracle:
-    @pytest.mark.parametrize("name, s", list(joint_distribution_cases()))
-    def test_every_question(self, name, s):
+    @pytest.mark.parametrize(
+        "s", [pytest.param(s, id=name) for name, s in joint_distribution_cases()]
+    )
+    def test_every_question(self, s):
         worst = 0.0
         for combo in itertools.product(range(10), repeat=s.m):
             qa, qb = game._party_strings(combo)
