@@ -53,7 +53,7 @@ class Measurement:
     orthogonal projector family is kept in ``input_deviation`` under the
     check names of `validate_strategy`: "hermitian" (max |P_a - P_a^H|),
     "orthogonality" (max |w (w - 1)| over the eigenvalues w of each P_a,
-    zero exactly when P_a is idempotent) and "completeness"
+    zero exactly when a Hermitian P_a is idempotent) and "completeness"
     (max |sum_a P_a - I|).  ``projectors`` are formed from the basis, so a
     converted measurement serializes in its converted form.
     """
