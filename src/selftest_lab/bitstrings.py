@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -66,7 +67,7 @@ class BitString:
     def n(self) -> int:
         return len(self.bits)
 
-    @property
+    @cached_property
     def value(self) -> int:
         """Big-endian integer encoding; also the basis-state index of |x>."""
         v = 0

@@ -116,12 +116,16 @@ def sufficient_conditions_radicands(
     n: int, weight_p: int, e: EpsilonBundle
 ) -> tuple[float, float]:
     _check_weight(n, weight_p)
+    return _radicands(n, weight_p, e.eps1, e.eps2, e.eps3)
+
+
+def _radicands(n, weight_p, eps1, eps2, eps3) -> tuple[float, float]:
     first = (
-        weight_p / 2 * ((n - 1) * e.eps1 + 2 * n * e.eps2 + e.eps3)
-        + n / 4 * (e.eps3 - e.eps1)
-        + n**2 / 8 * (e.eps1 + 2 * e.eps2)
+        weight_p / 2 * ((n - 1) * eps1 + 2 * n * eps2 + eps3)
+        + n / 4 * (eps3 - eps1)
+        + n**2 / 8 * (eps1 + 2 * eps2)
     )
-    second = n**2 / 4 * (e.eps1 + 2 * e.eps2) + n / 2 * (e.eps2 + e.eps3 - e.eps1)
+    second = n**2 / 4 * (eps1 + 2 * eps2) + n / 2 * (eps2 + eps3 - eps1)
     return first, second
 
 
@@ -171,9 +175,10 @@ def _recomputed_bound(
     """The sufficient-conditions closed form at eps1 = 4 sqrt(2 eps),
     eps2 = sqrt(2 eps) and eps3 = anticommute(eps)."""
     _check_nonneg("eps", eps)
+    _check_weight(n, weight_p)
     root = math.sqrt(2 * eps)
-    bundle = EpsilonBundle(eps1=4 * root, eps2=root, eps3=anticommute(eps))
-    return sufficient_conditions_bound(n, weight_p, bundle)
+    first, second = _radicands(n, weight_p, 4 * root, root, anticommute(eps))
+    return math.sqrt(first) + math.sqrt(second)
 
 
 def my_parallel_recomputed_bound(n: int, weight_p: int, eps: float) -> float:

@@ -25,7 +25,22 @@ graph state 2^(-m) (-1)^(t_A.t_B), and summing over w = t_B ^ q_B gives
     (I x W) X^q Z^p ideal [t_A, u] = 2^(-m/2) (-1)^(|(t_A^q_A) & p_A| + |u & q_B|)
                                      if u = t_A ^ q_A ^ p_B, else 0,
 so junk x X^q Z^p ideal fills only 2^m blocks (t_A, u) of the rotated image,
-each a signed copy of 2^(-m/2) junk.
+each a signed copy of 2^(-m/2) junk; the sign is (-1)^(|p_A & p_B| +
+|u & (p_A ^ q_B)|), a row of the Hadamard sign matrix times a global sign.
+
+Only those 2^m blocks of the image are formed.  With R_t the row block of
+t_A = t (rows s_A, a), C_u the column block of u (columns s_B, b) and
+u(t) = t ^ q_A ^ p_B, the rest of row block t is R_t psi' C_(v != u(t)).  QR
+factors R_t = Q F_t and C_(v != u) = L_u Q'^H, with Q and Q' of orthonormal
+columns, leave its norm to a d_A x d_B product:
+    d^2 = sum_t || R_t psi' C_u(t) - sign 2^(-m/2) junk ||^2
+              + || F_t psi' L_u(t) ||^2.
+The off-diagonal part is not taken as ||image||^2 - ||target blocks||^2, nor
+as a trace tr(psi'^H A psi' G) over a Gram matrix G, nor through a Cholesky
+or eigh factor of G: at zero noise d^2 is about 1e-32, and each of these
+leaves about 1e-16 of rounding in it, 1e-8 in d, above the 1e-9 check.  QR
+of the blocks themselves is backward stable, so the zero-noise distance
+stays near 1e-16.
 """
 
 from __future__ import annotations
@@ -47,11 +62,8 @@ from .linalg import StateVector
 from .protocols import TestSpec
 from .strategies import FLAVORS, Strategy
 
-# n = 2m X/Z indices at most; at n = 8 one distance holds a 16 MB image block.
+# n = 2m X/Z indices at most; at n = 8 one distance holds 16 MB of target blocks.
 ISOMETRY_LIMIT = 8
-# Image entries per chunk of whole t_A row blocks (512 KB), or one row block
-# if that is larger: m <= 2 is one chunk, m = 3 one block, m = 4 one 16 MB block.
-_CHUNK_ENTRIES = 1 << 15
 DISTANCE_SLACK = 1e-9  # numerical slack when comparing distance to a bound
 
 
@@ -168,56 +180,62 @@ def junk_state(s: Strategy, flavor: Optional[str] = None) -> StateVector:
 class IsometryContext:
     """Shared pieces for many distance evaluations of one strategy.
 
-    The image is held in the Hadamard basis u of Bob's half of U, rows
-    (t_A, s_A, a) and columns (u, s_B, b), where the target is 2^m signed
-    junk blocks (module docstring).  One buffer holds a chunk of image rows.
+    The image is held in the Hadamard basis u of Bob's half of U: row block
+    R_t holds rows (s_A, a) of t_A = t, column block C_u columns (u, s_B, b).
+    A call writes the 2^m target blocks into one buffer and takes the rest of
+    the image from the QR factors F_t and L_u (module docstring).
     """
 
     def __init__(self, s: Strategy, flavor: Optional[str] = None):
         self.n = 2 * s.m
         tables = KrausTables(*party_observables(s, flavor))
         half, (d_a, d_b) = 2**s.m, tables.dims
-        self._psi = s.state.reshaped()
-        junk = tables.junk(self._psi)
-        self._targets = np.stack([junk, -junk])
-        # X^q Z^p of each party by [q, p]; Bob's transposed, to act on columns.
+        psi = s.state.reshaped()
+        self._junk = tables.junk(psi)
+        # X^q Z^p of Alice by [q, p]; psi times Bob's transposed X^q Z^p by [q, p].
         self._pauli_a = tables.x_a[:, None] @ tables.z_a[None]
-        self._pauli_b = (tables.x_b[:, None] @ tables.z_b[None]).swapaxes(2, 3)
-        self._rows = tables.rows_a * 2.0**-s.m
-        # H = 2^(m/2) W has entries +-1: H image - (+-junk) is 2^(m/2) times
-        # the residual, with no inexact 2^(-m/2) scale at odd m.
-        self._cols = (tables.hadamard @ tables.cols_b.reshape(d_b, half, -1)).reshape(d_b, -1)
-        self._bits = bits = np.arange(half)
-        # _flips[x, y, r] = parity of (r ^ x) & y.
-        self._flips = np.bitwise_count((bits ^ bits[:, None, None]) & bits[:, None]) & 1
-        row_entries = half * d_a * self._cols.shape[1]  # image entries per t_A
-        self._chunk = min(half, max(1, _CHUNK_ENTRIES // row_entries))
-        self._buf = np.empty((self._chunk * half * d_a, self._cols.shape[1]), dtype=complex)
+        self._psi_b = psi @ (tables.x_b[:, None] @ tables.z_b[None]).swapaxes(2, 3)
+        rows = (tables.rows_a * 2.0**-s.m).reshape(half, -1, d_a)
+        # H = 2^(m/2) W has entries +-1: H image - junk is 2^(m/2) times the
+        # residual, with no inexact 2^(-m/2) scale at odd m.
+        cols = (tables.hadamard @ tables.cols_b.reshape(d_b, half, -1)).transpose(1, 0, 2)
+        # R_t = Q F_t and C_(v != u) = L_u Q^H, each Q with orthonormal columns.
+        # L_u comes from the R factors r_v of single blocks C_v^H = Q_v r_v, so
+        # the QR runs on 2^m - 1 stacked d_B x d_B factors, not on whole blocks.
+        factors = np.linalg.qr(rows, mode="r")
+        blocks = np.linalg.qr(cols.conj().swapaxes(1, 2), mode="r")
+        bits = np.arange(half)
+        others = blocks[bits[:, None] ^ bits[1:]].reshape(half, -1, d_b)
+        lower = np.linalg.qr(others, mode="r").conj().swapaxes(1, 2)
+        self._rows = np.concatenate([rows, factors], axis=1).reshape(-1, d_a)
+        both = np.concatenate([cols, lower], axis=2)
+        self._cols = np.concatenate([both, -both])  # [C_u | L_u] by u, then negated
+        # Row block t meets its target in u = t ^ q_A ^ p_B with sign
+        # (-1)^(|p_A & p_B| + |u & (p_A ^ q_B)|): _select[q_A ^ p_B, p_A ^ q_B,
+        # |p_A & p_B| mod 2, t] is u, plus 2^m where the sign is -1.
+        c, x, g, t = np.ix_(bits, bits, (0, 1), bits)
+        self._select = (t ^ c) + half * (g ^ (np.bitwise_count(x & (t ^ c)) & 1))
+        self._buf = np.empty((half, *self._junk.shape), dtype=complex)
 
     def distance(self, p: BitString, q: BitString) -> float:
         """|| Phi(X^q Z^p psi') - junk x (X^q Z^p ideal) ||, phase-exact."""
         if p.n != self.n or q.n != self.n:
             raise ValueError(f"p, q must have length {self.n}")
-        half, chunk = len(self._bits), self._chunk
+        buf = self._buf
+        half, rows_t, cols_u = buf.shape
         (pa, pb), (qa, qb) = divmod(p.value, half), divmod(q.value, half)
-        psi = self._pauli_a[qa, pa] @ self._psi @ self._pauli_b[qb, pb]
-        # Row block r holds t_A = r ^ q_A ^ p_B, so its target block is u = r,
-        # with sign (-1)^(|(r ^ p_B) & p_A| + |r & q_B|).
-        order = self._bits ^ (qa ^ pb)
-        flips = self._flips[pb, pa] ^ self._flips[0, qb]
-        row_blocks = (self._rows @ psi).reshape(half, -1, psi.shape[1])
-        total = 0.0
-        for lo in range(0, half, chunk):
-            hi = min(lo + chunk, half)
-            rows = row_blocks[order[lo:hi]].reshape(-1, psi.shape[1])
-            image = np.matmul(rows, self._cols, out=self._buf[:len(rows)])
-            blocks = image.reshape(hi - lo, -1, half, self._cols.shape[1] // half)
-            diagonal = np.einsum("iriu->iru", blocks[:, :, lo:hi])  # a writable view
-            diagonal -= self._targets[flips[lo:hi]]
-            # One dot per row, then numpy's pairwise sum of the rows: one running
-            # sum (vdot) over a 16 MB chunk drifts by 1e-14.
-            flat = image.view(np.float64)
-            total += (flat[:, None] @ flat[:, :, None]).sum()
+        psi = self._pauli_a[qa, pa] @ self._psi_b[qb, pb]
+        # Each column block carries its target's sign, so every target is +junk.
+        cols = self._cols[self._select[qa ^ pb, pa ^ qb, (pa & pb).bit_count() & 1]]
+        rows = (self._rows @ psi).reshape(half, -1, psi.shape[1])
+        np.matmul(rows[:, :rows_t], cols[..., :cols_u], out=buf)
+        buf -= self._junk
+        off = rows[:, rows_t:] @ cols[..., cols_u:]  # F_t psi' L_u
+        # One dot per row, then numpy's pairwise sum of the rows: one running
+        # sum (vdot) over the 16 MB buffer of m = 4 drifts by 1e-14.  The
+        # off-diagonal term, 2^m d_A d_B entries, takes one.
+        flat = buf.reshape(-1, cols_u).view(np.float64)
+        total = (flat[:, None] @ flat[:, :, None]).sum() + np.vdot(off, off).real
         return float(np.sqrt(total / half))
 
 
@@ -250,11 +268,8 @@ def select_pairs(
     if pairs == "auto":
         pairs = "exhaustive" if 4**n <= 256 else "sample"
     if pairs == "exhaustive":
-        return [
-            (p, q)
-            for p in BitString.all_strings(n)
-            for q in BitString.all_strings(n)
-        ]
+        strings = list(BitString.all_strings(n))
+        return [(p, q) for p in strings for q in strings]
     if pairs == "sample":
         rng = np.random.default_rng(seed)
         return [
@@ -303,9 +318,8 @@ def verify_bound(
 
     def evaluate(pq):
         p, q = pq
-        bounds = {
-            name: fn(n, hamming_weight(p), eps) for name, fn in bound_fns.items()
-        }
+        weight = hamming_weight(p)
+        bounds = {name: fn(n, weight, eps) for name, fn in bound_fns.items()}
         dist = ctx.distance(p, q)
         return IsometryReport(
             p=str(p),

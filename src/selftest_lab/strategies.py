@@ -457,11 +457,11 @@ def _interleave(a: np.ndarray) -> list[float]:
     return out.tolist()
 
 
-def _numbers(values, count=None, types=(int, float)) -> bool:
-    """Whether values is a JSON list of numbers of the given types, of count
-    entries if given."""
-    return isinstance(values, list) and count in (None, len(values)) and all(
-        isinstance(x, types) and not isinstance(x, bool) for x in values)
+def _numbers(values, count=None, types=frozenset((int, float))) -> bool:
+    """Whether values is a JSON list of numbers of the given exact types (so
+    no bool), of count entries if given."""
+    return (isinstance(values, list) and count in (None, len(values))
+            and set(map(type, values)) <= types)
 
 
 def _check_field(ok: bool, field: str, want: str, got) -> None:
@@ -501,7 +501,7 @@ def strategy_to_json(s: Strategy) -> dict:
 
 def strategy_from_json(doc: Mapping) -> Strategy:
     dims, questions = doc.get("dims"), doc.get("questions")
-    _check_field(_numbers(dims, 2, types=int) and all(d >= 1 for d in dims),
+    _check_field(_numbers(dims, 2, types={int}) and all(d >= 1 for d in dims),
                  "dims", "two integers >= 1", dims)
     da, db = dims
     m = int(doc["m"])
@@ -523,7 +523,7 @@ def strategy_from_json(doc: Mapping) -> Strategy:
         projectors = {}
         for j, entry in enumerate(entries):
             where, answer = f"{field}.projectors[{j}]", entry["answer"]
-            _check_field(_numbers(answer, types=int), f"{where}.answer",
+            _check_field(_numbers(answer, types={int}), f"{where}.answer",
                          "a list of integers", answer)
             projectors[tuple(answer)] = _deinterleave(
                 entry.get("matrix"), (dim, dim), f"{where}.matrix"

@@ -332,6 +332,33 @@ class TestRejectedInput:
     @pytest.mark.parametrize(
         "fields, message",
         [
+            ({"state": [True] + [0] * 7},
+             "strategy field state must be a list of 8 numbers, got [True, 0, 0, 0, 0, 0, 0, 0]"),
+            ({"dims": [2, True]}, "strategy field dims must be two integers >= 1, got [2, True]"),
+            ({"questions": [{"party": "bob", "kind": "X",
+                             "projectors": [{"answer": [1], "matrix": [0] * 7 + [False]}]}]},
+             "strategy field questions[0].projectors[0].matrix must be a list of 8 numbers, "
+             "got [0, 0, 0, 0, 0, 0, 0, False]"),
+            ({"type": "honest-spp", "noise": {"theta": True}},
+             'strategy field noise must be an object with numeric "theta", "w" and "seed", '
+             "got {'theta': True}"),
+        ],
+    )
+    def test_bool_is_not_a_number(self, capsys, tmp_path, fields, message):
+        # JSON true/false load as bool, a subclass of int; each is rejected
+        # by the field that holds it.
+        doc = {"dims": [2, 2], "m": 1, "state": [1, 0] + [0] * 6, "questions": []}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({**doc, **fields}))
+        code = cli.main(["game", "--strategy", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
             ({"noise": 3}, 'strategy field noise must be an object with numeric "theta", '
                            '"w" and "seed", got 3'),
             ({"noise": {"theta": "0.1"}}, 'strategy field noise must be an object with '

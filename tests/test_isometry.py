@@ -445,6 +445,10 @@ ORACLE_CASES = [
 ]
 
 
+# m = 3: honest, noisy, and noisy with a junk state (d_A != d_B).
+M3_CASES = [(flavor, kind) for flavor in ("my", "spp") for kind in ("honest", "noisy", "junk")]
+
+
 def oracle_case_strategy(flavor, m, noisy):
     build = {"my": honest_my_strategy, "spp": honest_spp_strategy}[flavor]
     s = build(m)
@@ -459,6 +463,18 @@ class TestAgainstSixStepOracle:
         s = oracle_case_strategy(flavor, m, noisy)
         ctx = IsometryContext(s, flavor)
         for p, q in itertools.product(BitString.all_strings(2 * m), repeat=2):
+            assert abs(ctx.distance(p, q) - six_step_distance(s, flavor, p, q)) <= 1e-12
+
+    @pytest.mark.parametrize("flavor,kind", M3_CASES)
+    def test_distance_on_sampled_m3_pairs(self, flavor, kind):
+        # The junk-carrying strategy has party dimensions (24, 16), a system
+        # of 384 dimensions for the oracle, so it gets one pair.
+        s = oracle_case_strategy(flavor, 3, kind != "honest")
+        if kind == "junk":
+            s = with_junk(s, seed=3)
+        ctx = IsometryContext(s, flavor)
+        pairs = select_pairs(6, "sample", seed=5, sample_count=1 if kind == "junk" else 3)
+        for p, q in pairs:
             assert abs(ctx.distance(p, q) - six_step_distance(s, flavor, p, q)) <= 1e-12
 
     @pytest.mark.parametrize("flavor,m,noisy", ORACLE_CASES)
@@ -541,8 +557,20 @@ class TestStrategyWithJunk:
                 assert expected < 1e-9
 
 
+class TestZeroNoiseDistance:
+    @pytest.mark.parametrize("flavor", ["my", "spp"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_every_pair(self, flavor, m):
+        # The factored off-diagonal residual keeps these near 1e-16; taken as a
+        # difference of norms or a Gram trace, it reads about 1e-8.
+        ctx = IsometryContext(oracle_case_strategy(flavor, m, False), flavor)
+        pairs = select_pairs(2 * m, "exhaustive")
+        assert max(ctx.distance(p, q) for p, q in pairs) < 1e-12
+
+
 class TestDistanceMemory:
-    def test_chunk_buffer_at_m3(self):
+    def test_target_buffer_at_m3(self):
+        # The 2^m target blocks of 64 x 64 entries: 512 KB.
         ctx = IsometryContext(honest_my_strategy(3))
         assert ctx._buf.nbytes <= 512 * 1024
 
