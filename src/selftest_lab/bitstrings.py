@@ -86,7 +86,7 @@ class BitString:
         return BitString(tuple(a ^ b for a, b in zip(self.bits, other.bits)))
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return f"{self.value:0{self.n}b}"
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.bits)

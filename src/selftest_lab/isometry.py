@@ -45,6 +45,7 @@ stays near 1e-16.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -226,7 +227,7 @@ class IsometryContext:
         (pa, pb), (qa, qb) = divmod(p.value, half), divmod(q.value, half)
         psi = self._pauli_a[qa, pa] @ self._psi_b[qb, pb]
         # Each column block carries its target's sign, so every target is +junk.
-        cols = self._cols[self._select[qa ^ pb, pa ^ qb, (pa & pb).bit_count() & 1]]
+        cols = self._cols.take(self._select[qa ^ pb, pa ^ qb, (pa & pb).bit_count() & 1], axis=0)
         rows = (self._rows @ psi).reshape(half, -1, psi.shape[1])
         np.matmul(rows[:, :rows_t], cols[..., :cols_u], out=buf)
         buf -= self._junk
@@ -236,7 +237,7 @@ class IsometryContext:
         # off-diagonal term, 2^m d_A d_B entries, takes one.
         flat = buf.reshape(-1, cols_u).view(np.float64)
         total = (flat[:, None] @ flat[:, :, None]).sum() + np.vdot(off, off).real
-        return float(np.sqrt(total / half))
+        return math.sqrt(total / half)
 
 
 @dataclass(frozen=True)

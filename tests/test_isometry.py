@@ -310,6 +310,18 @@ class TestSelectPairs:
         pairs = select_pairs(8, policy, seed=3, sample_count=5)
         assert len(pairs) == 5
 
+    def test_exhaustive_builds_each_string_once(self, monkeypatch):
+        built = []
+        from_index = BitString.from_index.__func__
+
+        def counted(cls, value, n):
+            built.append(value)
+            return from_index(cls, value, n)
+
+        monkeypatch.setattr(BitString, "from_index", classmethod(counted))
+        pairs = select_pairs(4, "exhaustive")
+        assert len(pairs) == 256 and sorted(built) == list(range(16))
+
     def test_sample_deterministic(self):
         a = select_pairs(4, "sample", seed=5, sample_count=10)
         b = select_pairs(4, "sample", seed=5, sample_count=10)
