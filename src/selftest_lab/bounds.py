@@ -119,7 +119,9 @@ def sufficient_conditions_radicands(
     return _radicands(n, weight_p, e.eps1, e.eps2, e.eps3)
 
 
-def _radicands(n, weight_p, eps1, eps2, eps3) -> tuple[float, float]:
+def _radicands(
+    n: int, weight_p: int, eps1: float, eps2: float, eps3: float
+) -> tuple[float, float]:
     first = (
         weight_p / 2 * ((n - 1) * eps1 + 2 * n * eps2 + eps3)
         + n / 4 * (eps3 - eps1)

@@ -227,7 +227,8 @@ class IsometryContext:
         (pa, pb), (qa, qb) = divmod(p.value, half), divmod(q.value, half)
         psi = self._pauli_a[qa, pa] @ self._psi_b[qb, pb]
         # Each column block carries its target's sign, so every target is +junk.
-        cols = self._cols.take(self._select[qa ^ pb, pa ^ qb, (pa & pb).bit_count() & 1], axis=0)
+        signed = self._select[qa ^ pb, pa ^ qb, (pa & pb).bit_count() & 1]
+        cols = self._cols.take(signed, axis=0)
         rows = (self._rows @ psi).reshape(half, -1, psi.shape[1])
         np.matmul(rows[:, :rows_t], cols[..., :cols_u], out=buf)
         buf -= self._junk
