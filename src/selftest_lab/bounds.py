@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict
 from typing import Callable, Optional
 
 from .bitstrings import BitString, dot, half_a, half_b, hamming_weight, swap_halves
@@ -108,8 +108,8 @@ def _check_weight(n: int, weight_p: int) -> None:
 
 
 def _check_nonneg(name: str, value: float) -> None:
-    if value < 0:
-        raise ValueError(f"{name} must be nonnegative, got {value}")
+    if not 0 <= value < math.inf:  # also false for NaN
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
 def sufficient_conditions_radicands(
@@ -225,48 +225,6 @@ def game_robustness_bound(n: int, weight_p: int, delta: float) -> float:
     return scale * math.sqrt(first) + scale * math.sqrt(second)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    name: str
-    inputs: dict
-    value: float
-    terms: dict = field(default_factory=dict)
-
-    @property
-    def vacuous(self) -> bool:
-        return self.value > VACUOUS_THRESHOLD
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "inputs": dict(self.inputs),
-            "value": self.value,
-            "terms": dict(self.terms),
-            "vacuous": self.vacuous,
-        }
-
-
-def _report(name, n, weight_p, e, value, terms=None) -> BoundReport:
-    return BoundReport(
-        name=name,
-        inputs={
-            "n": n,
-            "weight_p": weight_p,
-            "eps": e.eps,
-            "eps1": e.eps1,
-            "eps2": e.eps2,
-            "eps3": e.eps3,
-            "delta": e.delta,
-        },
-        value=float(value),
-        terms=terms or {},
-    )
-
-
-def _radicand_terms(pair) -> dict:
-    return {"radicand_1": float(pair[0]), "radicand_2": float(pair[1])}
-
-
 # name -> (value, radicand pair or None), both of (n, weight_p, bundle).
 _BOUNDS: dict[str, tuple[Callable, Optional[Callable]]] = {
     "sufficient-conditions": (
@@ -292,14 +250,23 @@ _BOUNDS: dict[str, tuple[Callable, Optional[Callable]]] = {
 }
 
 
-def evaluate_bound(name: str, n: int, weight_p: int, e: EpsilonBundle) -> BoundReport:
-    """Scalar-input bound registry backing the command-line interface."""
+def evaluate_bound(name: str, n: int, weight_p: int, e: EpsilonBundle) -> dict:
+    """The report of one registry bound: name, inputs, value, radicand terms
+    (empty where the bound has no radicand pair) and the vacuous flag."""
     if name not in _BOUNDS:
         raise ValueError(f"unknown bound {name!r}; known: {sorted(bound_names())}")
     value, radicands = _BOUNDS[name]
     result = value(n, weight_p, e)
-    terms = _radicand_terms(radicands(n, weight_p, e)) if radicands else None
-    return _report(name, n, weight_p, e, result, terms)
+    terms = {}
+    if radicands:
+        terms["radicand_1"], terms["radicand_2"] = radicands(n, weight_p, e)
+    return {
+        "name": name,
+        "inputs": {"n": n, "weight_p": weight_p, **asdict(e)},
+        "value": result,
+        "terms": terms,
+        "vacuous": result > VACUOUS_THRESHOLD,
+    }
 
 
 def bound_names() -> tuple[str, ...]:

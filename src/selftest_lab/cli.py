@@ -16,7 +16,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -85,6 +85,23 @@ def emit(report: dict, out: Optional[str], csv_path: Optional[str], csv_rows=Non
                 writer.writerow(
                     [f"{v:.15g}" if isinstance(v, float) else v for v in row]
                 )
+
+
+def _report(config: dict, passed: bool, csv_rows=None, **body):
+    """(exit code, report, CSV rows) of a run: its body in the shared envelope."""
+    report = {
+        "command": config["command"],
+        "config": config,
+        "config_sha256": config_hash(config),
+        **body,
+        "passed": passed,
+    }
+    return (0 if passed else 1), report, csv_rows
+
+
+def _csv(records: list[dict]) -> list[tuple]:
+    """A header of the records' keys, in order, then one row per record."""
+    return [tuple(records[0])] + [tuple(r.values()) for r in records]
 
 
 @dataclass(frozen=True)
@@ -222,23 +239,18 @@ def run_lemma_checks(
 
 
 def cmd_lemma_checks(args) -> tuple[int, dict, None]:
-    even_ns = _parse_int_list(args.even_n)
-    if any(n % 2 for n in even_ns):
-        raise UsageError(f"half-swap checks need even n, got {even_ns}")
+    even_ns = _parse_list(args.even_n, int)
+    if args.max_n < 1:
+        raise UsageError(f"--max-n must be >= 1, got {args.max_n}")
+    if any(n % 2 or n < 2 for n in even_ns):
+        raise UsageError(f"half-swap checks need even n >= 2, got {even_ns}")
     if args.max_n > bs.EXHAUSTIVE_LIMIT or any(
         n > bs.EXHAUSTIVE_LIMIT for n in even_ns
     ):
         raise UsageError(f"range exceeds exhaustive limit {bs.EXHAUSTIVE_LIMIT}")
     ok, checks = run_lemma_checks(args.max_n, even_ns, phase=args.phase_override)
     config = {"command": "lemma-checks", "max_n": args.max_n, "even_n": even_ns}
-    report = {
-        "command": "lemma-checks",
-        "config": config,
-        "config_sha256": config_hash(config),
-        "checks": checks,
-        "passed": ok,
-    }
-    return (0 if ok else 1), report, None
+    return _report(config, ok, checks=checks)
 
 
 # --- honest-check -----------------------------------------------------------
@@ -265,59 +277,48 @@ def cmd_honest_check(args) -> tuple[int, dict, list]:
             "passed": game_ok,
         }
         ok = ok and game_ok
-    report = {
-        "command": "honest-check",
-        "config": config,
-        "config_sha256": config_hash(config),
-        "test": args.flavor,
-        "m": args.m,
-        "eps": rep.eps,
-        "entries": [vars(e) for e in rep.entries],
-        "worst_entry": vars(rep.argmax()),
-        "game": game,
-        "passed": ok,
-    }
-    return (0 if ok else 1), report, list(rep.csv_rows())
+    entries = [vars(e) for e in rep.entries]
+    return _report(
+        config, ok, _csv(entries),
+        test=args.flavor,
+        m=args.m,
+        eps=rep.eps,
+        entries=entries,
+        worst_entry=vars(rep.argmax()),
+        game=game,
+    )
 
 
 # --- bounds -----------------------------------------------------------------
 
 
 def cmd_bounds(args) -> tuple[int, dict, None]:
-    bundle = EpsilonBundle(
-        eps=args.eps,
-        eps1=args.eps1,
-        eps2=args.eps2,
-        eps3=args.eps3,
-        delta=args.delta,
-    )
+    bundle = EpsilonBundle(**{f.name: getattr(args, f.name) for f in fields(EpsilonBundle)})
     names = bnd.bound_names() if args.bound == "all" else (args.bound,)
-    reports = [
-        bnd.evaluate_bound(name, args.n, args.weight_p, bundle).to_dict()
-        for name in names
-    ]
+    reports = [bnd.evaluate_bound(name, args.n, args.weight_p, bundle) for name in names]
     config = {
         "command": "bounds",
         "bound": args.bound,
         "n": args.n,
         "weight_p": args.weight_p,
-        "eps": args.eps,
-        "eps1": args.eps1,
-        "eps2": args.eps2,
-        "eps3": args.eps3,
-        "delta": args.delta,
+        **asdict(bundle),
     }
-    report = {
-        "command": "bounds",
-        "config": config,
-        "config_sha256": config_hash(config),
-        "bounds": reports,
-        "passed": True,
-    }
-    return 0, report, None
+    return _report(config, True, bounds=reports)
 
 
 # --- verify-isometry --------------------------------------------------------
+
+
+def _verify(strategy: Strategy, flavor: str, cfg: RunConfig):
+    """(eps, pair reports, max distance, all passed) of one strategy under the
+    flavor's test, over the pairs that cfg selects."""
+    _, measure, test_spec = _flavor_functions(flavor)
+    eps = measure(strategy).eps
+    reports = verify_bound(
+        strategy, test_spec(strategy.m), pairs=cfg.pairs, seed=cfg.seed or 0,
+        sample_count=cfg.sample_count, eps=eps,
+    )
+    return eps, reports, max(r.distance for r in reports), all(r.passed for r in reports)
 
 
 def cmd_verify_isometry(args) -> tuple[int, dict, list]:
@@ -335,46 +336,29 @@ def cmd_verify_isometry(args) -> tuple[int, dict, list]:
         sample_count=sample_count,
     )
     strategy = _resolve_strategy(cfg, args.test, lambda m: check_isometry_size(2 * m))
-    _, measure, test_spec = _flavor_functions(args.test)
-    spec = test_spec(strategy.m)
-    eps_report = measure(strategy)
-    reports = verify_bound(
-        strategy,
-        spec,
-        pairs=pairs,
-        seed=cfg.seed or 0,
-        sample_count=sample_count,
-        eps=eps_report.eps,
-    )
-    ok = all(r.passed for r in reports)
-    max_distance = max(r.distance for r in reports)
+    eps, reports, max_distance, ok = _verify(strategy, args.test, cfg)
     summary = (
         f"verify-isometry[{args.test}] m={strategy.m}: {len(reports)} pairs, "
-        f"eps={eps_report.eps:.6g}, max distance={max_distance:.6g}, "
+        f"eps={eps:.6g}, max distance={max_distance:.6g}, "
         f"{'all bounds hold' if ok else 'BOUND VIOLATED'}"
     )
     print(summary, file=sys.stderr)
-    config = cfg.to_dict()
-    report = {
-        "command": "verify-isometry",
-        "config": config,
-        "config_sha256": config_hash(config),
-        "test": args.test,
-        "m": strategy.m,
-        "eps": eps_report.eps,
-        "pairs": len(reports),
-        "max_distance": max_distance,
-        "summary": summary,
-        "reports": [r.to_dict() for r in reports],
-        "passed": ok,
-    }
     rows = [("p", "q", "distance", "max_bound", "vacuous", "passed")]
     for r in reports:
         top = max(r.bounds.values())
         rows.append(
             (r.p, r.q, r.distance, top, top > bnd.VACUOUS_THRESHOLD, r.passed)
         )
-    return (0 if ok else 1), report, rows
+    return _report(
+        cfg.to_dict(), ok, rows,
+        test=args.test,
+        m=strategy.m,
+        eps=eps,
+        pairs=len(reports),
+        max_distance=max_distance,
+        summary=summary,
+        reports=[r.to_dict() for r in reports],
+    )
 
 
 # --- game -------------------------------------------------------------------
@@ -402,24 +386,16 @@ def cmd_game(args) -> tuple[int, dict, None]:
         band = 4.0 * mc["stderr"]
         mc["within_4_sigma"] = abs(mc["mean"] - exact) <= band
         ok = bool(mc["within_4_sigma"])
-    config = cfg.to_dict()
-    report = {
-        "command": "game",
-        "config": config,
-        "config_sha256": config_hash(config),
-        "m": strategy.m,
-        "exact": exact,
-        "ideal": MAX_GAME_EXPECTATION,
-        "delta": delta,
-        "eps": eps,
-        "bound": {
-            "game": bound,
-            "vacuous": bound > bnd.VACUOUS_THRESHOLD,
-        },
-        "monte_carlo": mc,
-        "passed": ok,
-    }
-    return (0 if ok else 1), report, None
+    return _report(
+        cfg.to_dict(), ok,
+        m=strategy.m,
+        exact=exact,
+        ideal=MAX_GAME_EXPECTATION,
+        delta=delta,
+        eps=eps,
+        bound={"game": bound, "vacuous": bound > bnd.VACUOUS_THRESHOLD},
+        monte_carlo=mc,
+    )
 
 
 # --- sweep-noise ------------------------------------------------------------
@@ -427,8 +403,8 @@ def cmd_game(args) -> tuple[int, dict, None]:
 
 def cmd_sweep_noise(args) -> tuple[int, dict, list]:
     pairs, sample_count = _parse_pairs(args.pairs)
-    thetas = _parse_float_list(args.thetas)
-    ws = _parse_float_list(args.ws)
+    thetas = _parse_list(args.thetas, float)
+    ws = _parse_list(args.ws, float)
     if not thetas or not ws:
         raise UsageError("--thetas and --ws must each list a value, or no point is checked")
     cfg = RunConfig(
@@ -441,26 +417,17 @@ def cmd_sweep_noise(args) -> tuple[int, dict, list]:
         sample_count=sample_count,
     )
     check_isometry_size(2 * args.m)
-    build, measure, test_spec = _flavor_functions(args.flavor)
+    build, _, _ = _flavor_functions(args.flavor)
     honest = build(args.m)
-    spec = test_spec(args.m)
     points = []
-    ok = True
     for i, (theta, w) in enumerate((t, w) for t in thetas for w in ws):
         noisy = perturb_strategy(
             honest, NoiseSpec(theta=theta, w=w), seed=(cfg.seed or 0) + i
         )
-        eps = measure(noisy).eps
-        reports = verify_bound(
-            noisy, spec, pairs=pairs, seed=cfg.seed or 0,
-            sample_count=sample_count, eps=eps,
-        )
-        max_dist = max(r.distance for r in reports)
+        eps, reports, max_dist, point_ok = _verify(noisy, args.flavor, cfg)
         printed, recomputed = (
             reports[0].bounds[name] for name in FLAVORS[args.flavor].bounds
         )
-        point_ok = all(r.passed for r in reports)
-        ok = ok and point_ok
         points.append(
             {
                 "theta": theta,
@@ -473,46 +440,20 @@ def cmd_sweep_noise(args) -> tuple[int, dict, list]:
                 "passed": point_ok,
             }
         )
-    config = cfg.to_dict()
-    config.update({"thetas": thetas, "ws": ws})
-    report = {
-        "command": "sweep-noise",
-        "config": config,
-        "config_sha256": config_hash(config),
-        "points": points,
-        "passed": ok,
-    }
-    rows = [
-        (
-            "theta", "w", "eps", "max_distance",
-            "printed_bound", "recomputed_bound", "vacuous", "passed",
-        )
-    ]
-    rows += [
-        (
-            p["theta"], p["w"], p["eps"], p["max_distance"],
-            p["printed_bound"], p["recomputed_bound"], p["vacuous"], p["passed"],
-        )
-        for p in points
-    ]
-    return (0 if ok else 1), report, rows
+    config = {**cfg.to_dict(), "thetas": thetas, "ws": ws}
+    return _report(config, all(p["passed"] for p in points), _csv(points), points=points)
 
 
 # --- parsing ----------------------------------------------------------------
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_list(text: str, kind: type) -> list:
+    """The comma-separated values of text as kind (int or float); blanks skipped."""
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        return [kind(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
-        raise UsageError(f"bad integer list {text!r}") from exc
-
-
-def _parse_float_list(text: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
-        raise UsageError(f"bad float list {text!r}") from exc
+        name = "integer" if kind is int else "float"
+        raise UsageError(f"bad {name} list {text!r}") from exc
 
 
 def _parse_pairs(text: str) -> tuple[str, int]:
@@ -562,11 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"one of {', '.join(bnd.bound_names())}, or all")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--weight-p", type=int, default=0)
-    p.add_argument("--eps", type=float, default=0.0)
-    p.add_argument("--eps1", type=float, default=0.0)
-    p.add_argument("--eps2", type=float, default=0.0)
-    p.add_argument("--eps3", type=float, default=0.0)
-    p.add_argument("--delta", type=float, default=0.0)
+    for f in fields(EpsilonBundle):
+        p.add_argument(f"--{f.name}", type=float, default=0.0)
     p.set_defaults(fn=cmd_bounds)
 
     p = subs.add_parser("verify-isometry", help="distance vs bound over (p,q) pairs")

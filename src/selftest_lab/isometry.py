@@ -196,21 +196,28 @@ class IsometryContext:
         # X^q Z^p of Alice by [q, p]; psi times Bob's transposed X^q Z^p by [q, p].
         self._pauli_a = tables.x_a[:, None] @ tables.z_a[None]
         self._psi_b = psi @ (tables.x_b[:, None] @ tables.z_b[None]).swapaxes(2, 3)
-        rows = (tables.rows_a * 2.0**-s.m).reshape(half, -1, d_a)
+        rows_t, cols_u = half * d_a, half * d_b
+        # [R_t ; F_t] by t, and [C_u | L_u] by u followed by its negation,
+        # each written in place: no concatenated or negated temporaries.
+        self._rows = np.empty((half, rows_t + d_a, d_a), dtype=complex)
+        self._cols = np.empty((2 * half, d_b, cols_u + d_b), dtype=complex)
+        rows, cols = self._rows[:, :rows_t], self._cols[:half, :, :cols_u]
+        np.multiply(tables.rows_a.reshape(half, -1, d_a), 2.0**-s.m, out=rows)
         # H = 2^(m/2) W has entries +-1: H image - junk is 2^(m/2) times the
         # residual, with no inexact 2^(-m/2) scale at odd m.
-        cols = (tables.hadamard @ tables.cols_b.reshape(d_b, half, -1)).transpose(1, 0, 2)
+        np.matmul(tables.hadamard, tables.cols_b.reshape(d_b, half, -1),
+                  out=cols.transpose(1, 0, 2))
         # R_t = Q F_t and C_(v != u) = L_u Q^H, each Q with orthonormal columns.
         # L_u comes from the R factors r_v of single blocks C_v^H = Q_v r_v, so
         # the QR runs on 2^m - 1 stacked d_B x d_B factors, not on whole blocks.
-        factors = np.linalg.qr(rows, mode="r")
+        self._rows[:, rows_t:] = np.linalg.qr(rows, mode="r")
         blocks = np.linalg.qr(cols.conj().swapaxes(1, 2), mode="r")
         bits = np.arange(half)
         others = blocks[bits[:, None] ^ bits[1:]].reshape(half, -1, d_b)
-        lower = np.linalg.qr(others, mode="r").conj().swapaxes(1, 2)
-        self._rows = np.concatenate([rows, factors], axis=1).reshape(-1, d_a)
-        both = np.concatenate([cols, lower], axis=2)
-        self._cols = np.concatenate([both, -both])  # [C_u | L_u] by u, then negated
+        np.conjugate(np.linalg.qr(others, mode="r").swapaxes(1, 2),
+                     out=self._cols[:half, :, cols_u:])
+        np.negative(self._cols[:half], out=self._cols[half:])
+        self._rows = self._rows.reshape(-1, d_a)
         # Row block t meets its target in u = t ^ q_A ^ p_B with sign
         # (-1)^(|p_A & p_B| + |u & (p_A ^ q_B)|): _select[q_A ^ p_B, p_A ^ q_B,
         # |p_A & p_B| mod 2, t] is u, plus 2^m where the sign is -1.
@@ -314,9 +321,9 @@ def verify_bound(
     and the recomputed substitution path, evaluated at the measured epsilon.
     """
     n = 2 * s.m
+    selected = select_pairs(n, pairs=pairs, seed=seed, sample_count=sample_count)
     ctx = IsometryContext(s, test.flavor)
     bound_fns = _bound_functions(test.flavor)
-    selected = select_pairs(n, pairs=pairs, seed=seed, sample_count=sample_count)
 
     def evaluate(pq):
         p, q = pq

@@ -74,11 +74,6 @@ class CorrelationReport:
     def argmax(self) -> CorrelationEntry:
         return max(self.entries, key=lambda e: e.deviation)
 
-    def csv_rows(self):
-        yield ("alice", "bob", "k", "measured", "ideal", "deviation")
-        for e in self.entries:
-            yield (e.alice, e.bob, e.k, e.measured, e.ideal, e.deviation)
-
 
 def my_required_correlations(m: int) -> tuple[tuple[str, str, int], ...]:
     """(Alice kind, Bob kind, sub-test) triples whose deviations the pair

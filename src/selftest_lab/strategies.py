@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Mapping
 
 import numpy as np
@@ -136,9 +136,10 @@ class EpsilonBundle:
     delta: float = 0.0
 
     def __post_init__(self):
-        for name in ("eps", "eps1", "eps2", "eps3", "delta"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not 0 <= value < math.inf:  # also false for NaN
+                raise ValueError(f"{f.name} must be finite and nonnegative, got {value}")
 
 
 @dataclass(frozen=True)

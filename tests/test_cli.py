@@ -44,6 +44,22 @@ class TestLemmaChecks:
     def test_threshold_is_usage_error(self, capsys):
         assert cli.main(["lemma-checks", "--max-n", "11"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--max-n", "0", "--even-n", ""], "--max-n must be >= 1, got 0"),
+            (["--max-n", "-1"], "--max-n must be >= 1, got -1"),
+            (["--even-n", "0"], "half-swap checks need even n >= 2, got [0]"),
+            (["--even-n", "2,-2"], "half-swap checks need even n >= 2, got [2, -2]"),
+        ],
+    )
+    def test_run_that_checks_nothing_is_usage_error(self, capsys, argv, message):
+        code = cli.main(["lemma-checks", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"usage error: {message}\n"
+
     def test_corrupted_phase_exits_nonzero(self):
         # Test hook: inject a phase inconsistent with the adjacency.
         parser = cli.build_parser()
@@ -114,6 +130,17 @@ class TestBounds:
         )
         assert code == 0
         assert len(report["bounds"]) == 8
+
+    @pytest.mark.parametrize("flag", ["--eps", "--delta"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_input_is_rejected(self, capsys, flag, value):
+        code = cli.main(["bounds", "--n", "2", flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {flag[2:]} must be finite and nonnegative, got {value}\n"
+        )
 
 
 class TestVerifyIsometry:

@@ -331,6 +331,15 @@ class TestSelectPairs:
         with pytest.raises(ValueError):
             select_pairs(2, "most")
 
+    def test_unknown_policy_refused_before_the_context(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("context built before the pair policy was checked")
+
+        monkeypatch.setattr("selftest_lab.isometry.IsometryContext", unreachable)
+        s = honest_my_strategy(1)
+        with pytest.raises(ValueError, match="unknown pair policy 'most'"):
+            verify_bound(s, my_test_spec(1), pairs="most", eps=0.1)
+
 
 class TestVerifyBound:
     def test_honest_my_all_pass(self):
@@ -597,3 +606,15 @@ class TestDistanceMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 0.5 * 2**20
+
+    def test_peak_of_the_build_at_m4(self):
+        # 22.3 MB held (the 16 MB target buffer and the tables); the build
+        # writes the tables in place, with no concatenated or negated copies.
+        s = honest_my_strategy(4)
+        tracemalloc.start()
+        try:
+            IsometryContext(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 27 * 2**20
