@@ -379,7 +379,8 @@ class TestSamplerMemory:
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("referee", ["threshold", "subtest"])
     def test_peak_bytes_per_round(self, m, referee):
-        # The per-round arrays are a question code and an accept mask.
+        # The one per-round array is the accept mask; the question codes are
+        # replayed a draw slice at a time.
         s = perturb_strategy(honest_spp_strategy(m), NoiseSpec(theta=0.03, w=0.01), seed=1)
         rounds = 200_000
         tracemalloc.start()
@@ -389,11 +390,11 @@ class TestSamplerMemory:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak / rounds <= 24
+        assert peak / rounds <= 6
 
     def test_peak_at_a_million_rounds(self):
-        # One uint16 question code and one uint8 accept mask per round, plus
-        # one draw slice of working arrays; no array of per-round outcomes.
+        # One uint8 accept mask per round plus one draw slice of working
+        # arrays; no per-round question codes or outcomes.
         s = perturb_strategy(honest_spp_strategy(3), NoiseSpec(theta=0.03, w=0.01), seed=1)
         tracemalloc.start()
         try:
@@ -402,7 +403,7 @@ class TestSamplerMemory:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 7 * 2**20
+        assert peak <= 2 * 2**20
 
 
 class TestSampledExpectation:
