@@ -16,9 +16,10 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 from . import bitstrings as bs
 from . import bounds as bnd
@@ -72,19 +73,17 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def emit(report: dict, out: Optional[str], csv_path: Optional[str], csv_rows=None):
+def emit(report: dict, out: Optional[TextIO], csv_file: Optional[TextIO], csv_rows):
+    """Write the report to the open --out and --csv files, then to stdout."""
     text = json.dumps(round_floats(report), sort_keys=True, indent=2)
-    print(text)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    if csv_path and csv_rows is not None:
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in csv_rows:
-                writer.writerow(
-                    [f"{v:.15g}" if isinstance(v, float) else v for v in row]
-                )
+        out.write(text + "\n")
+    if csv_file:
+        writer = csv.writer(csv_file)
+        for row in csv_rows:
+            writer.writerow([f"{v:.15g}" if isinstance(v, float) else v for v in row])
+    print(text)
+    sys.stdout.flush()
 
 
 def _report(config: dict, passed: bool, csv_rows=None, **body):
@@ -293,6 +292,8 @@ def cmd_honest_check(args) -> tuple[int, dict, list]:
 
 
 def cmd_bounds(args) -> tuple[int, dict, None]:
+    if args.n < 1:
+        raise UsageError(f"--n must be >= 1, got {args.n}")
     bundle = EpsilonBundle(**{f.name: getattr(args, f.name) for f in fields(EpsilonBundle)})
     names = bnd.bound_names() if args.bound == "all" else (args.bound,)
     reports = [bnd.evaluate_bound(name, args.n, args.weight_p, bundle) for name in names]
@@ -476,6 +477,10 @@ def _add_strategy_flags(sub):
     sub.add_argument("--noise-seed", type=int, default=0)
 
 
+def _add_csv_flag(sub):
+    sub.add_argument("--csv", help="write a CSV of per-entry rows to this path")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="selftest-lab",
@@ -483,7 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="also write the JSON report to this path")
-    common.add_argument("--csv", help="write a CSV of per-entry rows to this path")
     subs = parser.add_subparsers(dest="command", required=True, parser_class=(
         lambda **kw: argparse.ArgumentParser(parents=[common], **kw)
     ))
@@ -496,6 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("honest-check", help="ideal correlations of an honest strategy")
     p.add_argument("--flavor", choices=tuple(FLAVORS), required=True)
     p.add_argument("--m", type=int, default=1)
+    _add_csv_flag(p)
     p.set_defaults(fn=cmd_honest_check)
 
     p = subs.add_parser("bounds", help="evaluate robustness bound formulas")
@@ -512,6 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", choices=tuple(FLAVORS), required=True)
     p.add_argument("--pairs", default="auto", help="auto, exhaustive, or sample:<count>")
     p.add_argument("--seed", type=int, default=None)
+    _add_csv_flag(p)
     p.set_defaults(fn=cmd_verify_isometry)
 
     p = subs.add_parser("game", help="exact and sampled value of the non-local game")
@@ -529,23 +535,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ws", default="0")
     p.add_argument("--pairs", default="auto")
     p.add_argument("--seed", type=int, default=0)
+    _add_csv_flag(p)
     p.set_defaults(fn=cmd_sweep_noise)
 
     return parser
 
 
+def _open_output(files: ExitStack, flag: str, path: Optional[str], **kw):
+    """path opened for writing under files, or None when the flag is unset."""
+    if not path:
+        return None
+    try:
+        return files.enter_context(open(path, "w", **kw))
+    except OSError as exc:
+        raise OSError(f"cannot write {flag} {path}: {exc.strerror or exc}") from exc
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        code, report, csv_rows = args.fn(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (KeyError, ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    emit(report, args.out, args.csv, csv_rows)
+    with ExitStack() as files:
+        try:
+            # Opened before the run, so a bad path fails before the work.
+            out = _open_output(files, "--out", args.out)
+            csv_file = _open_output(files, "--csv", getattr(args, "csv", None), newline="")
+            code, report, csv_rows = args.fn(args)
+        except UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 2
+        except (KeyError, ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        try:
+            emit(report, out, csv_file, csv_rows)
+        except BrokenPipeError:
+            # The reader closed stdout early.  Point stdout at devnull so the
+            # flush at interpreter exit does not raise again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 2
     return code
 
 

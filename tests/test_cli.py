@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -141,6 +145,26 @@ class TestBounds:
         assert captured.err == (
             f"error: {flag[2:]} must be finite and nonnegative, got {value}\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--bound", "chsh-ac", "--n", "-3", "--weight-p", "7"],
+            ["--bound", "my-parallel", "--n", "0", "--eps", "0.01"],
+            ["--bound", "all", "--n", "-3"],
+        ],
+    )
+    def test_n_below_one_is_usage_error(self, capsys, monkeypatch, argv):
+        def unreachable(*args):
+            raise AssertionError("bound evaluated")
+
+        monkeypatch.setattr(cli.bnd, "evaluate_bound", unreachable)
+        code = cli.main(["bounds", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        n = argv[argv.index("--n") + 1]
+        assert captured.err == f"usage error: --n must be >= 1, got {n}\n"
 
 
 class TestVerifyIsometry:
@@ -495,6 +519,62 @@ class TestRejectedInput:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize(
+        "argv, flag, module, work",
+        [
+            (["bounds", "--bound", "spp", "--n", "2", "--eps", "0.001"], "--out",
+             cli.bnd, "evaluate_bound"),
+            (["honest-check", "--flavor", "my", "--m", "1"], "--csv",
+             cli, "honest_my_strategy"),
+        ],
+    )
+    def test_unwritable_path_fails_before_the_run(
+        self, capsys, monkeypatch, tmp_path, argv, flag, module, work
+    ):
+        def unreachable(*args):
+            raise AssertionError("command ran")
+
+        monkeypatch.setattr(module, work, unreachable)
+        path = tmp_path / "missing" / "report"
+        code = cli.main([*argv, flag, str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cannot write {flag} {path}: No such file or directory\n"
+        )
+
+    def test_out_file_matches_stdout(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        code = cli.main(["bounds", "--n", "2", "--eps", "0.001", "--out", str(path)])
+        assert code == 0
+        assert path.read_text() == capsys.readouterr().out
+
+    def test_csv_only_on_commands_with_rows(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["lemma-checks", "--csv", str(tmp_path / "checks.csv")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "checks.csv").exists()
+
+    def test_closed_stdout_exits_without_traceback(self):
+        # The read end is closed before the child starts, so its report
+        # meets a broken pipe.
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])
+        )}
+        with subprocess.Popen(
+            [sys.executable, "-m", "selftest_lab.cli", "lemma-checks", "--max-n", "6"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as child:
+            child.stdout.close()
+            err = child.stderr.read().decode()
+        assert child.returncode == 2
+        assert "Traceback" not in err
+        assert err == ""
 
 
 class TestSweepNoise:
