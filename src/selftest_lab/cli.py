@@ -116,8 +116,9 @@ class RunConfig:
     noise_seed: int = 0
     seed: Optional[int] = None
     rounds: int = 0
-    pairs: str = "auto"
-    sample_count: int = 64
+    # Set by the commands that verify isometry pairs; None leaves them out.
+    pairs: Optional[str] = None
+    sample_count: Optional[int] = None
 
     def __post_init__(self):
         if self.m is not None and self.m < 1:
@@ -126,12 +127,12 @@ class RunConfig:
             raise UsageError(
                 f"--rounds must be 0 (exact value only) or >= 2, got {self.rounds}"
             )
-        if self.sample_count < 1:
+        if self.sample_count is not None and self.sample_count < 1:
             raise UsageError(f"sample count must be >= 1, got {self.sample_count}")
         if self.strategy and self.strategy not in ("honest-my", "honest-spp"):
             if not os.path.exists(self.strategy):
                 raise UsageError(f"strategy file not found: {self.strategy}")
-        needs_seed = self.rounds > 0 or self.pairs.startswith("sample")
+        needs_seed = self.rounds > 0 or self.pairs == "sample"
         if needs_seed and self.seed is None:
             raise UsageError("sampling requested but no --seed given")
 
