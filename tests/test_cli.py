@@ -560,7 +560,7 @@ class TestOutputFiles:
         assert not (tmp_path / "checks.csv").exists()
 
     def test_closed_stdout_exits_without_traceback(self):
-        # The read end is closed before the child starts, so its report
+        # The read end is closed before the child can write, so its report
         # meets a broken pipe.
         src = Path(__file__).resolve().parent.parent / "src"
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
