@@ -390,59 +390,44 @@ class StrategyValidation:
 
 
 def validate_strategy(s: Strategy) -> StrategyValidation:
-    """Check completeness, orthogonality, observable structure, commutation.
+    """Check each measurement's basis and what its input lacked.
 
     Never raises on a bad strategy; every deviation lands in the report.
-    Completeness and orthogonality of a measurement's basis U are
-    |U U^H - I| and |U^H U - I|; a measurement converted from projectors
-    adds what its input lacked (`Measurement.input_deviation`).
-    Cross-party commutation holds exactly by construction (different tensor
-    factors); on small systems the check forms both embedded products from
-    the party factors and compares them.
+    Per measurement, "unitary" is max(|U U^H - I|, |U^H U - I|) of the basis
+    U, and "hermitian", "orthogonality" and "completeness" are what a
+    converted projector file lacked (`Measurement.input_deviation`; 0 for a
+    measurement built from a basis), each against STRUCTURAL_ATOL.
+
+    The basis is held to STRUCTURAL_ATOL / (2 d), d = dim, so that the
+    observables M_k = U D_k U^H (D_k = diag(a_k), D_k^2 = I) need not be
+    formed.  Take e = |U^H U - I| and f = |U U^H - I| (largest entries).
+    Row i of U has squared norm (U U^H)_ii <= 1 + f, so by Cauchy-Schwarz
+    over the rows |U X U^H| <= d (1 + f) |X| for any X.  As M_k^2 - I = (U U^H - I) + U D_k (U^H U - I)
+    D_k U^H and [M_j, M_k] = U (D_j (U^H U - I) D_k - D_k (U^H U - I) D_j) U^H,
+
+        |M_k^2 - I| <= f + d e (1 + f),    |[M_j, M_k]| <= 2 d e (1 + f),
+
+    and M_k is Hermitian by construction, up to rounding.  With e, f <= u =
+    STRUCTURAL_ATOL / (2 d), both are at most (1 + u) STRUCTURAL_ATOL.  The
+    two parties' operators act on different tensor factors, so they commute
+    exactly.
     """
     checks = []
 
-    def record(name, subject, dev):
-        checks.append(CheckResult(name, subject, float(dev), bool(dev <= STRUCTURAL_ATOL)))
+    def record(name, subject, dev, tol=STRUCTURAL_ATOL):
+        checks.append(CheckResult(name, subject, float(dev), bool(dev <= tol)))
 
     for party in ("alice", "bob"):
         for kind, meas in getattr(s, party).items():
             subject = f"{party}:{kind}"
-            u, given = meas.basis, meas.input_deviation
+            u = meas.basis
             uh = u.conj().T
-            record("completeness", subject, max(
-                np.abs(u @ uh - np.eye(meas.dim)).max(), given.get("completeness", 0.0)))
-            record("orthogonality", subject, max(
+            record("unitary", subject, max(
+                np.abs(u @ uh - np.eye(meas.dim)).max(),
                 np.abs(uh @ u - np.eye(u.shape[1])).max(initial=0.0),
-                given.get("orthogonality", 0.0)))
-            herm = given.get("hermitian", 0.0)
-            unit = comm = 0.0
-            mats = [s.observable(party, kind, k) for k in range(1, s.m + 1)]
-            for mk in mats:
-                herm = max(herm, np.abs(mk - mk.conj().T).max())
-                unit = max(unit, np.abs(mk @ mk - np.eye(meas.dim)).max())
-            for i, mi in enumerate(mats):
-                for mj in mats[i + 1:]:
-                    comm = max(comm, np.abs(mi @ mj - mj @ mi).max())
-            record("hermitian", subject, herm)
-            record("unitary", subject, unit)
-            record("same-question-commute", subject, comm)
-
-    # Cross-party commutation of the embedded observables, capped to the first
-    # few kinds per side so huge question sets stay affordable.  The products
-    # (A x I)(I x B) and (I x B)(A x I) are formed entrywise from the factors,
-    # as A[i, j] B[k, l] and B[k, l] A[i, j] in the 4-index layout [i, j, k, l].
-    if s.dim_a * s.dim_b <= 4096:
-        dev = 0.0
-        for kind_a in s.kinds("alice")[:4]:
-            for kind_b in s.kinds("bob")[:4]:
-                for k in range(1, s.m + 1):
-                    ma = s.observable("alice", kind_a, k)
-                    mb = s.observable("bob", kind_b, k)
-                    ab = np.multiply.outer(ma, mb)
-                    ba = np.multiply.outer(mb, ma).transpose(2, 3, 0, 1)
-                    dev = max(dev, np.abs(ab - ba).max())
-        record("cross-party-commute", "alice x bob", dev)
+            ), STRUCTURAL_ATOL / (2 * meas.dim))
+            for name in ("hermitian", "orthogonality", "completeness"):
+                record(name, subject, meas.input_deviation.get(name, 0.0))
 
     return StrategyValidation(tuple(checks))
 
