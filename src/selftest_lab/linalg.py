@@ -63,7 +63,7 @@ class StateVector:
                 f"layout dimensions multiply to {total}, got {a.size} amplitudes"
             )
         norm = np.linalg.norm(a)
-        if abs(norm - 1.0) > atol:
+        if not abs(norm - 1.0) <= atol:  # also true for a NaN norm
             raise ValueError(f"state norm {norm} deviates from 1 beyond atol={atol}")
         a /= norm
         a.flags.writeable = False

@@ -3,13 +3,20 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from selftest_lab import cli, strategies
 from selftest_lab.bitstrings import AdjacencyMatrix, PhaseFunction, adjacency_phase
-from selftest_lab.strategies import honest_my_strategy, strategy_to_json
+from selftest_lab.strategies import honest_my_strategy, honest_spp_strategy, strategy_to_json
+
+# Defective projectors of answer +1, as in tests/test_strategies.py: complete
+# but not idempotent, and idempotent but oblique.
+SKEWED = np.array([[1.0, 0.1], [0.1, 0.0]])
+OBLIQUE = np.array([[1.0, 1.0], [0.0, 0.0]])
 
 
 def run_cli(capsys, *argv):
@@ -265,25 +272,53 @@ class TestGame:
 
 
 class TestRejectedInput:
-    @pytest.mark.parametrize("kind", ["X", "Z"])
-    def test_non_projective_strategy_file(self, capsys, tmp_path, kind):
-        # One projector scaled by 1.3: the bounds no longer apply, so no
-        # report may say they hold.
+    @pytest.mark.parametrize("kind, defect, check", [
+        pytest.param("X", lambda p, q: (1.3 * p, q), "completeness", id="X"),
+        pytest.param("Z", lambda p, q: (1.3 * p, q), "completeness", id="Z"),
+        pytest.param("Z", lambda p, q: (SKEWED, np.eye(2) - SKEWED), "orthogonality",
+                     id="skewed"),
+        pytest.param("Z", lambda p, q: (OBLIQUE, np.eye(2) - OBLIQUE), "hermitian",
+                     id="oblique"),
+        pytest.param("Z", lambda p, q: (p, 0 * q), "completeness", id="zero"),
+    ])
+    def test_non_projective_strategy_file(self, capsys, tmp_path, kind, defect, check):
+        # One defect of Alice's projector pair: the bounds no longer apply, so
+        # no report may say they hold, and the rejection names the check.
         doc = strategy_to_json(honest_my_strategy(1))
         question = next(
             q for q in doc["questions"] if q["party"] == "alice" and q["kind"] == kind
         )
-        question["projectors"][0]["matrix"] = [
-            1.3 * v for v in question["projectors"][0]["matrix"]
-        ]
-        path = tmp_path / "scaled.json"
+        honest = honest_my_strategy(1).measurement("alice", kind).projectors.values()
+        for entry, matrix in zip(question["projectors"], defect(*honest)):
+            entry["matrix"] = np.column_stack([matrix.real.ravel(),
+                                               matrix.imag.ravel()]).ravel().tolist()
+        path = tmp_path / "defect.json"
         path.write_text(json.dumps(doc))
         code = cli.main(["verify-isometry", "--strategy", str(path), "--test", "my"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert captured.err.count("\n") == 1
-        assert f"alice:{kind} completeness" in captured.err
+        assert f"alice:{kind} {check}" in captured.err
+
+    @pytest.mark.parametrize("argv", [["game"], ["verify-isometry", "--test", "spp"]],
+                             ids=["game", "verify-isometry"])
+    def test_non_finite_state_in_strategy_file(self, capsys, tmp_path, argv):
+        # JSON reads a NaN literal, and a NaN norm compares false with any
+        # tolerance; it must not reach the division or a report.
+        doc = strategy_to_json(honest_spp_strategy(1))
+        doc["state"][0] = float("nan")
+        path = tmp_path / "nan-state.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main([*argv, "--strategy", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: state norm nan deviates from 1")
+        assert captured.err.count("\n") == 1
+        assert not caught
 
     def test_non_finite_projector_in_strategy_file(self, capsys, tmp_path):
         # A NaN entry has no eigen-decomposition; it is rejected at load.
