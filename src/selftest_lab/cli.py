@@ -115,24 +115,25 @@ class RunConfig:
     w: float = 0.0
     noise_seed: int = 0
     seed: Optional[int] = None
-    rounds: int = 0
-    # Set by the commands that verify isometry pairs; None leaves them out.
-    pairs: Optional[str] = None
+    # Set by the commands that read them; None leaves them out.
+    rounds: Optional[int] = None  # game
+    pairs: Optional[str] = None  # the commands that verify isometry pairs
     sample_count: Optional[int] = None
 
     def __post_init__(self):
+        rounds = self.rounds or 0
         if self.m is not None and self.m < 1:
             raise UsageError(f"m must be >= 1, got {self.m}")
-        if self.rounds < 0 or self.rounds == 1:
+        if rounds < 0 or rounds == 1:
             raise UsageError(
-                f"--rounds must be 0 (exact value only) or >= 2, got {self.rounds}"
+                f"--rounds must be 0 (exact value only) or >= 2, got {rounds}"
             )
         if self.sample_count is not None and self.sample_count < 1:
             raise UsageError(f"sample count must be >= 1, got {self.sample_count}")
         if self.strategy and self.strategy not in ("honest-my", "honest-spp"):
             if not os.path.exists(self.strategy):
                 raise UsageError(f"strategy file not found: {self.strategy}")
-        needs_seed = self.rounds > 0 or self.pairs == "sample"
+        needs_seed = rounds > 0 or self.pairs == "sample"
         if needs_seed and self.seed is None:
             raise UsageError("sampling requested but no --seed given")
 

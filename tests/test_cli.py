@@ -647,3 +647,13 @@ class TestDeterminism:
     def test_reports_embed_config_hash(self, capsys):
         _, report = run_cli(capsys, "honest-check", "--flavor", "my", "--m", "1")
         assert len(report["config_sha256"]) == 64
+
+    @pytest.mark.parametrize("argv, has_rounds", [
+        (["verify-isometry", "--strategy", "honest-my", "--m", "1", "--test", "my"], False),
+        (["sweep-noise", "--m", "1", "--thetas", "0", "--ws", "0"], False),
+        (["game", "--m", "1"], True),
+    ], ids=["verify-isometry", "sweep-noise", "game"])
+    def test_only_game_config_has_rounds(self, capsys, argv, has_rounds):
+        # A config holds only what its command reads, so its hash does too.
+        _, report = run_cli(capsys, *argv)
+        assert ("rounds" in report["config"]) == has_rounds
