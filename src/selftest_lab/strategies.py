@@ -393,17 +393,18 @@ def validate_strategy(s: Strategy) -> StrategyValidation:
     """Check each measurement's basis and what its input lacked.
 
     Never raises on a bad strategy; every deviation lands in the report.
-    Per measurement, "unitary" is max(|U U^H - I|, |U^H U - I|) of the basis
-    U, and "hermitian", "orthogonality" and "completeness" are what a
-    converted projector file lacked (`Measurement.input_deviation`; 0 for a
-    measurement built from a basis), each against STRUCTURAL_ATOL.
+    Per measurement, "completeness", "orthogonality" and "hermitian" are
+    what a converted projector file lacked (`Measurement.input_deviation`; 0
+    for a measurement built from a basis), each against STRUCTURAL_ATOL, and
+    "unitary" is max(|U U^H - I|, |U^H U - I|) of the basis U.
 
     The basis is held to STRUCTURAL_ATOL / (2 d), d = dim, so that the
     observables M_k = U D_k U^H (D_k = diag(a_k), D_k^2 = I) need not be
-    formed.  Take e = |U^H U - I| and f = |U U^H - I| (largest entries).
-    Row i of U has squared norm (U U^H)_ii <= 1 + f, so by Cauchy-Schwarz
-    over the rows |U X U^H| <= d (1 + f) |X| for any X.  As M_k^2 - I = (U U^H - I) + U D_k (U^H U - I)
-    D_k U^H and [M_j, M_k] = U (D_j (U^H U - I) D_k - D_k (U^H U - I) D_j) U^H,
+    formed.  Take E = U^H U - I and F = U U^H - I, with largest entries e
+    and f.  Row i of U has squared norm 1 + F_ii <= 1 + f, so by
+    Cauchy-Schwarz over the rows |U X U^H| <= d (1 + f) |X| for any X.  As
+    M_k^2 - I = F + U D_k E D_k U^H and
+    [M_j, M_k] = U (D_j E D_k - D_k E D_j) U^H,
 
         |M_k^2 - I| <= f + d e (1 + f),    |[M_j, M_k]| <= 2 d e (1 + f),
 
@@ -420,14 +421,14 @@ def validate_strategy(s: Strategy) -> StrategyValidation:
     for party in ("alice", "bob"):
         for kind, meas in getattr(s, party).items():
             subject = f"{party}:{kind}"
+            for name in ("completeness", "orthogonality", "hermitian"):
+                record(name, subject, meas.input_deviation.get(name, 0.0))
             u = meas.basis
             uh = u.conj().T
             record("unitary", subject, max(
                 np.abs(u @ uh - np.eye(meas.dim)).max(),
                 np.abs(uh @ u - np.eye(u.shape[1])).max(initial=0.0),
             ), STRUCTURAL_ATOL / (2 * meas.dim))
-            for name in ("hermitian", "orthogonality", "completeness"):
-                record(name, subject, meas.input_deviation.get(name, 0.0))
 
     return StrategyValidation(tuple(checks))
 
