@@ -289,7 +289,8 @@ class TestValidateStrategy:
         s = build(m)
         assert validate_strategy(s).ok
         for theta, w in ((0.03, 0.01), (3.0, 0.9)):
-            assert validate_strategy(perturb_strategy(s, NoiseSpec(theta, w), seed=m)).ok
+            noisy = perturb_strategy(s, NoiseSpec(theta=theta, w=w), seed=m)
+            assert validate_strategy(noisy).ok
 
     def test_incomplete_measurement_flagged(self):
         zero_proj = np.zeros((2, 2), dtype=complex)
@@ -352,16 +353,11 @@ class TestValidateStrategy:
             )
 
 
-def haar_unitary(rng, dim):
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def derived_deviations(meas):
-    """The checks validate_strategy ran before it checked only the basis and
-    the input: completeness and orthogonality as the larger of the basis's
-    and the input's deviation, and the observables' Hermiticity, M_k^2 = I
-    and same-question commutators."""
+    """The deviations that validate_strategy's four checks stand for:
+    completeness and orthogonality as the larger of the basis's and the
+    input's, and the Hermiticity, M_k^2 = I and same-question commutators
+    of the observables, formed here."""
     u, given = meas.basis, meas.input_deviation
     uh = u.conj().T
     signs = meas.answer_signs[meas.column_groups].T
@@ -386,22 +382,21 @@ class TestValidationNeverLooser:
 
     @staticmethod
     def draw(rng, source):
-        """A measurement off a Haar basis by 1e-14 to 1e-8, on d = 2..8, with
-        m = 1..3 symbols and a random number of columns per answer."""
+        """A measurement off a random unitary by 1e-14 to 1e-8, on d = 2..8,
+        with m = 1..3 symbols and a random number of columns per answer."""
         dim, m = int(rng.integers(2, 9)), int(rng.integers(1, 4))
         answers = list(itertools.product((1, -1), repeat=m))
         groups = rng.integers(0, len(answers), dim)
         scale = 10 ** rng.uniform(-14, -8)
-        u = haar_unitary(rng, dim)
 
-        def noise():
-            return scale * (rng.standard_normal((dim, dim))
-                            + 1j * rng.standard_normal((dim, dim)))
+        def gaussian():
+            return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 
+        u, _ = np.linalg.qr(gaussian())
         if source == "basis":
-            return Measurement.from_basis(u + noise(), answers, groups)
+            return Measurement.from_basis(u + scale * gaussian(), answers, groups)
         return Measurement({
-            a: u[:, groups == i] @ u[:, groups == i].conj().T + noise()
+            a: u[:, groups == i] @ u[:, groups == i].conj().T + scale * gaussian()
             for i, a in enumerate(answers)
         })
 
