@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import real_expectation
 from .protocols import SPP_ALLOWED_PAIRS
 from .strategies import Strategy
 
@@ -65,19 +64,10 @@ def game_expectation_exact(s: Strategy) -> float:
     """Exact E(A) by enumerating all 10^m question strings."""
     m = s.m
     check_game_size(m)
-    psi = s.state.reshaped()
-    applied_a: dict[tuple[str, int], np.ndarray] = {}
-    applied_b: dict[tuple[str, int], np.ndarray] = {}
     total = 0.0
     for combo in itertools.product(range(10), repeat=m):
-        qa, qb = _party_strings(combo)
-        for k in range(1, m + 1):
-            if (qa, k) not in applied_a:
-                applied_a[(qa, k)] = s.observable("alice", qa, k) @ psi
-            if (qb, k) not in applied_b:
-                applied_b[(qb, k)] = psi @ s.observable("bob", qb, k).T
-            corr = real_expectation(complex(np.vdot(applied_a[(qa, k)], applied_b[(qb, k)])))
-            total += WIN_SIGNS[SPP_ALLOWED_PAIRS[combo[k - 1]]] * corr
+        for pair, corr in zip(combo, s.correlations(*_party_strings(combo)).tolist()):
+            total += WIN_SIGNS[SPP_ALLOWED_PAIRS[pair]] * corr
     return total / (10**m * m)
 
 
@@ -93,9 +83,8 @@ def _joint_distribution(s: Strategy, qa: str, qb: str) -> tuple[np.ndarray, np.n
     """
     meas_a, meas_b = s.measurement("alice", qa), s.measurement("bob", qb)
     na, nb = len(meas_a.answers), len(meas_b.answers)
-    amps = meas_a.basis.conj().T @ s.state.reshaped() @ meas_b.basis.conj()
     rows = meas_a.column_groups[:, None] * nb + meas_b.column_groups
-    probs = np.bincount(rows.ravel(), (amps.real**2 + amps.imag**2).ravel(), na * nb)
+    probs = np.bincount(rows.ravel(), s.column_probabilities(qa, qb).ravel(), na * nb)
     prods = meas_a.answer_signs[:, None] * meas_b.answer_signs
     return prods.reshape(na * nb, s.m), probs / probs.sum()
 

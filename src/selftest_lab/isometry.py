@@ -280,6 +280,9 @@ def select_pairs(
         strings = list(BitString.all_strings(n))
         return [(p, q) for p in strings for q in strings]
     if pairs == "sample":
+        if sample_count > 4**n:
+            raise ValueError(f"sample:{sample_count} exceeds the {4**n} distinct (p, q) pairs "
+                             f"of n={n}; use --pairs exhaustive")
         rng = np.random.default_rng(seed)
         return [
             (

@@ -14,7 +14,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .linalg import bipartite_expectation
 from .strategies import (
     FLAVORS,
     MY_FLAVOR,
@@ -106,11 +105,7 @@ def correlation_exact(s: Strategy, qa: str, qb: str, k: int) -> float:
     """Exact <psi'| M^qa_k (Alice) M^qb_k (Bob) |psi'>."""
     if not 1 <= k <= s.m:
         raise ValueError(f"sub-test {k} out of range 1..{s.m}")
-    return bipartite_expectation(
-        s.state,
-        s.observable("alice", qa, k),
-        s.observable("bob", qb, k),
-    )
+    return float(s.correlations(qa, qb)[k - 1])
 
 
 @functools.lru_cache(maxsize=None)

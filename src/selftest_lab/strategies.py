@@ -102,15 +102,15 @@ class Measurement:
         self.answers = answers
         self.column_groups = np.asarray(column_groups, dtype=np.intp)
         self.answer_signs = np.array(answers, dtype=np.int8).reshape(-1, m)
+        self.column_signs = self.answer_signs[self.column_groups].T  # [k, j]: a_(k+1) of column j
         self.input_deviation = input_deviation
         self.num_symbols = m
         self.dim = self.basis.shape[0]
 
-    @functools.cached_property
+    @property
     def observables(self) -> np.ndarray:
-        """observables[k - 1] = U diag(a_k) U^H, the observable of symbol k."""
-        signs = self.answer_signs[self.column_groups].T  # signs[k, j] = a_{k+1} of column j
-        return (self.basis * signs[:, None, :]) @ self.basis.conj().T
+        """observables[k - 1] = U diag(a_k) U^H of symbol k, formed on each read, never held."""
+        return (self.basis * self.column_signs[:, None, :]) @ self.basis.conj().T
 
     @functools.cached_property
     def projectors(self) -> dict[tuple[int, ...], np.ndarray]:
@@ -213,6 +213,18 @@ class Strategy:
 
     def kinds(self, party: str) -> tuple[str, ...]:
         return tuple(getattr(self, party).keys())
+
+    def column_probabilities(self, qa: str, qb: str) -> np.ndarray:
+        """|U_a^H psi conj(U_b)|^2: entry (i, j) pairs Alice's basis column i with Bob's j."""
+        amps = (self.measurement("alice", qa).basis.conj().T @ self.state.reshaped()
+                @ self.measurement("bob", qb).basis.conj())
+        return amps.real**2 + amps.imag**2
+
+    def correlations(self, qa: str, qb: str) -> np.ndarray:
+        """<psi| M^qa_k x M^qb_k |psi> by k - 1: sum_ij a_k(i) p_ij b_k(j) over the column
+        probabilities p, a_k(i) being symbol k of column i's answer; real by construction."""
+        signs_a, signs_b = (self.measurement(*q).column_signs for q in (("alice", qa), ("bob", qb)))
+        return ((signs_a @ self.column_probabilities(qa, qb)) * signs_b).sum(axis=1)
 
 
 def ceil_log2(m: int) -> int:
@@ -491,7 +503,8 @@ def strategy_from_json(doc: Mapping) -> Strategy:
     _check_field(_numbers(dims, 2, types={int}) and all(d >= 1 for d in dims),
                  "dims", "two integers >= 1", dims)
     da, db = dims
-    m = int(doc["m"])
+    m = doc.get("m")
+    _check_field(_numbers([m], types={int}) and m >= 1, "m", "an integer >= 1", m)
     amps = _deinterleave(doc.get("state"), (da * db,), "state")
     _check_field(isinstance(questions, list), "questions", "a list", questions)
     tables = {"alice": {}, "bob": {}}
@@ -523,8 +536,8 @@ def strategy_from_json(doc: Mapping) -> Strategy:
 def load_strategy(doc: Mapping) -> Strategy:
     """Build a strategy from either serialized form or a named honest recipe."""
     if "type" in doc:
-        kind = doc["type"]
-        m = int(doc["m"])
+        kind, m = doc["type"], doc.get("m")
+        _check_field(_numbers([m], types={int}) and m >= 1, "m", "an integer >= 1", m)
         builders = {"honest-my": honest_my_strategy, "honest-spp": honest_spp_strategy}
         if not isinstance(kind, str) or kind not in builders:
             raise ValueError(f"unknown strategy type {kind!r}")

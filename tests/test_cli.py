@@ -487,6 +487,20 @@ class TestRejectedInput:
         assert captured.out == ""
         assert captured.err == f"usage error: sample count must be >= 1, got {count}\n"
 
+    def test_sample_count_above_the_distinct_pairs(self, capsys):
+        # m=1 has 4^2 = 16 distinct (p, q) pairs.
+        argv = ["verify-isometry", "--m", "1", "--test", "my", "--seed", "1", "--pairs"]
+        code, report = run_cli(capsys, *argv, "sample:16")
+        assert code == 0 and len(report["reports"]) == 16
+        code = cli.main(argv + ["sample:17"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: sample:17 exceeds the 16 distinct (p, q) pairs of n=2; "
+            "use --pairs exhaustive\n"
+        )
+
     @pytest.mark.parametrize("flag", ["--thetas", "--ws"])
     def test_empty_sweep_grid(self, capsys, flag):
         code = cli.main(["sweep-noise", "--m", "1", flag, "", "--seed", "1"])

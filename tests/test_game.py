@@ -19,11 +19,12 @@ from selftest_lab.game import (
     win_predicate,
 )
 from selftest_lab.linalg import StateVector
-from selftest_lab.protocols import SPP_ALLOWED_PAIRS
+from selftest_lab.protocols import SPP_ALLOWED_PAIRS, epsilon_my, epsilon_spp
 from selftest_lab.strategies import (
     Measurement,
     NoiseSpec,
     Strategy,
+    honest_my_strategy,
     honest_spp_strategy,
     load_strategy,
     perturb_strategy,
@@ -75,6 +76,18 @@ class TestExactExpectation:
         # so E(A_k) = (8 - 2) / 10.
         s = deterministic_strategy(ALL_PLUS, ALL_PLUS)
         assert game_expectation_exact(s) == pytest.approx(0.6, abs=1e-14)
+
+    def test_no_observable_is_formed(self, monkeypatch):
+        # The exact value and both epsilons read the basis columns'
+        # probabilities, never a measurement's observables.
+        def unreachable(meas):
+            raise AssertionError("observables formed")
+
+        monkeypatch.setattr(Measurement, "observables", property(unreachable))
+        spp = honest_spp_strategy(2)
+        assert game_expectation_exact(spp) == pytest.approx(MAX_GAME_EXPECTATION, abs=1e-12)
+        assert epsilon_spp(spp).eps <= 1e-12
+        assert epsilon_my(honest_my_strategy(2)).eps <= 1e-12
 
     def test_enumeration_guard(self):
         s = deterministic_strategy(ALL_PLUS, ALL_PLUS, m=5)

@@ -36,6 +36,9 @@ from selftest_lab.strategies import (
     validate_strategy,
 )
 
+from test_game import merged_last_symbol
+from test_isometry import with_junk
+
 SQRT2 = math.sqrt(2.0)
 
 _HONEST_M1 = honest_my_strategy(1)  # shared by the hypothesis property
@@ -422,6 +425,62 @@ class TestValidationNeverLooser:
         assert 200 < accepted < 800
 
 
+def oracle_correlations(s, qa, qb):
+    """linalg.bipartite_expectation of the observables U diag(a_k) U^H, each
+    column's a_k read from its answer string."""
+
+    def observables(meas):
+        signs = np.array([meas.answers[g] for g in meas.column_groups], dtype=float)
+        u = meas.basis
+        return [(u * signs[:, k]) @ u.conj().T for k in range(meas.num_symbols)]
+
+    pairs = zip(observables(s.measurement("alice", qa)), observables(s.measurement("bob", qb)))
+    return [bipartite_expectation(s.state, a, b) for a, b in pairs]
+
+
+def assert_correlations_match_oracle(s):
+    worst = 0.0
+    for qa, qb in itertools.product(s.kinds("alice"), s.kinds("bob")):
+        got = s.correlations(qa, qb)
+        assert got.dtype == np.float64 and got.shape == (s.m,)
+        worst = max(worst, np.abs(got - oracle_correlations(s, qa, qb)).max())
+    assert worst <= 1e-14
+
+
+def correlation_cases():
+    """(name, strategy): honest, rotated, junk-carrying, fewer-outcome and
+    converted-file strategies of both flavors at m = 1..3."""
+    for flavor, build in (("my", honest_my_strategy), ("spp", honest_spp_strategy)):
+        for m in (1, 2, 3):
+            honest = build(m)
+            rotated = perturb_strategy(honest, NoiseSpec(theta=3.0, w=0.9), seed=m)
+            converted = strategy_from_json(json.loads(json.dumps(strategy_to_json(rotated))))
+            yield f"{flavor}-honest-m{m}", honest
+            yield f"{flavor}-rotated-m{m}", rotated
+            yield f"{flavor}-junk-m{m}", with_junk(rotated, seed=m)
+            yield f"{flavor}-fewer-outcomes-m{m}", merged_last_symbol(rotated)
+            yield f"{flavor}-file-m{m}", converted
+
+
+class TestCorrelationsAgainstObservableOracle:
+    @pytest.mark.parametrize(
+        "s", [pytest.param(s, id=name) for name, s in correlation_cases()]
+    )
+    def test_every_question_pair(self, s):
+        assert_correlations_match_oracle(s)
+
+    @given(
+        hst.sampled_from([honest_my_strategy, honest_spp_strategy]),
+        hst.integers(min_value=1, max_value=2),
+        hst.floats(min_value=-3.0, max_value=3.0),
+        hst.floats(min_value=0.0, max_value=0.9),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_rotated_strategies(self, build, m, theta, w):
+        s = perturb_strategy(build(m), NoiseSpec(theta=theta, w=w), seed=m)
+        assert_correlations_match_oracle(s)
+
+
 class TestSerialization:
     def test_round_trip_preserves_everything(self):
         s = perturb_strategy(
@@ -472,6 +531,17 @@ class TestSerialization:
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError):
             load_strategy({"type": "dishonest", "m": 1})
+
+    @pytest.mark.parametrize("m", [1.7, True, None, 0])
+    def test_m_must_be_an_integer(self, m):
+        doc = {**strategy_to_json(honest_my_strategy(1)), "m": m}
+        want = rf"strategy field m must be an integer >= 1, got {m!r}$"
+        with pytest.raises(ValueError, match=want):
+            strategy_from_json(doc)
+        with pytest.raises(ValueError, match=want):
+            load_strategy(doc)
+        with pytest.raises(ValueError, match=want):
+            load_strategy({"type": "honest-my", "m": m})
 
 
 class TestSmallTypes:
