@@ -565,7 +565,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except UsageError as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return 2
-        except (KeyError, ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
+        except (KeyError, ValueError, RuntimeError, OSError, MemoryError, json.JSONDecodeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         try:

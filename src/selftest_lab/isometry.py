@@ -92,7 +92,7 @@ def party_observables(s: Strategy, flavor: Optional[str] = None):
         flavor = detect_flavor(s)
     kinds = [FLAVORS[flavor].symbol_kind(symbol, s.m) for symbol in "XZ"]
     return tuple(
-        tuple([s.observable(party, kind, k) for k in range(1, s.m + 1)] for kind in kinds)
+        tuple(list(s.measurement(party, kind).observables) for kind in kinds)
         for party in ("alice", "bob")
     )
 

@@ -74,9 +74,9 @@ class CorrelationReport:
         return max(self.entries, key=lambda e: e.deviation)
 
 
-def my_required_correlations(m: int) -> tuple[tuple[str, str, int], ...]:
-    """(Alice kind, Bob kind, sub-test) triples whose deviations the pair
-    test bounds.
+def my_required_pairs(m: int) -> tuple[tuple[str, str], ...]:
+    """(Alice kind, Bob kind) pairs whose deviations the pair test bounds,
+    each over all m sub-tests.
 
     Two groups: the single-pair core over {X, Z, D} without D-D, which feeds
     the anticommutation estimate, and the mixed pairings of X/Z with each
@@ -94,27 +94,17 @@ def my_required_correlations(m: int) -> tuple[tuple[str, str, int], ...]:
             for named in ("X", "Z"):
                 mixed.append((named, fam))
                 mixed.append((fam, named))
-    return tuple(
-        (qa, qb, k)
-        for qa, qb in core + mixed
-        for k in range(1, m + 1)
-    )
-
-
-def correlation_exact(s: Strategy, qa: str, qb: str, k: int) -> float:
-    """Exact <psi'| M^qa_k (Alice) M^qb_k (Bob) |psi'>."""
-    if not 1 <= k <= s.m:
-        raise ValueError(f"sub-test {k} out of range 1..{s.m}")
-    return float(s.correlations(qa, qb)[k - 1])
+    return tuple(core + mixed)
 
 
 @functools.lru_cache(maxsize=None)
-def ideal_my_correlations(m: int) -> dict[tuple[str, str, int], float]:
-    """Ideal correlation table computed once from the honest strategy."""
+def ideal_my_correlations(m: int) -> dict[tuple[str, str], tuple[float, ...]]:
+    """Ideal correlations of each required pair by k - 1, computed once from the
+    honest strategy."""
     honest = honest_my_strategy(m)
     return {
-        (qa, qb, k): correlation_exact(honest, qa, qb, k)
-        for qa, qb, k in my_required_correlations(m)
+        (qa, qb): tuple(honest.correlations(qa, qb).tolist())
+        for qa, qb in my_required_pairs(m)
     }
 
 
@@ -122,18 +112,19 @@ def epsilon_my(s: Strategy) -> CorrelationReport:
     """Deviations |measured - ideal| over the pair test's required set."""
     ideal = ideal_my_correlations(s.m)
     entries = []
-    for qa, qb, k in my_required_correlations(s.m):
-        measured = correlation_exact(s, qa, qb, k)
-        entries.append(
-            CorrelationEntry(
-                alice=qa,
-                bob=qb,
-                k=k,
-                measured=measured,
-                ideal=ideal[(qa, qb, k)],
-                deviation=abs(measured - ideal[(qa, qb, k)]),
+    for qa, qb in my_required_pairs(s.m):
+        measured = s.correlations(qa, qb).tolist()
+        for k, (got, want) in enumerate(zip(measured, ideal[(qa, qb)]), 1):
+            entries.append(
+                CorrelationEntry(
+                    alice=qa,
+                    bob=qb,
+                    k=k,
+                    measured=got,
+                    ideal=want,
+                    deviation=abs(got - want),
+                )
             )
-        )
     return CorrelationReport(tuple(entries), max(e.deviation for e in entries))
 
 
@@ -141,8 +132,8 @@ def epsilon_my(s: Strategy) -> CorrelationReport:
 _CHSH_TERMS = (("X", "D", 1), ("X", "E", -1), ("Z", "D", 1), ("Z", "E", 1))
 
 
-def chsh_value(s: Strategy, k: int, direction: str = "ab") -> float:
-    """CHSH combination for sub-test k.
+def chsh_values(s: Strategy, direction: str = "ab") -> list[float]:
+    """CHSH combination of every sub-test, by k - 1.
 
     Direction "ab": Alice's X/Z observables against Bob's D/E; "ba" swaps
     the roles.  All four observables come from the all-one-symbol questions.
@@ -151,15 +142,19 @@ def chsh_value(s: Strategy, k: int, direction: str = "ab") -> float:
         raise ValueError(f"direction must be 'ab' or 'ba', got {direction!r}")
     kind = {sym: FLAVORS[SPP_FLAVOR].symbol_kind(sym, s.m) for sym in "XZDE"}
 
-    def term(xz: str, de: str) -> float:
+    def term(xz: str, de: str):
         qa, qb = (xz, de) if direction == "ab" else (de, xz)
-        return correlation_exact(s, kind[qa], kind[qb], k)
+        return s.correlations(kind[qa], kind[qb])
 
-    return sum(sign * term(xz, de) for xz, de, sign in _CHSH_TERMS)
+    return sum(sign * term(xz, de) for xz, de, sign in _CHSH_TERMS).tolist()
 
 
-def _complement(sym: str) -> str:
-    return {"X": "Z", "Z": "X"}[sym]
+def _deficit(alice: str, bob: str, k: int, measured: float, ideal: float) -> CorrelationEntry:
+    """One-sided deficit of a value that must reach ideal, clamped at zero."""
+    return CorrelationEntry(
+        alice=alice, bob=bob, k=k, measured=measured, ideal=ideal,
+        deviation=max(0.0, ideal - measured),
+    )
 
 
 def epsilon_spp(s: Strategy) -> CorrelationReport:
@@ -168,40 +163,23 @@ def epsilon_spp(s: Strategy) -> CorrelationReport:
 
     For every sub-test k the two CHSH directions must reach 2*sqrt(2), and
     for every pair of {X,Z} question strings whose symbols at sub-test k are
-    complementary the correlation must reach 1.  Deficits are one-sided and
-    clamped at zero.
+    complementary the correlation must reach 1.  Each question pair is read
+    once, for all m sub-tests; a pair of equal strings has no complementary
+    symbol and is never read.
     """
     m = s.m
     entries = []
-    for k in range(1, m + 1):
-        for direction, alice, bob in (("ab", "X,Z", "D,E"), ("ba", "D,E", "X,Z")):
-            val = chsh_value(s, k, direction)
-            entries.append(
-                CorrelationEntry(
-                    alice=alice,
-                    bob=bob,
-                    k=k,
-                    measured=val,
-                    ideal=CHSH_MAX,
-                    deviation=max(0.0, CHSH_MAX - val),
-                )
-            )
+    for k, (ab, ba) in enumerate(zip(chsh_values(s, "ab"), chsh_values(s, "ba")), 1):
+        entries.append(_deficit("X,Z", "D,E", k, ab, CHSH_MAX))
+        entries.append(_deficit("D,E", "X,Z", k, ba, CHSH_MAX))
     xz_strings = ["".join(p) for p in itertools.product("XZ", repeat=m)]
+    matching = {
+        (qa, rb): s.correlations(qa, rb).tolist()
+        for qa, rb in itertools.permutations(xz_strings, 2)
+    }
     for k in range(1, m + 1):
         for qa in xz_strings:
-            need = _complement(qa[k - 1])
             for rb in xz_strings:
-                if rb[k - 1] != need:
-                    continue
-                val = correlation_exact(s, qa, rb, k)
-                entries.append(
-                    CorrelationEntry(
-                        alice=qa,
-                        bob=rb,
-                        k=k,
-                        measured=val,
-                        ideal=1.0,
-                        deviation=max(0.0, 1.0 - val),
-                    )
-                )
+                if rb[k - 1] != qa[k - 1]:
+                    entries.append(_deficit(qa, rb, k, matching[(qa, rb)][k - 1], 1.0))
     return CorrelationReport(tuple(entries), max(e.deviation for e in entries))

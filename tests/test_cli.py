@@ -361,6 +361,22 @@ class TestRejectedInput:
         assert "Traceback" not in err
         assert err == "error: residual state norm 1.08 deviates from 1\n"
 
+    def test_memory_error_exits_without_traceback(self, capsys, monkeypatch):
+        message = (
+            "Unable to allocate 1.86 GiB for an array with shape (2000000000,)"
+            " and data type uint8"
+        )
+
+        def fail(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "sample_game", fail)
+        code = cli.main(["game", "--m", "1", "--rounds", "2000000000", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize(
         "doc, message",
         [

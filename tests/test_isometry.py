@@ -226,6 +226,24 @@ class TestJunkState:
             junk_state(honest_my_strategy(5))
 
 
+class TestObservablesReadOnce:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("build", [honest_my_strategy, honest_spp_strategy])
+    def test_context_reads_each_kind_once(self, build, m, monkeypatch):
+        # X and Z kinds of each party: 4 reads, each forming all m observables.
+        s = build(m)
+        reads = []
+        form = Measurement.observables.fget
+
+        def counted(meas):
+            reads.append(meas)
+            return form(meas)
+
+        monkeypatch.setattr(Measurement, "observables", property(counted))
+        IsometryContext(s)
+        assert len(reads) == 4
+
+
 class TestPauliStringState:
     def test_matches_ordered_power_oracle(self):
         # Independent oracle: embed single-qubit Paulis and use the ordered

@@ -16,12 +16,11 @@ from selftest_lab.linalg import (
 from selftest_lab.protocols import (
     CHSH_MAX,
     SPP_ALLOWED_PAIRS,
-    chsh_value,
-    correlation_exact,
+    chsh_values,
     epsilon_my,
     epsilon_spp,
     ideal_my_correlations,
-    my_required_correlations,
+    my_required_pairs,
     my_test_spec,
     spp_test_spec,
 )
@@ -58,16 +57,15 @@ def deterministic_strategy(assign_a, assign_b, m=1):
 
 class TestRequiredCorrelations:
     def test_m1_core_set(self):
-        triples = my_required_correlations(1)
-        pairs = {(qa, qb) for qa, qb, _ in triples}
+        pairs = set(my_required_pairs(1))
         assert pairs == {
             ("X", "X"), ("X", "Z"), ("Z", "X"), ("Z", "Z"),
             ("X", "D"), ("Z", "D"), ("D", "X"), ("D", "Z"),
         }
-        assert all(k == 1 for _, _, k in triples)
+        assert all(len(values) == 1 for values in ideal_my_correlations(1).values())
 
     def test_m2_includes_index_family_pairings(self):
-        pairs = {(qa, qb) for qa, qb, _ in my_required_correlations(2)}
+        pairs = set(my_required_pairs(2))
         for fam in ("X1", "Z1"):
             assert ("X", fam) in pairs and ("Z", fam) in pairs
             assert (fam, "X") in pairs and (fam, "Z") in pairs
@@ -75,10 +73,10 @@ class TestRequiredCorrelations:
         assert ("X1", "Z1") not in pairs
 
     def test_count_scales_with_log(self):
-        # 8 core pairs plus 8 mixed pairs per index family, each over m sub-tests
+        # 8 core pairs plus 8 mixed pairs per index family
         for m in (1, 2, 3, 4, 8):
-            expected = (8 + 8 * (m - 1).bit_length()) * m
-            assert len(my_required_correlations(m)) == expected
+            expected = 8 + 8 * (m - 1).bit_length()
+            assert len(my_required_pairs(m)) == expected
 
 
 class TestTestSpecs:
@@ -95,36 +93,31 @@ class TestCorrelationExact:
     def test_honest_values(self, m):
         s = honest_my_strategy(m)
         for k in range(1, m + 1):
-            assert correlation_exact(s, "X", "Z", k) == pytest.approx(1.0, abs=1e-12)
-            assert correlation_exact(s, "X", "X", k) == pytest.approx(0.0, abs=1e-12)
-            assert correlation_exact(s, "X", "D", k) == pytest.approx(1 / SQRT2, abs=1e-12)
+            assert s.correlations("X", "Z")[k - 1] == pytest.approx(1.0, abs=1e-12)
+            assert s.correlations("X", "X")[k - 1] == pytest.approx(0.0, abs=1e-12)
+            assert s.correlations("X", "D")[k - 1] == pytest.approx(1 / SQRT2, abs=1e-12)
 
     def test_unknown_question_rejected(self):
         s = honest_my_strategy(1)
         with pytest.raises(KeyError):
-            correlation_exact(s, "E", "Z", 1)
-
-    def test_bad_subtest_rejected(self):
-        s = honest_my_strategy(1)
-        with pytest.raises(ValueError):
-            correlation_exact(s, "X", "Z", 2)
+            s.correlations("E", "Z")
 
 
 class TestIdealTable:
     def test_anchor_values(self):
         # Hard-coded anchors guarding the honestly-computed table.
         table = ideal_my_correlations(2)
-        assert table[("X", "Z", 1)] == pytest.approx(1.0, abs=1e-12)
-        assert table[("X", "X", 1)] == pytest.approx(0.0, abs=1e-12)
-        assert table[("X", "D", 2)] == pytest.approx(1 / SQRT2, abs=1e-12)
-        assert table[("D", "Z", 1)] == pytest.approx(1 / SQRT2, abs=1e-12)
+        assert table[("X", "Z")][0] == pytest.approx(1.0, abs=1e-12)
+        assert table[("X", "X")][0] == pytest.approx(0.0, abs=1e-12)
+        assert table[("X", "D")][1] == pytest.approx(1 / SQRT2, abs=1e-12)
+        assert table[("D", "Z")][0] == pytest.approx(1 / SQRT2, abs=1e-12)
 
     def test_mixed_family_values_are_zero_or_one(self):
         table = ideal_my_correlations(2)
-        assert table[("X", "X1", 1)] == pytest.approx(0.0, abs=1e-12)
-        assert table[("Z", "X1", 1)] == pytest.approx(1.0, abs=1e-12)
-        assert table[("X", "X1", 2)] == pytest.approx(1.0, abs=1e-12)
-        assert table[("Z", "X1", 2)] == pytest.approx(0.0, abs=1e-12)
+        assert table[("X", "X1")][0] == pytest.approx(0.0, abs=1e-12)
+        assert table[("Z", "X1")][0] == pytest.approx(1.0, abs=1e-12)
+        assert table[("X", "X1")][1] == pytest.approx(1.0, abs=1e-12)
+        assert table[("Z", "X1")][1] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestEpsilonMy:
@@ -215,8 +208,8 @@ class TestChshValue:
     def test_both_directions_honest(self):
         s = honest_spp_strategy(2)
         for k in (1, 2):
-            assert chsh_value(s, k, "ab") == pytest.approx(CHSH_MAX, abs=1e-12)
-            assert chsh_value(s, k, "ba") == pytest.approx(CHSH_MAX, abs=1e-12)
+            assert chsh_values(s, "ab")[k - 1] == pytest.approx(CHSH_MAX, abs=1e-12)
+            assert chsh_values(s, "ba")[k - 1] == pytest.approx(CHSH_MAX, abs=1e-12)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_each_direction_on_rotated_alice(self, m):
@@ -243,10 +236,44 @@ class TestChshValue:
                   + corr("Z", "D", k) + corr("Z", "E", k))
             ba = (corr("D", "X", k) - corr("E", "X", k)
                   + corr("D", "Z", k) + corr("E", "Z", k))
-            assert abs(chsh_value(s, k, "ab") - ab) <= 1e-15
-            assert abs(chsh_value(s, k, "ba") - ba) <= 1e-15
+            assert abs(chsh_values(s, "ab")[k - 1] - ab) <= 1e-15
+            assert abs(chsh_values(s, "ba")[k - 1] - ba) <= 1e-15
             assert abs(ab - ba) > 1e-3
 
     def test_bad_direction(self):
         with pytest.raises(ValueError):
-            chsh_value(honest_spp_strategy(1), 1, "sideways")
+            chsh_values(honest_spp_strategy(1), "sideways")
+
+
+def count_correlation_reads(monkeypatch) -> list[tuple[str, str]]:
+    """The (qa, qb) of every Strategy.correlations call from here on."""
+    reads = []
+    read = Strategy.correlations
+
+    def counted(self, qa, qb):
+        reads.append((qa, qb))
+        return read(self, qa, qb)
+
+    monkeypatch.setattr(Strategy, "correlations", counted)
+    return reads
+
+
+class TestEachPairReadOnce:
+    @pytest.mark.parametrize("m, count", [(1, 8), (2, 16), (3, 24)])
+    def test_epsilon_my_reads_each_required_pair_once(self, m, count, monkeypatch):
+        s = honest_my_strategy(m)
+        ideal_my_correlations(m)  # the cached ideal table reads the honest strategy
+        reads = count_correlation_reads(monkeypatch)
+        epsilon_my(s)
+        assert reads == list(my_required_pairs(m))
+        assert len(set(reads)) == count
+
+    @pytest.mark.parametrize("m, count", [(1, 10), (2, 20), (3, 64)])
+    def test_epsilon_spp_reads_each_pair_once(self, m, count, monkeypatch):
+        # 8 CHSH pairs plus every ordered pair of distinct {X,Z} strings.
+        s = honest_spp_strategy(m)
+        reads = count_correlation_reads(monkeypatch)
+        epsilon_spp(s)
+        assert len(reads) == count
+        assert len(set(reads)) == count
+        assert all(qa != qb for qa, qb in reads)
