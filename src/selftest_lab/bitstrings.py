@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -216,34 +216,15 @@ def adjacency_phase(s: BitString, adj: AdjacencyMatrix) -> int:
     return (q // 2) % 2
 
 
-@dataclass(frozen=True)
-class PhaseFunction:
-    """A {0,1}-valued phase on bit strings together with its defining adjacency."""
-
-    adjacency: AdjacencyMatrix
-    fn: Callable[[BitString], int]
-
-    @classmethod
-    def from_adjacency(cls, adj: AdjacencyMatrix) -> "PhaseFunction":
-        return cls(adjacency=adj, fn=lambda s: adjacency_phase(s, adj))
-
-    def __call__(self, s: BitString) -> int:
-        return self.fn(s)
-
-
-def find_phase_violation(
-    adj: AdjacencyMatrix, phase: Optional[PhaseFunction] = None
-) -> Optional[tuple[BitString, BitString]]:
+def find_phase_violation(adj: AdjacencyMatrix) -> Optional[tuple[BitString, BitString]]:
     """First (s, t) pair violating P(s) + P(t) = P(s xor t) + s.A(s xor t) mod 2.
 
     Returns None when the additivity property holds for all 2^(2n) pairs.
     """
     n = adj.n
     _check_exhaustive(n)
-    if phase is None:
-        phase = PhaseFunction.from_adjacency(adj)
     strings = list(BitString.all_strings(n))
-    p_table = [phase(s) for s in strings]
+    p_table = [adjacency_phase(s, adj) for s in strings]
     # (A u) reduced mod 2, as a big-endian mask per u.
     au_masks = [adj.apply(u).value for u in strings]
     for s in strings:
@@ -257,10 +238,8 @@ def find_phase_violation(
     return None
 
 
-def check_phase_consistency(
-    adj: AdjacencyMatrix, phase: Optional[PhaseFunction] = None
-) -> bool:
-    return find_phase_violation(adj, phase=phase) is None
+def check_phase_consistency(adj: AdjacencyMatrix) -> bool:
+    return find_phase_violation(adj) is None
 
 
 def average_dot(t: BitString) -> Fraction:

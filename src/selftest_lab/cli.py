@@ -23,7 +23,7 @@ from typing import Optional, Sequence, TextIO
 
 from . import bitstrings as bs
 from . import bounds as bnd
-from .bitstrings import AdjacencyMatrix, BitString, PhaseFunction
+from .bitstrings import AdjacencyMatrix, BitString
 from .game import (
     MAX_GAME_EXPECTATION,
     check_game_size,
@@ -161,8 +161,6 @@ def _resolve_strategy(cfg: RunConfig, flavor: str, check_size) -> Strategy:
     any strategy is built, on --m or on the m that both file forms carry.
     """
     if cfg.strategy in ("honest-my", "honest-spp"):
-        if cfg.m is None:
-            raise UsageError("named strategies need --m")
         check_size(cfg.m)
         build, _, _ = _flavor_functions(cfg.strategy.removeprefix("honest-"))
         s = build(cfg.m)
@@ -199,12 +197,8 @@ def _resolve_strategy(cfg: RunConfig, flavor: str, check_size) -> Strategy:
 # --- lemma-checks -----------------------------------------------------------
 
 
-def run_lemma_checks(
-    max_n: int,
-    even_ns: Sequence[int],
-    phase: Optional[PhaseFunction] = None,
-) -> tuple[bool, list[dict]]:
-    """All exhaustive bit-string checks; the phase override is a test hook."""
+def run_lemma_checks(max_n: int, even_ns: Sequence[int]) -> tuple[bool, list[dict]]:
+    """All exhaustive bit-string checks."""
     checks = []
 
     def add(name, n, ok, detail=None):
@@ -229,7 +223,7 @@ def run_lemma_checks(
         add("half-swap-identity", n, bs.check_half_swap_identity(n))
     for n in even_ns:
         adj = AdjacencyMatrix.half_swap(n)
-        witness = bs.find_phase_violation(adj, phase=phase)
+        witness = bs.find_phase_violation(adj)
         add(
             "phase-consistency",
             n,
@@ -249,7 +243,7 @@ def cmd_lemma_checks(args) -> tuple[int, dict, None]:
         n > bs.EXHAUSTIVE_LIMIT for n in even_ns
     ):
         raise UsageError(f"range exceeds exhaustive limit {bs.EXHAUSTIVE_LIMIT}")
-    ok, checks = run_lemma_checks(args.max_n, even_ns, phase=args.phase_override)
+    ok, checks = run_lemma_checks(args.max_n, even_ns)
     config = {"command": "lemma-checks", "max_n": args.max_n, "even_n": even_ns}
     return _report(config, ok, checks=checks)
 
@@ -428,9 +422,7 @@ def cmd_sweep_noise(args) -> tuple[int, dict, list]:
             honest, NoiseSpec(theta=theta, w=w), seed=(cfg.seed or 0) + i
         )
         eps, reports, max_dist, point_ok = _verify(noisy, args.flavor, cfg)
-        printed, recomputed = (
-            reports[0].bounds[name] for name in FLAVORS[args.flavor].bounds
-        )
+        printed, recomputed = reports[0].bounds.values()
         points.append(
             {
                 "theta": theta,
@@ -497,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("lemma-checks", help="exhaustive bit-string identity checks")
     p.add_argument("--max-n", type=int, default=10, help="string-sum checks run for n=1..max")
     p.add_argument("--even-n", default="2,4,6", help="even lengths for the half-swap checks")
-    p.set_defaults(fn=cmd_lemma_checks, phase_override=None)
+    p.set_defaults(fn=cmd_lemma_checks)
 
     p = subs.add_parser("honest-check", help="ideal correlations of an honest strategy")
     p.add_argument("--flavor", choices=tuple(FLAVORS), required=True)

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -61,7 +61,7 @@ from .bounds import (
 )
 from .linalg import StateVector
 from .protocols import TestSpec
-from .strategies import FLAVORS, Strategy
+from .strategies import FLAVORS, MY_FLAVOR, SPP_FLAVOR, Strategy
 
 # n = 2m X/Z indices at most; at n = 8 one distance holds 16 MB of target blocks.
 ISOMETRY_LIMIT = 8
@@ -74,22 +74,9 @@ def check_isometry_size(n: int) -> None:
                          f"{ISOMETRY_LIMIT // 2}), got n={n}")
 
 
-def detect_flavor(s: Strategy) -> str:
-    """Infer which test's named questions a strategy carries."""
-    kinds = set(s.kinds("alice"))
-    for name, flavor in FLAVORS.items():
-        if {flavor.symbol_kind("X", s.m), flavor.symbol_kind("Z", s.m)} <= kinds:
-            return name
-    raise ValueError(
-        "strategy exposes neither the X/Z questions nor the all-X/all-Z strings"
-    )
-
-
-def party_observables(s: Strategy, flavor: Optional[str] = None):
+def party_observables(s: Strategy, flavor: str):
     """Party-local ((X_1..X_m), (Z_1..Z_m)) of Alice, then of Bob."""
     check_isometry_size(2 * s.m)  # every entry point starts here, before any array
-    if flavor is None:
-        flavor = detect_flavor(s)
     kinds = [FLAVORS[flavor].symbol_kind(symbol, s.m) for symbol in "XZ"]
     return tuple(
         tuple(list(s.measurement(party, kind).observables) for kind in kinds)
@@ -149,7 +136,7 @@ class KrausTables:
 def apply_isometry(
     s: Strategy,
     input_state: Union[StateVector, np.ndarray],
-    flavor: Optional[str] = None,
+    flavor: str,
 ):
     """Image of a system state under the isometry.
 
@@ -169,7 +156,7 @@ def apply_isometry(
     return StateVector(image, (("system", system_dim), ("S", ancilla_dim), ("U", ancilla_dim)))
 
 
-def junk_state(s: Strategy, flavor: Optional[str] = None) -> StateVector:
+def junk_state(s: Strategy, flavor: str) -> StateVector:
     """The residual state on (system, S); its norm must come out 1."""
     junk = KrausTables(*party_observables(s, flavor)).junk(s.state.reshaped())
     half = 2**s.m
@@ -187,7 +174,7 @@ class IsometryContext:
     the image from the QR factors F_t and L_u (module docstring).
     """
 
-    def __init__(self, s: Strategy, flavor: Optional[str] = None):
+    def __init__(self, s: Strategy, flavor: str):
         self.n = 2 * s.m
         tables = KrausTables(*party_observables(s, flavor))
         half, (d_a, d_b) = 2**s.m, tables.dims
@@ -295,18 +282,21 @@ def select_pairs(
 
 
 def _bound_functions(flavor: str) -> dict:
-    """Name -> function of a flavor's (printed, recomputed) bounds.
+    """Name -> function of a flavor's printed bound, then its recomputed one.
 
     Looked up from this module's globals on each call, so a replaced
     global takes effect.
     """
-    functions = {
-        "my-parallel": my_parallel_bound,
-        "my-parallel-recomputed": my_parallel_recomputed_bound,
-        "spp": spp_selftest_bound,
-        "spp-recomputed": spp_recomputed_bound,
-    }
-    return {name: functions[name] for name in FLAVORS[flavor].bounds}
+    return {
+        MY_FLAVOR: {
+            "my-parallel": my_parallel_bound,
+            "my-parallel-recomputed": my_parallel_recomputed_bound,
+        },
+        SPP_FLAVOR: {
+            "spp": spp_selftest_bound,
+            "spp-recomputed": spp_recomputed_bound,
+        },
+    }[flavor]
 
 
 def verify_bound(

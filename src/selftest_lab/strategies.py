@@ -249,12 +249,11 @@ def spp_question_kinds(m: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class Flavor:
-    """One parallel self-test: its questions and the bounds that cap its distance."""
+    """One parallel self-test: its questions."""
 
     question_kinds: Callable[[int], tuple[str, ...]]
     # The question kind whose every sub-test measures the given symbol.
     symbol_kind: Callable[[str, int], str]
-    bounds: tuple[str, str]  # (printed, recomputed) bound names
 
     def missing_kinds(self, s: Strategy) -> tuple[str, ...]:
         """This flavor's question kinds that either party of s cannot answer."""
@@ -263,16 +262,8 @@ class Flavor:
 
 
 FLAVORS: dict[str, Flavor] = {
-    MY_FLAVOR: Flavor(
-        my_question_kinds,
-        lambda symbol, m: symbol,
-        ("my-parallel", "my-parallel-recomputed"),
-    ),
-    SPP_FLAVOR: Flavor(
-        spp_question_kinds,
-        lambda symbol, m: symbol * m,
-        ("spp", "spp-recomputed"),
-    ),
+    MY_FLAVOR: Flavor(my_question_kinds, lambda symbol, m: symbol),
+    SPP_FLAVOR: Flavor(spp_question_kinds, lambda symbol, m: symbol * m),
 }
 
 

@@ -161,7 +161,7 @@ def test_criterion_07_zero_noise_exactness():
     worst = 0.0
     start = time.time()
     for m in (1, 2):
-        ctx = IsometryContext(honest_my_strategy(m))
+        ctx = IsometryContext(honest_my_strategy(m), "my")
         n = 2 * m
         for p, q in itertools.product(BitString.all_strings(n), repeat=2):
             worst = max(worst, ctx.distance(p, q))

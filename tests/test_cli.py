@@ -9,8 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from selftest_lab import cli, strategies
-from selftest_lab.bitstrings import AdjacencyMatrix, PhaseFunction, adjacency_phase
+from selftest_lab import bitstrings, cli, strategies
 from selftest_lab.strategies import honest_my_strategy, honest_spp_strategy, strategy_to_json
 
 # Defective projectors of answer +1, as in tests/test_strategies.py: complete
@@ -71,14 +70,12 @@ class TestLemmaChecks:
         assert captured.out == ""
         assert captured.err == f"usage error: {message}\n"
 
-    def test_corrupted_phase_exits_nonzero(self):
-        # Test hook: inject a phase inconsistent with the adjacency.
+    def test_corrupted_phase_exits_nonzero(self, monkeypatch):
+        # A phase inconsistent with the adjacency.
+        phase = bitstrings.adjacency_phase
+        monkeypatch.setattr(bitstrings, "adjacency_phase", lambda s, adj: 1 - phase(s, adj))
         parser = cli.build_parser()
         args = parser.parse_args(["lemma-checks", "--max-n", "2", "--even-n", "2"])
-        adj = AdjacencyMatrix.half_swap(2)
-        args.phase_override = PhaseFunction(
-            adjacency=adj, fn=lambda s: 1 - adjacency_phase(s, adj)
-        )
         code, report, _ = cli.cmd_lemma_checks(args)
         assert code == 1
         bad = [c for c in report["checks"] if not c["passed"]]

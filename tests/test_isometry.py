@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from selftest_lab.bitstrings import AdjacencyMatrix, BitString, PhaseFunction
+from selftest_lab.bitstrings import AdjacencyMatrix, BitString, adjacency_phase
 from selftest_lab.bounds import (
     my_parallel_bound,
     my_parallel_recomputed_bound,
@@ -25,7 +25,6 @@ from selftest_lab.isometry import (
     IsometryContext,
     KrausTables,
     apply_isometry,
-    detect_flavor,
     junk_state,
     party_observables,
     select_pairs,
@@ -73,7 +72,7 @@ def six_step_image(
     return amps
 
 
-def xz_observables(s: Strategy, flavor=None) -> tuple[list, list]:
+def xz_observables(s: Strategy, flavor: str) -> tuple[list, list]:
     """Full-system X_k and Z_k observables for k = 1..2m.
 
     Indices 1..m act on Alice's factor, m+1..2m on Bob's.
@@ -104,8 +103,9 @@ def junk_matrix(zs: list[np.ndarray], psi: np.ndarray) -> np.ndarray:
     cols = np.empty((psi.shape[0], 2**n), dtype=complex)
     for t in BitString.all_strings(n):
         cols[:, t.value] = apply_string(zs, t, psi)
-    phase = PhaseFunction.from_adjacency(AdjacencyMatrix.half_swap(n))
-    signs = np.array([-1.0 if phase(sb) else 1.0 for sb in BitString.all_strings(n)])
+    adj = AdjacencyMatrix.half_swap(n)
+    signs = np.array([-1.0 if adjacency_phase(sb, adj) else 1.0
+                      for sb in BitString.all_strings(n)])
     return (cols @ walsh_hadamard(n)) * signs[None, :] * 2.0 ** (-n / 2)
 
 
@@ -153,18 +153,16 @@ class TestPlanAndExtraction:
     def test_plan_dimensions(self):
         # n = 2m ancilla pairs: S and U hold 2^n dimensions each.
         s = with_junk(honest_spp_strategy(2), seed=1)
-        out = apply_isometry(s, s.state)
+        out = apply_isometry(s, s.state, "spp")
         assert out.layout == (("system", 96), ("S", 16), ("U", 16))
 
-    def test_flavor_detection(self):
-        assert detect_flavor(honest_my_strategy(2)) == "my"
-        assert detect_flavor(honest_spp_strategy(2)) == "spp"
-        with pytest.raises(ValueError):
-            detect_flavor(deterministic_strategy({"D": 1}, {"D": 1}))
+    def test_flavor_without_its_questions(self):
+        with pytest.raises(KeyError):
+            IsometryContext(deterministic_strategy({"D": 1}, {"D": 1}), "my")
 
     def test_xz_observables_split_parties(self):
         s = honest_my_strategy(1)
-        xs, zs = xz_observables(s)
+        xs, zs = xz_observables(s, "my")
         assert np.allclose(xs[0], np.kron(PAULI_X, np.eye(2)))
         assert np.allclose(xs[1], np.kron(np.eye(2), PAULI_X))
         assert np.allclose(zs[1], np.kron(np.eye(2), PAULI_Z))
@@ -177,7 +175,7 @@ class TestApplyIsometry:
         for _ in range(100):
             v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             v /= np.linalg.norm(v)
-            out = apply_isometry(s, StateVector(v, (("sys", 4),)))
+            out = apply_isometry(s, StateVector(v, (("sys", 4),)), "my")
             assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-12
 
     def test_linearity_on_raw_vectors(self):
@@ -187,51 +185,51 @@ class TestApplyIsometry:
             v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             a, b = complex(rng.standard_normal(), 1.0), complex(0.5, -0.25)
-            lhs = apply_isometry(s, a * v + b * w)
-            rhs = a * apply_isometry(s, v) + b * apply_isometry(s, w)
+            lhs = apply_isometry(s, a * v + b * w, "my")
+            rhs = a * apply_isometry(s, v, "my") + b * apply_isometry(s, w, "my")
             assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_output_layout(self):
         s = honest_my_strategy(1)
-        out = apply_isometry(s, s.state)
+        out = apply_isometry(s, s.state, "my")
         assert out.layout == (("system", 4), ("S", 4), ("U", 4))
 
     def test_dimension_mismatch(self):
         s = honest_my_strategy(1)
         with pytest.raises(ValueError):
-            apply_isometry(s, np.zeros(8, dtype=complex))
+            apply_isometry(s, np.zeros(8, dtype=complex), "my")
 
 
 class TestJunkState:
     def test_honest_norm_exact(self):
         for m in (1, 2):
-            junk = junk_state(honest_my_strategy(m))
+            junk = junk_state(honest_my_strategy(m), "my")
             assert abs(np.linalg.norm(junk.amps) - 1.0) < 1e-12
 
     def test_noisy_norm_within_budget(self):
         s = perturb_strategy(honest_my_strategy(1), NoiseSpec(theta=0.05), seed=2)
-        junk = junk_state(s)
+        junk = junk_state(s, "my")
         assert abs(np.linalg.norm(junk.amps) - 1.0) < 1e-9
 
     def test_factorization_for_honest(self):
         # Zero-noise exactness over all 16 (p, q) pairs at one e-bit.
         s = honest_my_strategy(1)
-        ctx = IsometryContext(s)
+        ctx = IsometryContext(s, "my")
         for p, q in itertools.product(BitString.all_strings(2), repeat=2):
             assert ctx.distance(p, q) < 1e-9
 
     def test_enumeration_guard(self):
         assert ISOMETRY_LIMIT == 8
         with pytest.raises(ValueError, match=r"m <= 4\)"):
-            junk_state(honest_my_strategy(5))
+            junk_state(honest_my_strategy(5), "my")
 
 
 class TestObservablesReadOnce:
     @pytest.mark.parametrize("m", [1, 2, 3])
-    @pytest.mark.parametrize("build", [honest_my_strategy, honest_spp_strategy])
-    def test_context_reads_each_kind_once(self, build, m, monkeypatch):
+    @pytest.mark.parametrize("flavor", ["my", "spp"])
+    def test_context_reads_each_kind_once(self, flavor, m, monkeypatch):
         # X and Z kinds of each party: 4 reads, each forming all m observables.
-        s = build(m)
+        s = oracle_case_strategy(flavor, m, False)
         reads = []
         form = Measurement.observables.fget
 
@@ -240,7 +238,7 @@ class TestObservablesReadOnce:
             return form(meas)
 
         monkeypatch.setattr(Measurement, "observables", property(counted))
-        IsometryContext(s)
+        IsometryContext(s, flavor)
         assert len(reads) == 4
 
 
@@ -266,16 +264,16 @@ class TestSelftestDistance:
     def test_honest_zero_noise(self):
         s = honest_my_strategy(1)
         z = BitString.zeros(2)
-        assert IsometryContext(s).distance(z, z) < 1e-9
+        assert IsometryContext(s, "my").distance(z, z) < 1e-9
 
     def test_zero_strings_reduce_to_plain_comparison(self):
         s = honest_my_strategy(1)
         z = BitString.zeros(2)
-        image = apply_isometry(s, s.state)
-        junk = junk_state(s).amps.reshape(4, 4)
+        image = apply_isometry(s, s.state, "my")
+        junk = junk_state(s, "my").amps.reshape(4, 4)
         target = (junk[:, :, None] * ideal_pair_state(2).amps[None, None, :]).reshape(-1)
         direct = float(np.linalg.norm(image.amps - target))
-        assert IsometryContext(s).distance(z, z) == pytest.approx(direct, abs=1e-12)
+        assert IsometryContext(s, "my").distance(z, z) == pytest.approx(direct, abs=1e-12)
 
     def test_noisy_distance_below_bounds(self):
         eps_and_strategies = []
@@ -285,7 +283,7 @@ class TestSelftestDistance:
             s = perturb_strategy(honest_my_strategy(1), spec, seed=seed)
             eps_and_strategies.append((epsilon_my(s).eps, s))
         for eps, s in eps_and_strategies:
-            ctx = IsometryContext(s)
+            ctx = IsometryContext(s, "my")
             for p, q in itertools.product(BitString.all_strings(2), repeat=2):
                 bound = max(
                     my_parallel_bound(2, sum(p.bits), eps),
@@ -297,8 +295,8 @@ class TestSelftestDistance:
         # Swapping the roles of the two ancilla blocks must give a visibly
         # wrong distance for the honest strategy.
         s = honest_my_strategy(1)
-        image = apply_isometry(s, s.state).amps.reshape(4, 4, 4)
-        junk = junk_state(s).amps.reshape(4, 4)
+        image = apply_isometry(s, s.state, "my").amps.reshape(4, 4, 4)
+        junk = junk_state(s, "my").amps.reshape(4, 4)
         ideal = ideal_pair_state(2).amps
         swapped_target = junk[:, None, :] * ideal[None, :, None]
         dist = float(np.linalg.norm(image - swapped_target))
@@ -307,7 +305,7 @@ class TestSelftestDistance:
     def test_length_mismatch(self):
         s = honest_my_strategy(1)
         with pytest.raises(ValueError):
-            IsometryContext(s).distance(BitString.zeros(4), BitString.zeros(2))
+            IsometryContext(s, "my").distance(BitString.zeros(4), BitString.zeros(2))
 
 
 class TestSelectPairs:
@@ -398,7 +396,7 @@ class TestVerifyBound:
     def test_three_pairs_sampled_zero_noise(self):
         # Largest guarded size: n=6 ancilla indices, sampled (p, q) pairs.
         s = honest_my_strategy(3)
-        ctx = IsometryContext(s)
+        ctx = IsometryContext(s, "my")
         rng = np.random.default_rng(1)
         for _ in range(4):
             p = BitString.from_index(int(rng.integers(0, 64)), 6)
@@ -537,13 +535,13 @@ class TestSizeLimit:
             lambda *a: pytest.fail("tables built past the size limit"),
         )
         with pytest.raises(ValueError, match="n=10"):
-            IsometryContext(s)
+            IsometryContext(s, "my")
         with pytest.raises(ValueError, match="n=10"):
-            apply_isometry(s, s.state)
+            apply_isometry(s, s.state, "my")
 
     def test_largest_size_runs(self):
         s = honest_my_strategy(ISOMETRY_LIMIT // 2)
-        ctx = IsometryContext(s)
+        ctx = IsometryContext(s, "my")
         n = ctx.n
         assert ctx.distance(BitString.zeros(n), BitString.from_index(2**n - 1, n)) < 1e-9
 
@@ -610,12 +608,12 @@ class TestZeroNoiseDistance:
 class TestDistanceMemory:
     def test_target_buffer_at_m3(self):
         # The 2^m target blocks of 64 x 64 entries: 512 KB.
-        ctx = IsometryContext(honest_my_strategy(3))
+        ctx = IsometryContext(honest_my_strategy(3), "my")
         assert ctx._buf.nbytes <= 512 * 1024
 
     def test_peak_of_one_call_at_m3(self):
         s = perturb_strategy(honest_my_strategy(3), NoiseSpec(theta=0.03, w=0.01), seed=1)
-        ctx = IsometryContext(s)
+        ctx = IsometryContext(s, "my")
         p, q = BitString.from_index(45, 6), BitString.from_index(27, 6)
         tracemalloc.start()
         try:
@@ -631,7 +629,7 @@ class TestDistanceMemory:
         s = honest_my_strategy(4)
         tracemalloc.start()
         try:
-            IsometryContext(s)
+            IsometryContext(s, "my")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
