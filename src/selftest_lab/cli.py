@@ -111,9 +111,10 @@ class RunConfig:
     flavor: Optional[str] = None
     m: Optional[int] = None
     strategy: Optional[str] = None
-    theta: float = 0.0
-    w: float = 0.0
-    noise_seed: int = 0
+    # None for a strategy file, which carries its own m and noise.
+    theta: Optional[float] = 0.0
+    w: Optional[float] = 0.0
+    noise_seed: Optional[int] = 0
     seed: Optional[int] = None
     # Set by the commands that read them; None leaves them out.
     rounds: Optional[int] = None  # game
@@ -151,6 +152,23 @@ def _flavor_functions(flavor: str):
         MY_FLAVOR: (honest_my_strategy, epsilon_my, my_test_spec),
         SPP_FLAVOR: (honest_spp_strategy, epsilon_spp, spp_test_spec),
     }[flavor]
+
+
+# The flags of a named strategy and their values when not given.
+NAMED_STRATEGY_FLAGS = {"m": 1, "theta": 0.0, "w": 0.0, "noise_seed": 0}
+
+
+def _strategy_flags(args) -> dict:
+    """--strategy and the named-strategy flags, defaulted; a strategy file
+    takes none of them, so its config leaves them out."""
+    flags = {name: getattr(args, name) for name in NAMED_STRATEGY_FLAGS}
+    if args.strategy in ("honest-my", "honest-spp"):
+        flags = {k: NAMED_STRATEGY_FLAGS[k] if v is None else v for k, v in flags.items()}
+    else:
+        given = [f"--{k.replace('_', '-')}" for k, v in flags.items() if v is not None]
+        if given:
+            raise UsageError(f"a strategy file sets its own m and noise; drop {', '.join(given)}")
+    return {"strategy": args.strategy, **flags}
 
 
 def _resolve_strategy(cfg: RunConfig, flavor: str, check_size) -> Strategy:
@@ -323,11 +341,7 @@ def cmd_verify_isometry(args) -> tuple[int, dict, list]:
     cfg = RunConfig(
         command="verify-isometry",
         flavor=args.test,
-        m=args.m,
-        strategy=args.strategy,
-        theta=args.theta,
-        w=args.w,
-        noise_seed=args.noise_seed,
+        **_strategy_flags(args),
         seed=args.seed,
         pairs=pairs,
         sample_count=sample_count,
@@ -364,11 +378,7 @@ def cmd_verify_isometry(args) -> tuple[int, dict, list]:
 def cmd_game(args) -> tuple[int, dict, None]:
     cfg = RunConfig(
         command="game",
-        m=args.m,
-        strategy=args.strategy,
-        theta=args.theta,
-        w=args.w,
-        noise_seed=args.noise_seed,
+        **_strategy_flags(args),
         seed=args.seed,
         rounds=args.rounds,
     )
@@ -465,10 +475,11 @@ def _parse_pairs(text: str) -> tuple[str, int]:
 def _add_strategy_flags(sub):
     sub.add_argument("--strategy", default="honest-my",
                      help="honest-my, honest-spp, or a strategy JSON path")
-    sub.add_argument("--m", type=int, default=1, help="sub-test count for named strategies")
-    sub.add_argument("--theta", type=float, default=0.0, help="rotation noise angle")
-    sub.add_argument("--w", type=float, default=0.0, help="state mixing weight")
-    sub.add_argument("--noise-seed", type=int, default=0)
+    # Named strategies only; None lets _strategy_flags tell a given flag apart.
+    sub.add_argument("--m", type=int, help="sub-test count (default 1)")
+    sub.add_argument("--theta", type=float, help="rotation noise angle (default 0)")
+    sub.add_argument("--w", type=float, help="state mixing weight (default 0)")
+    sub.add_argument("--noise-seed", type=int, help="noise seed (default 0)")
 
 
 def _add_csv_flag(sub):

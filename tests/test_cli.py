@@ -317,6 +317,25 @@ class TestRejectedInput:
         assert captured.err.count("\n") == 1
         assert not caught
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--m", "1"), ("--theta", "0.5"), ("--w", "0.01"), ("--noise-seed", "9"),
+    ])
+    @pytest.mark.parametrize("argv", [["game"], ["verify-isometry", "--test", "spp"]],
+                             ids=["game", "verify-isometry"])
+    def test_named_strategy_flag_with_strategy_file(self, capsys, tmp_path, argv,
+                                                     flag, value):
+        # A file carries its own m and noise: the flag would be ignored, yet
+        # recorded in the config.
+        path = tmp_path / "spp.json"
+        path.write_text(json.dumps(strategy_to_json(honest_spp_strategy(1))))
+        code = cli.main([*argv, "--strategy", str(path), flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ")
+        assert captured.err.count("\n") == 1
+        assert captured.err.rstrip().endswith(f"drop {flag}")
+
     def test_non_finite_projector_in_strategy_file(self, capsys, tmp_path):
         # A NaN entry has no eigen-decomposition; it is rejected at load.
         doc = strategy_to_json(honest_my_strategy(1))
