@@ -36,14 +36,16 @@ from .protocols import epsilon_my, epsilon_spp, my_test_spec, spp_test_spec
 from .strategies import (
     FLAVORS,
     MY_FLAVOR,
+    NAMED_STRATEGIES,
     SPP_FLAVOR,
     EpsilonBundle,
     NoiseSpec,
     Strategy,
     honest_my_strategy,
     honest_spp_strategy,
-    load_strategy,
     perturb_strategy,
+    recipe_from_json,
+    strategy_from_json,
     validate_strategy,
 )
 
@@ -131,7 +133,7 @@ class RunConfig:
             )
         if self.sample_count is not None and self.sample_count < 1:
             raise UsageError(f"sample count must be >= 1, got {self.sample_count}")
-        if self.strategy and self.strategy not in ("honest-my", "honest-spp"):
+        if self.strategy and self.strategy not in NAMED_STRATEGIES:
             if not os.path.exists(self.strategy):
                 raise UsageError(f"strategy file not found: {self.strategy}")
         needs_seed = rounds > 0 or self.pairs == "sample"
@@ -162,7 +164,7 @@ def _strategy_flags(args) -> dict:
     """--strategy and the named-strategy flags, defaulted; a strategy file
     takes none of them, so its config leaves them out."""
     flags = {name: getattr(args, name) for name in NAMED_STRATEGY_FLAGS}
-    if args.strategy in ("honest-my", "honest-spp"):
+    if args.strategy in NAMED_STRATEGIES:
         flags = {k: NAMED_STRATEGY_FLAGS[k] if v is None else v for k, v in flags.items()}
     else:
         given = [f"--{k.replace('_', '-')}" for k, v in flags.items() if v is not None]
@@ -175,29 +177,31 @@ def _resolve_strategy(cfg: RunConfig, flavor: str, check_size) -> Strategy:
     """The run's strategy, rejected unless it is projective and carries the
     questions of the flavor the command tests.
 
-    check_size(m) raises on an m too large for the command; it runs before
-    any strategy is built, on --m or on the m that both file forms carry.
+    A named strategy is the recipe its flags spell, built by the same code
+    as a recipe file.  check_size(m) raises on an m too large for the
+    command; it runs on the m that every form carries, before any strategy
+    is built or a recipe's type and noise are read.
     """
-    if cfg.strategy in ("honest-my", "honest-spp"):
-        check_size(cfg.m)
-        build, _, _ = _flavor_functions(cfg.strategy.removeprefix("honest-"))
-        s = build(cfg.m)
-        if cfg.theta or cfg.w:
-            s = perturb_strategy(
-                s, NoiseSpec(theta=cfg.theta, w=cfg.w), seed=cfg.noise_seed
-            )
+    if cfg.strategy in NAMED_STRATEGIES:
+        noise = {"theta": cfg.theta, "w": cfg.w, "seed": cfg.noise_seed}
+        doc = {"type": cfg.strategy, "m": cfg.m, "noise": noise}
     else:
         with open(cfg.strategy) as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError(f"strategy file {cfg.strategy} is not a JSON object")
-        m = doc.get("m")
-        if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-            raise ValueError(
-                f'strategy file {cfg.strategy} needs an integer "m" >= 1, got {m!r}'
-            )
-        check_size(m)
-        s = load_strategy(doc)
+    m = doc.get("m")
+    if type(m) is not int or m < 1:  # a bool is not an m
+        raise ValueError(f'strategy file {cfg.strategy} needs an integer "m" >= 1, got {m!r}')
+    check_size(m)
+    if "type" in doc:
+        kind, m, theta, w, seed = recipe_from_json(doc)
+        build, _, _ = _flavor_functions(kind.removeprefix("honest-"))
+        s = build(m)
+        if theta or w:
+            s = perturb_strategy(s, NoiseSpec(theta=theta, w=w), seed=seed)
+    else:
+        s = strategy_from_json(doc)
     missing = FLAVORS[flavor].missing_kinds(s)
     if missing:
         raise ValueError(
@@ -474,7 +478,7 @@ def _parse_pairs(text: str) -> tuple[str, int]:
 
 def _add_strategy_flags(sub):
     sub.add_argument("--strategy", default="honest-my",
-                     help="honest-my, honest-spp, or a strategy JSON path")
+                     help=f"{', '.join(NAMED_STRATEGIES)}, or a strategy JSON path")
     # Named strategies only; None lets _strategy_flags tell a given flag apart.
     sub.add_argument("--m", type=int, help="sub-test count (default 1)")
     sub.add_argument("--theta", type=float, help="rotation noise angle (default 0)")

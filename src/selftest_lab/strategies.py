@@ -27,6 +27,8 @@ from .linalg import (
 
 MY_FLAVOR = "my"
 SPP_FLAVOR = "spp"
+# The honest strategies that a --strategy flag or a recipe file names.
+NAMED_STRATEGIES = ("honest-my", "honest-spp")
 
 # Measurement directions in the X-Z plane: cos(angle) Z + sin(angle) X.
 _BASIS_ANGLES = {"Z": 0.0, "X": math.pi / 2, "D": math.pi / 4, "E": 3 * math.pi / 4}
@@ -524,32 +526,23 @@ def strategy_from_json(doc: Mapping) -> Strategy:
     return Strategy(state=state, alice=tables["alice"], bob=tables["bob"], m=m)
 
 
-def load_strategy(doc: Mapping) -> Strategy:
-    """Build a strategy from either serialized form or a named honest recipe."""
-    if "type" in doc:
-        kind, m = doc["type"], doc.get("m")
-        _check_field(_numbers([m], types={int}) and m >= 1, "m", "an integer >= 1", m)
-        builders = {"honest-my": honest_my_strategy, "honest-spp": honest_spp_strategy}
-        if not isinstance(kind, str) or kind not in builders:
-            raise ValueError(f"unknown strategy type {kind!r}")
-        s = builders[kind](m)
-        noise = doc.get("noise", {})
-        _check_field(
-            isinstance(noise, dict) and _numbers([noise.get(k, 0) for k in ("theta", "w", "seed")]),
-            "noise", 'an object with numeric "theta", "w" and "seed"', noise,
-        )
-        unknown = sorted(set(noise) - {"theta", "w", "seed"})
-        if unknown:
-            names = ", ".join(map(repr, unknown))
-            raise ValueError(f"strategy field noise has unknown key {names}; "
-                             "the allowed keys are theta, w and seed")
-        seed = noise.get("seed", 0)
-        _check_field(isinstance(seed, int), "noise.seed", "an integer", seed)
-        if noise:
-            spec = NoiseSpec(
-                theta=float(noise.get("theta", 0.0)),
-                w=float(noise.get("w", 0.0)),
-            )
-            s = perturb_strategy(s, spec, seed=seed)
-        return s
-    return strategy_from_json(doc)
+def recipe_from_json(doc: Mapping) -> tuple[str, int, float, float, int]:
+    """(type, m, theta, w, noise seed) of a recipe {"type", "m", "noise"}: a
+    named honest strategy and the noise that perturbs it."""
+    kind, m = doc.get("type"), doc.get("m")
+    _check_field(_numbers([m], types={int}) and m >= 1, "m", "an integer >= 1", m)
+    if kind not in NAMED_STRATEGIES:
+        raise ValueError(f"unknown strategy type {kind!r}")
+    noise = doc.get("noise", {})
+    _check_field(
+        isinstance(noise, dict) and _numbers([noise.get(k, 0) for k in ("theta", "w", "seed")]),
+        "noise", 'an object with numeric "theta", "w" and "seed"', noise,
+    )
+    unknown = sorted(set(noise) - {"theta", "w", "seed"})
+    if unknown:
+        names = ", ".join(map(repr, unknown))
+        raise ValueError(f"strategy field noise has unknown key {names}; "
+                         "the allowed keys are theta, w and seed")
+    seed = noise.get("seed", 0)
+    _check_field(isinstance(seed, int), "noise.seed", "an integer", seed)
+    return kind, m, float(noise.get("theta", 0.0)), float(noise.get("w", 0.0)), seed

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from selftest_lab import bitstrings, cli, strategies
+from selftest_lab import bitstrings, cli
+from selftest_lab.linalg import bipartite_expectation
 from selftest_lab.strategies import honest_my_strategy, honest_spp_strategy, strategy_to_json
 
 # Defective projectors of answer +1, as in tests/test_strategies.py: complete
@@ -591,7 +592,7 @@ class TestRejectedInput:
             raise AssertionError("strategy built or validated")
 
         for name in ("honest_my_strategy", "honest_spp_strategy"):
-            monkeypatch.setattr(strategies, name, unreachable)
+            monkeypatch.setattr(cli, name, unreachable)
         monkeypatch.setattr(cli, "validate_strategy", unreachable)
         path = tmp_path / "recipe.json"
         path.write_text(json.dumps({"type": recipe, "m": 5}))
@@ -600,6 +601,47 @@ class TestRejectedInput:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+
+class TestRecipes:
+    """A named strategy is the recipe its flags spell: both are built by the
+    same code."""
+
+    @pytest.mark.parametrize(
+        "recipe, flags",
+        [
+            ({"type": "honest-spp", "m": 2, "noise": {"theta": 0.03, "w": 0.02, "seed": 5}},
+             ["--m", "2", "--theta", "0.03", "--w", "0.02", "--noise-seed", "5"]),
+            ({"type": "honest-spp", "m": 1, "noise": {"seed": 3}}, ["--m", "1", "--noise-seed", "3"]),
+        ],
+        ids=["noisy", "seed-only"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify-isometry", "--test", "spp", "--pairs", "sample:4", "--seed", "2"],
+         ["game", "--rounds", "2000", "--seed", "1"]],
+        ids=["verify-isometry", "game"],
+    )
+    def test_file_and_flags_give_one_report(self, capsys, tmp_path, argv, recipe, flags):
+        path = tmp_path / "recipe.json"
+        path.write_text(json.dumps(recipe))
+        runs = [run_cli(capsys, *argv, "--strategy", str(path)),
+                run_cli(capsys, *argv, "--strategy", recipe["type"], *flags)]
+        for _, report in runs:
+            del report["config"], report["config_sha256"]
+        assert runs[0] == runs[1]
+
+    def test_noisy_recipe_closed_form(self, tmp_path):
+        # Rotating both parties by theta = 0.05 turns <X x Z> = 1 into cos(4 theta).
+        path = tmp_path / "recipe.json"
+        noise = {"theta": 0.05, "w": 0.0, "seed": 1}
+        path.write_text(json.dumps({"type": "honest-spp", "m": 1, "noise": noise}))
+        cfg = cli.RunConfig(command="game", strategy=str(path))
+        s = cli._resolve_strategy(cfg, "spp", lambda m: None)
+        val = bipartite_expectation(
+            s.state, s.observable("alice", "X", 1), s.observable("bob", "Z", 1)
+        )
+        assert val == pytest.approx(math.cos(0.2), abs=1e-12)
 
 
 class TestOutputFiles:

@@ -26,8 +26,8 @@ from selftest_lab.strategies import (
     Strategy,
     honest_my_strategy,
     honest_spp_strategy,
-    load_strategy,
     perturb_strategy,
+    strategy_from_json,
     strategy_to_json,
     validate_strategy,
 )
@@ -251,7 +251,7 @@ def coarse_grained_strategy(m, path):
     projectors and every other question 2^m."""
     s = perturb_strategy(honest_spp_strategy(m), NoiseSpec(theta=0.05, w=0.02), seed=4)
     path.write_text(json.dumps(strategy_to_json(merged_last_symbol(s))))
-    return load_strategy(json.loads(path.read_text()))
+    return strategy_from_json(json.loads(path.read_text()))
 
 
 # Rounds per case: enough at m=3 for a few hundred distinct questions while

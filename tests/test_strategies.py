@@ -25,11 +25,11 @@ from selftest_lab.strategies import (
     ceil_log2,
     honest_my_strategy,
     honest_spp_strategy,
-    load_strategy,
     my_basis_string,
     my_question_kinds,
     perturb_strategy,
     product_basis_measurement,
+    recipe_from_json,
     spp_question_kinds,
     strategy_from_json,
     strategy_to_json,
@@ -514,23 +514,18 @@ class TestSerialization:
                 for a, p in meas:
                     assert np.abs(loaded.projectors[a] - p).max() <= 1e-15
 
-    def test_named_forms(self):
-        doc = {"type": "honest-my", "m": 2}
-        s = load_strategy(doc)
-        assert s.kinds("alice") == my_question_kinds(2)
-        noisy = load_strategy(
-            {"type": "honest-spp", "m": 1, "noise": {"theta": 0.05, "w": 0.0, "seed": 1}}
+    def test_recipe_fields(self):
+        assert recipe_from_json({"type": "honest-my", "m": 2}) == ("honest-my", 2, 0.0, 0.0, 0)
+        noisy = {"type": "honest-spp", "m": 1, "noise": {"theta": 0.05, "w": 0.0, "seed": 1}}
+        assert recipe_from_json(noisy) == ("honest-spp", 1, 0.05, 0.0, 1)
+        assert recipe_from_json({"type": "honest-my", "m": 1, "noise": {"seed": 3}}) == (
+            "honest-my", 1, 0.0, 0.0, 3
         )
-        val = bipartite_expectation(
-            noisy.state,
-            noisy.observable("alice", "X", 1),
-            noisy.observable("bob", "Z", 1),
-        )
-        assert val == pytest.approx(math.cos(0.2), abs=1e-12)
 
-    def test_unknown_type_rejected(self):
-        with pytest.raises(ValueError):
-            load_strategy({"type": "dishonest", "m": 1})
+    @pytest.mark.parametrize("kind", ["dishonest", None, ["honest-my"], {"a": 1}])
+    def test_unknown_type_rejected(self, kind):
+        with pytest.raises(ValueError, match=r"^unknown strategy type "):
+            recipe_from_json({"type": kind, "m": 1})
 
     @pytest.mark.parametrize("m", [1.7, True, None, 0])
     def test_m_must_be_an_integer(self, m):
@@ -539,9 +534,7 @@ class TestSerialization:
         with pytest.raises(ValueError, match=want):
             strategy_from_json(doc)
         with pytest.raises(ValueError, match=want):
-            load_strategy(doc)
-        with pytest.raises(ValueError, match=want):
-            load_strategy({"type": "honest-my", "m": m})
+            recipe_from_json({"type": "honest-my", "m": m})
 
 
 class TestSmallTypes:
