@@ -113,10 +113,11 @@ class RunConfig:
     flavor: Optional[str] = None
     m: Optional[int] = None
     strategy: Optional[str] = None
-    # None for a strategy file, which carries its own m and noise.
-    theta: Optional[float] = 0.0
-    w: Optional[float] = 0.0
-    noise_seed: Optional[int] = 0
+    # Named strategies only; a strategy file carries its own noise, and
+    # sweep-noise has its grid.
+    theta: Optional[float] = None
+    w: Optional[float] = None
+    noise_seed: Optional[int] = None
     seed: Optional[int] = None
     # Set by the commands that read them; None leaves them out.
     rounds: Optional[int] = None  # game
