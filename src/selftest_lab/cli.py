@@ -262,6 +262,9 @@ def cmd_lemma_checks(args) -> tuple[int, dict, None]:
         raise UsageError(f"--max-n must be >= 1, got {args.max_n}")
     if any(n % 2 or n < 2 for n in even_ns):
         raise UsageError(f"half-swap checks need even n >= 2, got {even_ns}")
+    repeated = sorted({n for n in even_ns if even_ns.count(n) > 1})
+    if repeated:
+        raise UsageError(f"--even-n repeats {repeated}")
     if args.max_n > bs.EXHAUSTIVE_LIMIT or any(
         n > bs.EXHAUSTIVE_LIMIT for n in even_ns
     ):
@@ -275,9 +278,9 @@ def cmd_lemma_checks(args) -> tuple[int, dict, None]:
 
 
 def cmd_honest_check(args) -> tuple[int, dict, list]:
+    config = RunConfig(command="honest-check", flavor=args.flavor, m=args.m).to_dict()
     if args.m > 3:
         raise UsageError(f"honest-check is capped at m=3, got {args.m}")
-    config = {"command": "honest-check", "flavor": args.flavor, "m": args.m}
     build, measure, _ = _flavor_functions(args.flavor)
     strategy = build(args.m)
     rep = measure(strategy)

@@ -62,6 +62,8 @@ class TestLemmaChecks:
             (["--max-n", "-1"], "--max-n must be >= 1, got -1"),
             (["--even-n", "0"], "half-swap checks need even n >= 2, got [0]"),
             (["--even-n", "2,-2"], "half-swap checks need even n >= 2, got [2, -2]"),
+            (["--even-n", "2,2"], "--even-n repeats [2]"),
+            (["--even-n", "4,2,4,6,2"], "--even-n repeats [2, 4]"),
         ],
     )
     def test_run_that_checks_nothing_is_usage_error(self, capsys, argv, message):
@@ -116,6 +118,19 @@ class TestHonestCheck:
 
     def test_m_cap_usage_error(self, capsys):
         assert cli.main(["honest-check", "--flavor", "my", "--m", "4"]) == 2
+
+    @pytest.mark.parametrize("flavor", ["my", "spp"])
+    @pytest.mark.parametrize("m", ["0", "-1"])
+    def test_m_below_one_is_usage_error(self, capsys, monkeypatch, flavor, m):
+        def unreachable(m):
+            raise AssertionError(f"strategy built at m={m}")
+
+        monkeypatch.setattr(cli, f"honest_{flavor}_strategy", unreachable)
+        code = cli.main(["honest-check", "--flavor", flavor, "--m", m])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"usage error: m must be >= 1, got {m}\n"
 
     def test_report_carries_test_and_entries(self, capsys):
         _, report = run_cli(capsys, "honest-check", "--flavor", "my", "--m", "1")
