@@ -298,41 +298,27 @@ def product_basis_measurement(bases: str) -> Measurement:
     return Measurement.from_basis(basis, list(itertools.product((1, -1), repeat=len(bases))))
 
 
-def _ebit_block_state(m: int) -> StateVector:
-    """Graph state of m isolated edges, declared as an (A, B) bipartite state."""
+def _honest_strategy(
+    m: int, question_kinds: Callable[[int], tuple[str, ...]], basis_string: Callable[[str], str]
+) -> Strategy:
+    """Both parties measure each of the question_kinds(m) in the product basis
+    that basis_string names, on the graph state of m isolated edges."""
+    if m < 1:
+        raise ValueError(f"need at least one sub-test, got {m}")
+    table = {kind: product_basis_measurement(basis_string(kind)) for kind in question_kinds(m)}
     psi = graph_state(AdjacencyMatrix.half_swap(2 * m))
-    return psi.with_layout((("A", 2**m), ("B", 2**m)))
+    state = psi.with_layout((("A", 2**m), ("B", 2**m)))
+    return Strategy(state=state, alice=dict(table), bob=dict(table), m=m)
 
 
 def honest_my_strategy(m: int) -> Strategy:
     """Ideal behaviour for the parallel pair test on m e-bits."""
-    if m < 1:
-        raise ValueError(f"need at least one sub-test, got {m}")
-    table = {
-        kind: product_basis_measurement(my_basis_string(kind, m))
-        for kind in my_question_kinds(m)
-    }
-    return Strategy(
-        state=_ebit_block_state(m),
-        alice=dict(table),
-        bob=dict(table),
-        m=m,
-    )
+    return _honest_strategy(m, my_question_kinds, lambda kind: my_basis_string(kind, m))
 
 
 def honest_spp_strategy(m: int) -> Strategy:
     """Ideal behaviour for the strictly parallel test on m e-bits."""
-    if m < 1:
-        raise ValueError(f"need at least one sub-test, got {m}")
-    table = {
-        kind: product_basis_measurement(kind) for kind in spp_question_kinds(m)
-    }
-    return Strategy(
-        state=_ebit_block_state(m),
-        alice=dict(table),
-        bob=dict(table),
-        m=m,
-    )
+    return _honest_strategy(m, spp_question_kinds, lambda kind: kind)
 
 
 def _rotation(theta: float, num_qubits: int) -> np.ndarray:
