@@ -192,7 +192,7 @@ def _resolve_strategy(cfg: RunConfig, flavor: str, check_size) -> Strategy:
         if not isinstance(doc, dict):
             raise ValueError(f"strategy file {cfg.strategy} is not a JSON object")
     m = doc.get("m")
-    if type(m) is not int or m < 1:  # a bool is not an m
+    if type(m) is not int or m < 1:  # not isinstance: JSON true loads as a bool, an int
         raise ValueError(f'strategy file {cfg.strategy} needs an integer "m" >= 1, got {m!r}')
     check_size(m)
     if "type" in doc:
