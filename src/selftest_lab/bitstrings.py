@@ -238,10 +238,6 @@ def find_phase_violation(adj: AdjacencyMatrix) -> Optional[tuple[BitString, BitS
     return None
 
 
-def check_phase_consistency(adj: AdjacencyMatrix) -> bool:
-    return find_phase_violation(adj) is None
-
-
 def average_dot(t: BitString) -> Fraction:
     """(1/2^n) Sum_s s.t by explicit enumeration; equals |t|/2."""
     n = t.n

@@ -208,7 +208,7 @@ def _resolve_strategy(cfg: RunConfig, flavor: str, check_size) -> Strategy:
         raise ValueError(
             f"strategy lacks the {flavor} question kinds {', '.join(missing)}"
         )
-    failures = validate_strategy(s).failures()
+    failures = [c for c in validate_strategy(s) if not c.passed]
     if failures:
         raise ValueError(
             "strategy is not projective: "

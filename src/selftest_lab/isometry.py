@@ -45,13 +45,12 @@ stays near 1e-16.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from .bitstrings import BitString, hamming_weight
 from .bounds import (
     VACUOUS_THRESHOLD,
     my_parallel_bound,
@@ -133,26 +132,13 @@ class KrausTables:
         return junk.reshape(half * d_a, half * d_b)
 
 
-def apply_isometry(
-    s: Strategy,
-    input_state: Union[StateVector, np.ndarray],
-    flavor: str,
-):
-    """Image of a system state under the isometry.
-
-    A StateVector input yields a StateVector on (system, S, U); a raw vector
-    yields the raw image (useful for linearity checks, no normalization).
-    """
+def apply_isometry(s: Strategy, input_state: StateVector, flavor: str) -> StateVector:
+    """Image of a system state under the isometry, a state on (system, S, U)."""
     tables = KrausTables(*party_observables(s, flavor))
     system_dim, ancilla_dim = s.dim_a * s.dim_b, 4**s.m
-    raw = isinstance(input_state, np.ndarray)
-    vec = input_state if raw else input_state.amps
-    if vec.shape != (system_dim,):
-        raise ValueError(f"input dimension {vec.shape} != system dimension {system_dim}")
-    psi = np.asarray(vec, dtype=complex).reshape(s.dim_a, s.dim_b)
-    image = tables.image(psi).reshape(-1)
-    if raw:
-        return image
+    if input_state.dim != system_dim:
+        raise ValueError(f"input dimension {input_state.dim} != system dimension {system_dim}")
+    image = tables.image(input_state.amps.reshape(s.dim_a, s.dim_b)).reshape(-1)
     return StateVector(image, (("system", system_dim), ("S", ancilla_dim), ("U", ancilla_dim)))
 
 
@@ -212,13 +198,14 @@ class IsometryContext:
         self._select = (t ^ c) + half * (g ^ (np.bitwise_count(x & (t ^ c)) & 1))
         self._buf = np.empty((half, *self._junk.shape), dtype=complex)
 
-    def distance(self, p: BitString, q: BitString) -> float:
-        """|| Phi(X^q Z^p psi') - junk x (X^q Z^p ideal) ||, phase-exact."""
-        if p.n != self.n or q.n != self.n:
-            raise ValueError(f"p, q must have length {self.n}")
+    def distance(self, p: int, q: int) -> float:
+        """|| Phi(X^q Z^p psi') - junk x (X^q Z^p ideal) ||, phase-exact, for
+        the n-bit strings p and q as big-endian ints."""
+        if not (0 <= p < 2**self.n and 0 <= q < 2**self.n):
+            raise ValueError(f"p, q must be in [0, 2^{self.n}), got {p}, {q}")
         buf = self._buf
         half, rows_t, cols_u = buf.shape
-        (pa, pb), (qa, qb) = divmod(p.value, half), divmod(q.value, half)
+        (pa, pb), (qa, qb) = divmod(p, half), divmod(q, half)
         psi = self._pauli_a[qa, pa] @ self._psi_b[qb, pb]
         # Each column block carries its target's sign, so every target is +junk.
         signed = self._select[qa ^ pb, pa ^ qb, (pa & pb).bit_count() & 1]
@@ -259,23 +246,20 @@ class IsometryReport:
 
 def select_pairs(
     n: int, pairs: str = "auto", seed: int = 0, sample_count: int = 64
-) -> list[tuple[BitString, BitString]]:
-    """(p, q) pairs to verify: all 4^n when affordable, else a seeded sample."""
+) -> list[tuple[int, int]]:
+    """(p, q) pairs of n-bit strings, as big-endian ints, to verify: all 4^n
+    when affordable, else a seeded sample."""
     if pairs == "auto":
         pairs = "exhaustive" if 4**n <= 256 else "sample"
     if pairs == "exhaustive":
-        strings = list(BitString.all_strings(n))
-        return [(p, q) for p in strings for q in strings]
+        return list(itertools.product(range(2**n), repeat=2))
     if pairs == "sample":
         if sample_count > 4**n:
             raise ValueError(f"sample:{sample_count} exceeds the {4**n} distinct (p, q) pairs "
                              f"of n={n}; use --pairs exhaustive")
         rng = np.random.default_rng(seed)
         return [
-            (
-                BitString.from_index(int(rng.integers(0, 2**n)), n),
-                BitString.from_index(int(rng.integers(0, 2**n)), n),
-            )
+            (int(rng.integers(0, 2**n)), int(rng.integers(0, 2**n)))
             for _ in range(sample_count)
         ]
     raise ValueError(f"unknown pair policy {pairs!r}")
@@ -320,12 +304,11 @@ def verify_bound(
 
     def evaluate(pq):
         p, q = pq
-        weight = hamming_weight(p)
-        bounds = {name: fn(n, weight, eps) for name, fn in bound_fns.items()}
+        bounds = {name: fn(n, p.bit_count(), eps) for name, fn in bound_fns.items()}
         dist = ctx.distance(p, q)
         return IsometryReport(
-            p=str(p),
-            q=str(q),
+            p=f"{p:0{n}b}",
+            q=f"{q:0{n}b}",
             distance=dist,
             bounds=bounds,
             passed=dist <= max(bounds.values()) + DISTANCE_SLACK,

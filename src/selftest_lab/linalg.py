@@ -81,9 +81,9 @@ class StateVector:
     def reshaped(self) -> np.ndarray:
         return self.amps.reshape(self.dims)
 
-    def with_layout(self, layout, atol: float = NORM_ATOL) -> "StateVector":
+    def with_layout(self, layout) -> "StateVector":
         """Re-declare the register structure of the same amplitudes."""
-        return StateVector(self.amps, layout, atol=atol)
+        return StateVector(self.amps, layout)
 
 
 def kron(*mats: np.ndarray) -> np.ndarray:
@@ -134,8 +134,8 @@ def embed(op: np.ndarray, layout, sites: Union[str, Sequence[int]]) -> np.ndarra
     return np.ascontiguousarray(t.reshape(2**n, 2**n))
 
 
-def qubit_layout(n: int, prefix: str = "q") -> Layout:
-    return tuple((f"{prefix}{k}", 2) for k in range(1, n + 1))
+def qubit_layout(n: int) -> Layout:
+    return tuple((f"q{k}", 2) for k in range(1, n + 1))
 
 
 def ordered_power(ops: Sequence[np.ndarray], t: BitString) -> np.ndarray:

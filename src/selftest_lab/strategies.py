@@ -148,21 +148,18 @@ class EpsilonBundle:
 class NoiseSpec:
     """Noise applied to an honest strategy.
 
-    theta rotates every projector of the listed parties by exp(-i*theta*Y)
-    per qubit; w mixes the state with a seeded random unit vector.
+    theta rotates every projector of both parties by exp(-i*theta*Y) per
+    qubit; w mixes the state with a seeded random unit vector.
     """
 
     theta: float = 0.0
     w: float = 0.0
-    parties: tuple[str, ...] = ("alice", "bob")
 
     def __post_init__(self):
         if not abs(self.theta) <= math.pi:
             raise ValueError(f"theta {self.theta} outside [-pi, pi]")
         if not 0.0 <= self.w <= 1.0:
             raise ValueError(f"w {self.w} outside [0, 1]")
-        if any(p not in ("alice", "bob") for p in self.parties):
-            raise ValueError(f"unknown parties {self.parties}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,7 +328,7 @@ def perturb_strategy(s: Strategy, noise: NoiseSpec, seed: int = 0) -> Strategy:
     """Noisy but still valid strategy: rotated measurement bases, mixed state."""
     new_meas = {"alice": dict(s.alice), "bob": dict(s.bob)}
     if noise.theta:
-        for party in noise.parties:
+        for party in ("alice", "bob"):
             dim = s.dim_a if party == "alice" else s.dim_b
             num_qubits = dim.bit_length() - 1
             if 2**num_qubits != dim:
@@ -368,19 +365,7 @@ class CheckResult:
     passed: bool
 
 
-@dataclass(frozen=True)
-class StrategyValidation:
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
-
-def validate_strategy(s: Strategy) -> StrategyValidation:
+def validate_strategy(s: Strategy) -> tuple[CheckResult, ...]:
     """Check each measurement's basis and what its input lacked.
 
     Never raises on a bad strategy; every deviation lands in the report.
@@ -421,7 +406,7 @@ def validate_strategy(s: Strategy) -> StrategyValidation:
                 np.abs(uh @ u - np.eye(u.shape[1])).max(initial=0.0),
             ), STRUCTURAL_ATOL / (2 * meas.dim))
 
-    return StrategyValidation(tuple(checks))
+    return tuple(checks)
 
 
 # --- JSON serialization -----------------------------------------------------

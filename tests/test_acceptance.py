@@ -18,8 +18,8 @@ from selftest_lab.bitstrings import (
     BitString,
     average_dot,
     check_half_swap_identity,
-    check_phase_consistency,
     double_average_dot,
+    find_phase_violation,
     hamming_weight,
     parity_average,
 )
@@ -92,7 +92,7 @@ def test_criterion_02_half_swap_identity():
 
 def test_criterion_03_phase_additivity():
     ok = all(
-        check_phase_consistency(AdjacencyMatrix.half_swap(n)) for n in (2, 4, 6)
+        find_phase_violation(AdjacencyMatrix.half_swap(n)) is None for n in (2, 4, 6)
     )
     report(3, ok, "quadratic-form phase additivity exhaustive for half-swap, n in {2,4,6}")
 
@@ -164,7 +164,7 @@ def test_criterion_07_zero_noise_exactness():
         ctx = IsometryContext(honest_my_strategy(m), "my")
         n = 2 * m
         for p, q in itertools.product(BitString.all_strings(n), repeat=2):
-            worst = max(worst, ctx.distance(p, q))
+            worst = max(worst, ctx.distance(p.value, q.value))
     elapsed = time.time() - start
     ok = worst < 1e-9 and elapsed < 60.0
     report(

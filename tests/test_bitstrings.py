@@ -13,7 +13,6 @@ from selftest_lab.bitstrings import (
     adjacency_phase,
     average_dot,
     check_half_swap_identity,
-    check_phase_consistency,
     dot,
     dot_mod2,
     double_average_dot,
@@ -170,14 +169,14 @@ class TestPhase:
 
     def test_consistency_half_swap(self):
         for n in (2, 4, 6):
-            assert check_phase_consistency(AdjacencyMatrix.half_swap(n))
+            assert find_phase_violation(AdjacencyMatrix.half_swap(n)) is None
 
     def test_consistency_zeros(self):
-        assert check_phase_consistency(AdjacencyMatrix.zeros(2))
+        assert find_phase_violation(AdjacencyMatrix.zeros(2)) is None
 
     def test_limit_guard(self):
         with pytest.raises(ValueError):
-            check_phase_consistency(AdjacencyMatrix.zeros(12))
+            find_phase_violation(AdjacencyMatrix.zeros(12))
 
     def test_corrupted_phase_detected(self, monkeypatch):
         monkeypatch.setattr(

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -136,6 +137,12 @@ def six_step_distance(s, flavor, p, q) -> float:
     return float(np.linalg.norm(six_step_image(xs, zs, vec) - target))
 
 
+def raw_image(s: Strategy, flavor: str, vec: np.ndarray) -> np.ndarray:
+    """The isometry's image of any system vector, unnormalized, flattened."""
+    tables = KrausTables(*party_observables(s, flavor))
+    return tables.image(vec.reshape(s.dim_a, s.dim_b)).reshape(-1)
+
+
 def classical_diagonal_strategy():
     """All questions measured in the computational basis on |00>.
 
@@ -185,8 +192,8 @@ class TestApplyIsometry:
             v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             a, b = complex(rng.standard_normal(), 1.0), complex(0.5, -0.25)
-            lhs = apply_isometry(s, a * v + b * w, "my")
-            rhs = a * apply_isometry(s, v, "my") + b * apply_isometry(s, w, "my")
+            lhs = raw_image(s, "my", a * v + b * w)
+            rhs = a * raw_image(s, "my", v) + b * raw_image(s, "my", w)
             assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_output_layout(self):
@@ -197,7 +204,7 @@ class TestApplyIsometry:
     def test_dimension_mismatch(self):
         s = honest_my_strategy(1)
         with pytest.raises(ValueError):
-            apply_isometry(s, np.zeros(8, dtype=complex), "my")
+            apply_isometry(s, StateVector(np.eye(8)[0], (("sys", 8),)), "my")
 
 
 class TestJunkState:
@@ -216,7 +223,7 @@ class TestJunkState:
         s = honest_my_strategy(1)
         ctx = IsometryContext(s, "my")
         for p, q in itertools.product(BitString.all_strings(2), repeat=2):
-            assert ctx.distance(p, q) < 1e-9
+            assert ctx.distance(p.value, q.value) < 1e-9
 
     def test_enumeration_guard(self):
         assert ISOMETRY_LIMIT == 8
@@ -263,17 +270,15 @@ class TestPauliStringState:
 class TestSelftestDistance:
     def test_honest_zero_noise(self):
         s = honest_my_strategy(1)
-        z = BitString.zeros(2)
-        assert IsometryContext(s, "my").distance(z, z) < 1e-9
+        assert IsometryContext(s, "my").distance(0, 0) < 1e-9
 
     def test_zero_strings_reduce_to_plain_comparison(self):
         s = honest_my_strategy(1)
-        z = BitString.zeros(2)
         image = apply_isometry(s, s.state, "my")
         junk = junk_state(s, "my").amps.reshape(4, 4)
         target = (junk[:, :, None] * ideal_pair_state(2).amps[None, None, :]).reshape(-1)
         direct = float(np.linalg.norm(image.amps - target))
-        assert IsometryContext(s, "my").distance(z, z) == pytest.approx(direct, abs=1e-12)
+        assert IsometryContext(s, "my").distance(0, 0) == pytest.approx(direct, abs=1e-12)
 
     def test_noisy_distance_below_bounds(self):
         eps_and_strategies = []
@@ -289,7 +294,7 @@ class TestSelftestDistance:
                     my_parallel_bound(2, sum(p.bits), eps),
                     my_parallel_recomputed_bound(2, sum(p.bits), eps),
                 )
-                assert ctx.distance(p, q) <= bound + 1e-9
+                assert ctx.distance(p.value, q.value) <= bound + 1e-9
 
     def test_wrong_register_order_is_loud(self):
         # Swapping the roles of the two ancilla blocks must give a visibly
@@ -303,9 +308,11 @@ class TestSelftestDistance:
         assert dist > 0.5
 
     def test_length_mismatch(self):
-        s = honest_my_strategy(1)
-        with pytest.raises(ValueError):
-            IsometryContext(s, "my").distance(BitString.zeros(4), BitString.zeros(2))
+        # n = 2: p and q are 2-bit strings, the ints 0..3.
+        ctx = IsometryContext(honest_my_strategy(1), "my")
+        for p, q in ((4, 0), (0, 4), (-1, 0)):
+            with pytest.raises(ValueError, match=r"must be in \[0, 2\^2\)"):
+                ctx.distance(p, q)
 
 
 class TestSelectPairs:
@@ -319,24 +326,29 @@ class TestSelectPairs:
 
     @pytest.mark.parametrize("policy", ["sample", "auto"])
     def test_sample_never_lists_every_pair(self, monkeypatch, policy):
-        def unreachable(n):
-            raise AssertionError(f"all 4^{n} pairs listed")
+        def unreachable(*args, **kwargs):
+            raise AssertionError("all 4^n pairs listed")
 
-        monkeypatch.setattr(BitString, "all_strings", unreachable)
-        pairs = select_pairs(8, policy, seed=3, sample_count=5)
+        monkeypatch.setattr("selftest_lab.isometry.itertools",
+                            types.SimpleNamespace(product=unreachable))
+        # However they are listed, the 4^8 = 65536 pairs of n = 8 take
+        # megabytes; five sampled pairs take a few kilobytes, once numpy's
+        # first-use setup of a generator is done.
+        select_pairs(8, policy, seed=3, sample_count=5)
+        tracemalloc.start()
+        try:
+            pairs = select_pairs(8, policy, seed=3, sample_count=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert len(pairs) == 5
+        assert peak <= 256 * 1024
 
-    def test_exhaustive_builds_each_string_once(self, monkeypatch):
-        built = []
-        from_index = BitString.from_index.__func__
-
-        def counted(cls, value, n):
-            built.append(value)
-            return from_index(cls, value, n)
-
-        monkeypatch.setattr(BitString, "from_index", classmethod(counted))
-        pairs = select_pairs(4, "exhaustive")
-        assert len(pairs) == 256 and sorted(built) == list(range(16))
+    def test_pairs_are_big_endian_ints(self):
+        assert select_pairs(2, "exhaustive") == [(p, q) for p in range(4) for q in range(4)]
+        rng = np.random.default_rng(5)
+        draws = [int(rng.integers(0, 16)) for _ in range(20)]
+        assert select_pairs(4, "sample", seed=5, sample_count=10) == list(zip(draws[::2], draws[1::2]))
 
     def test_sample_deterministic(self):
         a = select_pairs(4, "sample", seed=5, sample_count=10)
@@ -399,8 +411,7 @@ class TestVerifyBound:
         ctx = IsometryContext(s, "my")
         rng = np.random.default_rng(1)
         for _ in range(4):
-            p = BitString.from_index(int(rng.integers(0, 64)), 6)
-            q = BitString.from_index(int(rng.integers(0, 64)), 6)
+            p, q = int(rng.integers(0, 64)), int(rng.integers(0, 64))
             assert ctx.distance(p, q) < 1e-9
 
 
@@ -500,7 +511,7 @@ class TestAgainstSixStepOracle:
         s = oracle_case_strategy(flavor, m, noisy)
         ctx = IsometryContext(s, flavor)
         for p, q in itertools.product(BitString.all_strings(2 * m), repeat=2):
-            assert abs(ctx.distance(p, q) - six_step_distance(s, flavor, p, q)) <= 1e-12
+            assert abs(ctx.distance(p.value, q.value) - six_step_distance(s, flavor, p, q)) <= 1e-12
 
     @pytest.mark.parametrize("flavor,kind", M3_CASES)
     def test_distance_on_sampled_m3_pairs(self, flavor, kind):
@@ -512,7 +523,8 @@ class TestAgainstSixStepOracle:
         ctx = IsometryContext(s, flavor)
         pairs = select_pairs(6, "sample", seed=5, sample_count=1 if kind == "junk" else 3)
         for p, q in pairs:
-            assert abs(ctx.distance(p, q) - six_step_distance(s, flavor, p, q)) <= 1e-12
+            oracle = six_step_distance(s, flavor, *(BitString.from_index(x, 6) for x in (p, q)))
+            assert abs(ctx.distance(p, q) - oracle) <= 1e-12
 
     @pytest.mark.parametrize("flavor,m,noisy", ORACLE_CASES)
     def test_apply_isometry_elementwise(self, flavor, m, noisy):
@@ -522,7 +534,7 @@ class TestAgainstSixStepOracle:
         dim = s.dim_a * s.dim_b
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         for vec in (s.state.amps, v):
-            got = apply_isometry(s, vec, flavor)
+            got = raw_image(s, flavor, vec)
             expected = six_step_image(xs, zs, vec).reshape(-1)
             assert np.max(np.abs(got - expected)) <= 1e-12
 
@@ -543,7 +555,7 @@ class TestSizeLimit:
         s = honest_my_strategy(ISOMETRY_LIMIT // 2)
         ctx = IsometryContext(s, "my")
         n = ctx.n
-        assert ctx.distance(BitString.zeros(n), BitString.from_index(2**n - 1, n)) < 1e-9
+        assert ctx.distance(0, 2**n - 1) < 1e-9
 
 
 def haar_unitary(rng, dim):
@@ -585,11 +597,11 @@ class TestStrategyWithJunk:
     def test_distance_over_all_pairs(self, flavor, m, noisy):
         s = with_junk(oracle_case_strategy(flavor, m, noisy), seed=10 * m + noisy)
         assert (s.dim_a, s.dim_b) == (3 * 2**m, 2 * 2**m)
-        assert validate_strategy(s).ok
+        assert all(c.passed for c in validate_strategy(s))
         ctx = IsometryContext(s, flavor)
         for p, q in itertools.product(BitString.all_strings(2 * m), repeat=2):
             expected = six_step_distance(s, flavor, p, q)
-            assert abs(ctx.distance(p, q) - expected) <= 1e-12
+            assert abs(ctx.distance(p.value, q.value) - expected) <= 1e-12
             if not noisy:
                 assert expected < 1e-9
 
@@ -614,10 +626,9 @@ class TestDistanceMemory:
     def test_peak_of_one_call_at_m3(self):
         s = perturb_strategy(honest_my_strategy(3), NoiseSpec(theta=0.03, w=0.01), seed=1)
         ctx = IsometryContext(s, "my")
-        p, q = BitString.from_index(45, 6), BitString.from_index(27, 6)
         tracemalloc.start()
         try:
-            ctx.distance(p, q)
+            ctx.distance(45, 27)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

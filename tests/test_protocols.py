@@ -55,6 +55,14 @@ def deterministic_strategy(assign_a, assign_b, m=1):
     return Strategy(state=state, alice=table(assign_a), bob=table(assign_b), m=m)
 
 
+def rotate_one_party(s: Strategy, party: str, theta: float) -> Strategy:
+    """s with only one party's measurements rotated by theta: that party's
+    table from the two-party rotation, the other party's honest table."""
+    rotated = perturb_strategy(s, NoiseSpec(theta=theta), seed=0)
+    tables = {p: getattr(rotated if p == party else s, p) for p in ("alice", "bob")}
+    return Strategy(state=s.state, m=s.m, **tables)
+
+
 class TestRequiredCorrelations:
     def test_m1_core_set(self):
         pairs = set(my_required_pairs(1))
@@ -127,9 +135,7 @@ class TestEpsilonMy:
 
     def test_rotated_alice_oracle(self):
         theta = 0.05
-        s = perturb_strategy(
-            honest_my_strategy(1), NoiseSpec(theta=theta, parties=("alice",)), seed=0
-        )
+        s = rotate_one_party(honest_my_strategy(1), "alice", theta)
         rep = epsilon_my(s)
         by_pair = {(e.alice, e.bob): e for e in rep.entries}
         assert by_pair[("X", "Z")].deviation == pytest.approx(
@@ -173,9 +179,7 @@ class TestEpsilonSpp:
 
     def test_rotated_bob_chsh_deficit_oracle(self):
         theta = 0.04
-        s = perturb_strategy(
-            honest_spp_strategy(1), NoiseSpec(theta=theta, parties=("bob",)), seed=0
-        )
+        s = rotate_one_party(honest_spp_strategy(1), "bob", theta)
         rep = epsilon_spp(s)
         # Oracle: rotate D and E directly, evaluate the four 4-dim terms.
         c, sn = math.cos(theta), math.sin(theta)
@@ -218,7 +222,7 @@ class TestChshValue:
         # with them "ab" = "ba"; here the directions differ, and each must
         # equal its explicit four-term sum.
         honest = honest_spp_strategy(m)
-        rotated = perturb_strategy(honest, NoiseSpec(theta=0.1, parties=("alice",)), seed=0)
+        rotated = rotate_one_party(honest, "alice", 0.1)
         s = Strategy(
             state=honest.state,
             alice={**honest.alice, "D" * m: rotated.alice["D" * m]},

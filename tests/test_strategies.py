@@ -38,6 +38,7 @@ from selftest_lab.strategies import (
 
 from test_game import merged_last_symbol
 from test_isometry import with_junk
+from test_protocols import rotate_one_party
 
 SQRT2 = math.sqrt(2.0)
 
@@ -171,8 +172,7 @@ class TestHonestMyStrategy:
         assert my_basis_string("Z2", 3) == "ZXX"
 
     def test_validates(self):
-        report = validate_strategy(honest_my_strategy(2))
-        assert report.ok
+        assert all(c.passed for c in validate_strategy(honest_my_strategy(2)))
 
     def test_state_is_pair_graph_state(self):
         s = honest_my_strategy(2)
@@ -218,7 +218,7 @@ class TestHonestSppStrategy:
         )
 
     def test_validates(self):
-        assert validate_strategy(honest_spp_strategy(1)).ok
+        assert all(c.passed for c in validate_strategy(honest_spp_strategy(1)))
 
 
 class TestPerturbStrategy:
@@ -239,7 +239,7 @@ class TestPerturbStrategy:
         # evaluate the 4-dimensional expectation by hand.
         theta = 0.05
         s = honest_my_strategy(1)
-        noisy = perturb_strategy(s, NoiseSpec(theta=theta, parties=("alice",)), seed=0)
+        noisy = rotate_one_party(s, "alice", theta)
         got = bipartite_expectation(
             noisy.state, noisy.observable("alice", "X", 1), noisy.observable("bob", "Z", 1)
         )
@@ -253,7 +253,7 @@ class TestPerturbStrategy:
     def test_noisy_strategy_stays_valid(self):
         s = honest_spp_strategy(1)
         noisy = perturb_strategy(s, NoiseSpec(theta=0.2, w=0.1), seed=3)
-        assert validate_strategy(noisy).ok
+        assert all(c.passed for c in validate_strategy(noisy))
 
     def test_same_seed_same_strategy(self):
         s = honest_my_strategy(1)
@@ -275,13 +275,13 @@ class TestPerturbStrategy:
     @settings(max_examples=25, deadline=None)
     def test_any_noise_keeps_strategy_valid(self, theta, w, seed):
         s = perturb_strategy(_HONEST_M1, NoiseSpec(theta=theta, w=w), seed=seed)
-        assert validate_strategy(s).ok
+        assert all(c.passed for c in validate_strategy(s))
 
 
 class TestValidateStrategy:
     def test_observables_are_not_formed(self):
         s = honest_spp_strategy(2)
-        assert validate_strategy(s).ok
+        assert all(c.passed for c in validate_strategy(s))
         for party in ("alice", "bob"):
             for kind in s.kinds(party):
                 assert "observables" not in vars(s.measurement(party, kind))
@@ -290,10 +290,10 @@ class TestValidateStrategy:
     @pytest.mark.parametrize("build", [honest_my_strategy, honest_spp_strategy])
     def test_recipes_validate(self, build, m):
         s = build(m)
-        assert validate_strategy(s).ok
+        assert all(c.passed for c in validate_strategy(s))
         for theta, w in ((0.03, 0.01), (3.0, 0.9)):
             noisy = perturb_strategy(s, NoiseSpec(theta=theta, w=w), seed=m)
-            assert validate_strategy(noisy).ok
+            assert all(c.passed for c in validate_strategy(noisy))
 
     def test_incomplete_measurement_flagged(self):
         zero_proj = np.zeros((2, 2), dtype=complex)
@@ -303,9 +303,9 @@ class TestValidateStrategy:
         psi = StateVector(np.array([1, 0, 0, 1]) / SQRT2, (("A", 2), ("B", 2)))
         good = product_basis_measurement("Z")
         s = Strategy(state=psi, alice={"Z": broken}, bob={"Z": good}, m=1)
-        report = validate_strategy(s)
-        assert not report.ok
-        names = {c.name for c in report.failures()}
+        failures = [c for c in validate_strategy(s) if not c.passed]
+        assert failures
+        names = {c.name for c in failures}
         assert "completeness" in names
 
     def test_non_orthogonal_measurement_flagged(self):
@@ -315,7 +315,7 @@ class TestValidateStrategy:
         psi = StateVector(np.array([1, 0, 0, 1]) / SQRT2, (("A", 2), ("B", 2)))
         good = product_basis_measurement("Z")
         s = Strategy(state=psi, alice={"Z": skewed}, bob={"Z": good}, m=1)
-        checks = {(c.subject, c.name): c for c in validate_strategy(s).checks}
+        checks = {(c.subject, c.name): c for c in validate_strategy(s)}
         assert checks[("alice:Z", "completeness")].passed
         assert checks[("bob:Z", "orthogonality")].passed
         ortho = checks[("alice:Z", "orthogonality")]
@@ -330,7 +330,7 @@ class TestValidateStrategy:
         assert np.abs(scaled.basis.conj().T @ scaled.basis - np.eye(2)).max() < 1e-15
         psi = StateVector(np.array([1, 0, 0, 1]) / SQRT2, (("A", 2), ("B", 2)))
         s = Strategy(state=psi, alice={"X": scaled}, bob={"X": honest}, m=1)
-        checks = {(c.subject, c.name): c for c in validate_strategy(s).checks}
+        checks = {(c.subject, c.name): c for c in validate_strategy(s)}
         assert checks[("alice:X", "completeness")].max_deviation == pytest.approx(0.15)
         assert checks[("alice:X", "orthogonality")].max_deviation == pytest.approx(0.39)
         assert checks[("bob:X", "completeness")].passed
@@ -342,7 +342,7 @@ class TestValidateStrategy:
         meas = Measurement({(1,): oblique, (-1,): np.eye(2) - oblique})
         psi = StateVector(np.array([1, 0, 0, 1]) / SQRT2, (("A", 2), ("B", 2)))
         s = Strategy(state=psi, alice={"Z": meas}, bob={"Z": product_basis_measurement("Z")}, m=1)
-        failures = {(c.subject, c.name) for c in validate_strategy(s).failures()}
+        failures = {(c.subject, c.name) for c in validate_strategy(s) if not c.passed}
         assert failures == {("alice:Z", "hermitian")}
 
     def test_wrong_dimension_rejected_at_construction(self):
@@ -418,7 +418,7 @@ class TestValidationNeverLooser:
             assert dev["same-question-commute"] <= 2 * dim * e * (1 + f) + dim * rounding
             state = StateVector(np.eye(dim**2)[0], (("A", dim), ("B", dim)))
             s = Strategy(state=state, alice={"Q": meas}, bob={}, m=meas.num_symbols)
-            if validate_strategy(s).ok:
+            if all(c.passed for c in validate_strategy(s)):
                 accepted += 1
                 assert max(dev.values()) <= STRUCTURAL_ATOL, dev
         # Both sides of the tolerance are drawn.
