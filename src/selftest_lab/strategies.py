@@ -478,6 +478,8 @@ def strategy_from_json(doc: Mapping) -> Strategy:
         party, kind, entries = q.get("party"), q.get("kind"), q.get("projectors")
         _check_field(party in ("alice", "bob"), f"{field}.party", '"alice" or "bob"', party)
         _check_field(isinstance(kind, str), f"{field}.kind", "a string", kind)
+        if kind in tables[party]:
+            raise ValueError(f"strategy field {field} repeats {party} question {kind!r}")
         _check_field(
             isinstance(entries, list)
             and all(isinstance(e, dict) and _numbers(e.get("answer")) for e in entries),
@@ -489,6 +491,8 @@ def strategy_from_json(doc: Mapping) -> Strategy:
             where, answer = f"{field}.projectors[{j}]", entry["answer"]
             _check_field(_numbers(answer, types={int}), f"{where}.answer",
                          "a list of integers", answer)
+            if tuple(answer) in projectors:
+                raise ValueError(f"strategy field {where}.answer repeats {answer}")
             projectors[tuple(answer)] = _deinterleave(
                 entry.get("matrix"), (dim, dim), f"{where}.matrix"
             )

@@ -524,6 +524,30 @@ class TestRejectedInput:
             "the allowed keys are theta, w and seed\n"
         )
 
+    @pytest.mark.parametrize("argv", [["verify-isometry", "--test", "spp"], ["game"]])
+    @pytest.mark.parametrize("repeat, message", [
+        ("question", "questions[8] repeats alice question 'X'"),
+        ("answer", "questions[0].projectors[2].answer repeats [1]"),
+    ])
+    def test_repeated_question_or_answer(self, capsys, tmp_path, argv, repeat, message):
+        # Both files load without their repeated entry's rule: the last entry
+        # would replace the first, and the report would be another file's.
+        doc = json.loads((Path(__file__).parent / "golden" / "full_spp_m1.json").read_text())
+        if repeat == "question":
+            honest_x = strategy_to_json(honest_spp_strategy(1))["questions"][0]
+            doc["questions"].append(honest_x)
+        else:
+            # Alice's X lists [1] (with the -1 projector), [-1], [1].
+            plus, minus = doc["questions"][0]["projectors"]
+            doc["questions"][0]["projectors"] = [{**plus, "matrix": minus["matrix"]}, minus, plus]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main([*argv, "--strategy", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: strategy field {message}\n"
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_sample_count_below_one(self, capsys, count):
         code = cli.main(

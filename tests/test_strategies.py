@@ -527,6 +527,27 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"^unknown strategy type "):
             recipe_from_json({"type": kind, "m": 1})
 
+    def test_repeated_question_rejected_before_conversion(self):
+        # The repeat is named before its malformed projectors are read.
+        doc = strategy_to_json(honest_spp_strategy(1))
+        doc["questions"].append({"party": "bob", "kind": "E", "projectors": 2})
+        with pytest.raises(ValueError, match=r"^strategy field questions\[8\] repeats bob "
+                                             r"question 'E'$"):
+            strategy_from_json(doc)
+
+    def test_repeated_answer_rejected_before_conversion(self):
+        doc = strategy_to_json(honest_spp_strategy(1))
+        doc["questions"][5]["projectors"].append({"answer": [-1], "matrix": "unread"})
+        with pytest.raises(ValueError, match=r"^strategy field questions\[5\]\.projectors\[2\]"
+                                             r"\.answer repeats \[-1\]$"):
+            strategy_from_json(doc)
+
+    def test_one_kind_for_each_party(self):
+        # Alice and Bob each answer X: a kind repeats only within a party.
+        doc = strategy_to_json(honest_spp_strategy(1))
+        assert [q["kind"] for q in doc["questions"]] == list("XZDE") * 2
+        assert strategy_from_json(doc).kinds("bob") == ("X", "Z", "D", "E")
+
     @pytest.mark.parametrize("m", [1.7, True, None, 0])
     def test_m_must_be_an_integer(self, m):
         doc = {**strategy_to_json(honest_my_strategy(1)), "m": m}
