@@ -440,13 +440,16 @@ def cmd_sweep_noise(args) -> tuple[int, dict, list]:
             honest, NoiseSpec(theta=theta, w=w), seed=(cfg.seed or 0) + i
         )
         eps, reports, max_dist, point_ok = _verify(noisy, args.flavor, cfg)
-        printed, recomputed = reports[0].bounds.values()
+        # The bounds of the worst pair, the first one on a tie; they depend on |p|.
+        worst = max(reports, key=lambda r: r.distance)
+        printed, recomputed = worst.bounds.values()
         points.append(
             {
                 "theta": theta,
                 "w": w,
                 "eps": eps,
                 "max_distance": max_dist,
+                "weight_p": worst.p.count("1"),
                 "printed_bound": printed,
                 "recomputed_bound": recomputed,
                 "vacuous": max(printed, recomputed) > bnd.VACUOUS_THRESHOLD,

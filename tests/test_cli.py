@@ -9,9 +9,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from selftest_lab import bitstrings, cli
+from selftest_lab import bitstrings, cli, isometry
+from selftest_lab.bounds import VACUOUS_THRESHOLD
+from selftest_lab.isometry import verify_bound
 from selftest_lab.linalg import bipartite_expectation
-from selftest_lab.strategies import honest_my_strategy, honest_spp_strategy, strategy_to_json
+from selftest_lab.strategies import (
+    NoiseSpec,
+    honest_my_strategy,
+    honest_spp_strategy,
+    perturb_strategy,
+    strategy_to_json,
+)
 
 # Defective projectors of answer +1, as in tests/test_strategies.py: complete
 # but not idempotent, and idempotent but oblique.
@@ -750,6 +758,43 @@ class TestSweepNoise:
         assert eps_col == sorted(eps_col)
         assert report["points"][0]["max_distance"] < 1e-9
         assert all(p["passed"] for p in report["points"])
+
+    @pytest.mark.parametrize("flavor, m, pairs, seed", [
+        ("spp", 3, "sample:4", 3),
+        ("spp", 3, "sample:4", 5),
+        ("my", 2, "sample:8", 1),
+        ("my", 1, "exhaustive", 3),
+    ])
+    def test_bound_columns_come_from_the_worst_pair(self, capsys, flavor, m, pairs, seed):
+        code, report = run_cli(
+            capsys, "sweep-noise", "--flavor", flavor, "--m", str(m), "--thetas", "0.001,0.03",
+            "--ws", "0,0.01", "--pairs", pairs, "--seed", str(seed),
+        )
+        assert code == 0
+        build, measure, test_spec = cli._flavor_functions(flavor)
+        printed_bound, recomputed_bound = isometry._bound_functions(flavor).values()
+        policy, count = cli._parse_pairs(pairs)
+        worst_indices = []
+        for i, point in enumerate(report["points"]):
+            noisy = perturb_strategy(
+                build(m), NoiseSpec(theta=point["theta"], w=point["w"]), seed=seed + i
+            )
+            eps = measure(noisy).eps
+            reports = verify_bound(noisy, test_spec(m), pairs=policy, seed=seed,
+                                   sample_count=count, eps=eps)
+            distances = [r.distance for r in reports]
+            worst = distances.index(max(distances))  # the first on a tie
+            worst_indices.append(worst)
+            weight = reports[worst].p.count("1")
+            assert point["eps"] == cli.round_floats(eps)
+            assert point["weight_p"] == weight
+            bounds = [fn(2 * m, weight, point["eps"]) for fn in (printed_bound, recomputed_bound)]
+            assert [point["printed_bound"], point["recomputed_bound"]] == pytest.approx(
+                bounds, rel=1e-12)
+            assert point["vacuous"] == (max(bounds) > VACUOUS_THRESHOLD)
+            assert point["max_distance"] <= max(bounds) + 1e-9
+        # The first pair is not the worst everywhere, so reading it would show.
+        assert any(worst_indices)
 
 
 class TestDeterminism:
