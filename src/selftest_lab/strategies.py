@@ -328,8 +328,7 @@ def perturb_strategy(s: Strategy, noise: NoiseSpec, seed: int = 0) -> Strategy:
     """Noisy but still valid strategy: rotated measurement bases, mixed state."""
     new_meas = {"alice": dict(s.alice), "bob": dict(s.bob)}
     if noise.theta:
-        for party in ("alice", "bob"):
-            dim = s.dim_a if party == "alice" else s.dim_b
+        for party, dim in (("alice", s.dim_a), ("bob", s.dim_b)):
             num_qubits = dim.bit_length() - 1
             if 2**num_qubits != dim:
                 raise ValueError(
