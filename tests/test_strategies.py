@@ -542,12 +542,6 @@ class TestSerialization:
                                              r"\.answer repeats \[-1\]$"):
             strategy_from_json(doc)
 
-    def test_one_kind_for_each_party(self):
-        # Alice and Bob each answer X: a kind repeats only within a party.
-        doc = strategy_to_json(honest_spp_strategy(1))
-        assert [q["kind"] for q in doc["questions"]] == list("XZDE") * 2
-        assert strategy_from_json(doc).kinds("bob") == ("X", "Z", "D", "E")
-
     @pytest.mark.parametrize("m", [1.7, True, None, 0])
     def test_m_must_be_an_integer(self, m):
         doc = {**strategy_to_json(honest_my_strategy(1)), "m": m}
