@@ -28,19 +28,38 @@ so junk x X^q Z^p ideal fills only 2^m blocks (t_A, u) of the rotated image,
 each a signed copy of 2^(-m/2) junk; the sign is (-1)^(|p_A & p_B| +
 |u & (p_A ^ q_B)|), a row of the Hadamard sign matrix times a global sign.
 
-Only those 2^m blocks of the image are formed.  With R_t the row block of
-t_A = t (rows s_A, a), C_u the column block of u (columns s_B, b) and
-u(t) = t ^ q_A ^ p_B, the rest of row block t is R_t psi' C_(v != u(t)).  QR
-factors R_t = Q F_t and C_(v != u) = L_u Q'^H, with Q and Q' of orthonormal
-columns, leave its norm to a d_A x d_B product:
-    d^2 = sum_t || R_t psi' C_u(t) - sign 2^(-m/2) junk ||^2
-              + || F_t psi' L_u(t) ||^2.
-The off-diagonal part is not taken as ||image||^2 - ||target blocks||^2, nor
-as a trace tr(psi'^H A psi' G) over a Gram matrix G, nor through a Cholesky
-or eigh factor of G: at zero noise d^2 is about 1e-32, and each of these
-leaves about 1e-16 of rounding in it, 1e-8 in d, above the 1e-9 check.  QR
-of the blocks themselves is backward stable, so the zero-noise distance
-stays near 1e-16.
+No block of the image is formed.  Bob's half is rotated with H = 2^(m/2) W,
+whose entries are +-1, in place of W: the image so rotated is 2^(m/2) times
+the unitary one, and its targets are signed copies of the junk J itself.
+Let R_t be its row block of t_A = t (rows s_A, a), C_u its column block of
+u (columns s_B, b), u(t) = t ^ q_A ^ p_B, and s_t the sign of row block t's
+target.  Reduced QR gives R_t = Q_t F_t and C_u^H = P_u G_u, with Q_t and
+P_u of orthonormal columns and F_t, G_u square, and C_(v != u) = L_u Q'^H
+for the rest of row t.  With Y = s_t F_t psi' G_u^H and u = u(t), the
+residual of target block (t, u) is
+    s_t (R_t psi' C_u - s_t J) = Q_t (Y P_u^H - Q_t^H J) - (I - Q_t Q_t^H) J,
+two parts with orthogonal column spaces, and the first factor is
+    Y P_u^H - Q_t^H J = (Y - J'_(t,u)) P_u^H - (Q_t^H J - J'_(t,u) P_u^H),
+    J'_(t,u) = Q_t^H J P_u,
+two parts with orthogonal row spaces.  Pythagoras, twice:
+    || R_t psi' C_u - s_t J ||^2 = || Y - J'_(t,u) ||^2 + rho_(t,u),
+    rho_(t,u) = || J - Q_t (Q_t^H J) ||^2 + || Q_t^H J - J'_(t,u) P_u^H ||^2,
+and the blocks of row t that hold no target add || R_t psi' C_(v != u) ||^2
+= || F_t psi' L_u ||^2.  Undoing the factor 2^(m/2) of H,
+    d^2 = 2^(-m) (sum_t || F_t psi' [s_t G_u(t)^H | L_u(t)] - [J'_(t,u(t)) | 0] ||^2
+                  + sum_t rho_(t,u(t))).
+J' and rho depend on (t, u) only, and u(t) on t and c = q_A ^ p_B only, so a
+context keeps J'_(t, t^c) and sum_t rho_(t, t^c) by c, and a call is 2^m
+products of d_A x d_B matrices.
+
+Each rho term is the norm of a residual matrix, never a difference of norms
+such as ||J||^2 - ||Q_t^H J||^2, and the off-diagonal part is not taken as a
+trace tr(psi'^H A psi' G) over a Gram matrix G, nor through a Cholesky or
+eigh factor of one: at zero noise d^2 is about 1e-32, and each of these
+leaves about 1e-16 of rounding in it, 1e-8 in d, above the 1e-9 check.
+When J lies in the span of the blocks, as at zero noise, the residual
+matrices have entries of rounding size, and QR of the blocks themselves is
+backward stable, so the zero-noise distance stays near 1e-16.
 """
 
 from __future__ import annotations
@@ -62,7 +81,8 @@ from .linalg import StateVector
 from .protocols import TestSpec
 from .strategies import FLAVORS, MY_FLAVOR, SPP_FLAVOR, Strategy
 
-# n = 2m X/Z indices at most; at n = 8 one distance holds 16 MB of target blocks.
+# n = 2m X/Z indices at most; at n = 8 an honest strategy's context holds 19 MB,
+# 16 MB of it Alice's table of F_t X^q Z^p, which grows 32-fold per step of m.
 ISOMETRY_LIMIT = 8
 DISTANCE_SLACK = 1e-9  # numerical slack when comparing distance to a bound
 
@@ -154,10 +174,12 @@ def junk_state(s: Strategy, flavor: str) -> StateVector:
 class IsometryContext:
     """Shared pieces for many distance evaluations of one strategy.
 
-    The image is held in the Hadamard basis u of Bob's half of U: row block
-    R_t holds rows (s_A, a) of t_A = t, column block C_u columns (u, s_B, b).
-    A call writes the 2^m target blocks into one buffer and takes the rest of
-    the image from the QR factors F_t and L_u (module docstring).
+    The image is held in the Hadamard basis u of Bob's half of U, through the
+    reduced QR factors of its blocks (module docstring): F_t of Alice's row
+    block t, kept times each of her X^q Z^p, and [G_u^H | L_u] of Bob's column
+    block u with its negation.  The
+    projected targets J'_(t, t^c) and the sum over t of rho_(t, t^c) are kept
+    by c = q_A ^ p_B, so a call is 2^m products of d_A x d_B matrices.
     """
 
     def __init__(self, s: Strategy, flavor: str):
@@ -165,61 +187,61 @@ class IsometryContext:
         tables = KrausTables(*party_observables(s, flavor))
         half, (d_a, d_b) = 2**s.m, tables.dims
         psi = s.state.reshaped()
-        self._junk = tables.junk(psi)
+        junk = tables.junk(psi)
         # X^q Z^p of Alice by [q, p]; psi times Bob's transposed X^q Z^p by [q, p].
-        self._pauli_a = tables.x_a[:, None] @ tables.z_a[None]
+        pauli_a = tables.x_a[:, None] @ tables.z_a[None]
         self._psi_b = psi @ (tables.x_b[:, None] @ tables.z_b[None]).swapaxes(2, 3)
-        rows_t, cols_u = half * d_a, half * d_b
-        # [R_t ; F_t] by t, and [C_u | L_u] by u followed by its negation,
-        # each written in place: no concatenated or negated temporaries.
-        self._rows = np.empty((half, rows_t + d_a, d_a), dtype=complex)
-        self._cols = np.empty((2 * half, d_b, cols_u + d_b), dtype=complex)
-        rows, cols = self._rows[:, :rows_t], self._cols[:half, :, :cols_u]
-        np.multiply(tables.rows_a.reshape(half, -1, d_a), 2.0**-s.m, out=rows)
-        # H = 2^(m/2) W has entries +-1: H image - junk is 2^(m/2) times the
-        # residual, with no inexact 2^(-m/2) scale at odd m.
-        np.matmul(tables.hadamard, tables.cols_b.reshape(d_b, half, -1),
-                  out=cols.transpose(1, 0, 2))
-        # R_t = Q F_t and C_(v != u) = L_u Q^H, each Q with orthonormal columns.
-        # L_u comes from the R factors r_v of single blocks C_v^H = Q_v r_v, so
-        # the QR runs on 2^m - 1 stacked d_B x d_B factors, not on whole blocks.
-        self._rows[:, rows_t:] = np.linalg.qr(rows, mode="r")
-        blocks = np.linalg.qr(cols.conj().swapaxes(1, 2), mode="r")
+        # R_t by t, and C_u^H by u, taken with H: no inexact 2^(-m/2) scale at odd m.
+        rows = tables.rows_a.reshape(half, -1, d_a) * 2.0**-s.m
+        cols = (tables.hadamard @ tables.cols_b.reshape(d_b, half, -1)).transpose(1, 2, 0).conj()
+        # R_t = Q_t F_t and C_u^H = P_u G_u, each Q_t and P_u with orthonormal
+        # columns.  C_(v != u) = L_u Q^H: L_u comes from the R factors G_v of
+        # single blocks, so that QR runs on 2^m - 1 stacked d_B x d_B factors.
+        q_rows, f_rows = np.linalg.qr(rows)
+        p_cols, g_cols = np.linalg.qr(cols)
         bits = np.arange(half)
-        others = blocks[bits[:, None] ^ bits[1:]].reshape(half, -1, d_b)
-        np.conjugate(np.linalg.qr(others, mode="r").swapaxes(1, 2),
-                     out=self._cols[:half, :, cols_u:])
+        others = g_cols[bits[:, None] ^ bits[1:]].reshape(half, -1, d_b)
+        self._cols = np.empty((2 * half, d_b, 2 * d_b), dtype=complex)
+        self._cols[:half, :, :d_b] = g_cols.conj().swapaxes(1, 2)
+        self._cols[:half, :, d_b:] = np.linalg.qr(others, mode="r").conj().swapaxes(1, 2)
         np.negative(self._cols[:half], out=self._cols[half:])
-        self._rows = self._rows.reshape(-1, d_a)
+        # [J'_(t, t^c) | 0] by [c, t], and rho_sum[c] = sum_t rho_(t, t^c), one
+        # row block t at a time: its residuals hold 2^m d_A x 2^m d_B entries each.
+        self._targets = np.zeros((half, half, d_a, 2 * d_b), dtype=complex)
+        self._rho = np.zeros(half)
+        p_adj = p_cols.conj().swapaxes(1, 2)
+        for t in range(half):
+            qj = q_rows[t].conj().T @ junk  # Q_t^H J
+            jp = qj @ p_cols  # J'_(t, u) by u
+            rho = (np.linalg.norm(qj - jp @ p_adj, axis=(1, 2)) ** 2
+                   + np.linalg.norm(junk - q_rows[t] @ qj) ** 2)
+            self._targets[:, t, :, :d_b] = jp[bits ^ t]
+            self._rho += rho[bits ^ t]
         # Row block t meets its target in u = t ^ q_A ^ p_B with sign
         # (-1)^(|p_A & p_B| + |u & (p_A ^ q_B)|): _select[q_A ^ p_B, p_A ^ q_B,
         # |p_A & p_B| mod 2, t] is u, plus 2^m where the sign is -1.
         c, x, g, t = np.ix_(bits, bits, (0, 1), bits)
         self._select = (t ^ c) + half * (g ^ (np.bitwise_count(x & (t ^ c)) & 1))
-        self._buf = np.empty((half, *self._junk.shape), dtype=complex)
+        # F_t X^q Z^p of Alice by [q, p], rows (t, a): 16 MB at m = 4, formed
+        # once the blocks and their factors are freed, so the build peaks lower.
+        del tables, junk, rows, cols, q_rows, p_cols, p_adj
+        self._f_pauli = f_rows.reshape(-1, d_a) @ pauli_a
 
     def distance(self, p: int, q: int) -> float:
         """|| Phi(X^q Z^p psi') - junk x (X^q Z^p ideal) ||, phase-exact, for
         the n-bit strings p and q as big-endian ints."""
         if not (0 <= p < 2**self.n and 0 <= q < 2**self.n):
             raise ValueError(f"p, q must be in [0, 2^{self.n}), got {p}, {q}")
-        buf = self._buf
-        half, rows_t, cols_u = buf.shape
+        half = len(self._rho)
         (pa, pb), (qa, qb) = divmod(p, half), divmod(q, half)
-        psi = self._pauli_a[qa, pa] @ self._psi_b[qb, pb]
-        # Each column block carries its target's sign, so every target is +junk.
-        signed = self._select[qa ^ pb, pa ^ qb, (pa & pb).bit_count() & 1]
-        cols = self._cols.take(signed, axis=0)
-        rows = (self._rows @ psi).reshape(half, -1, psi.shape[1])
-        np.matmul(rows[:, :rows_t], cols[..., :cols_u], out=buf)
-        buf -= self._junk
-        off = rows[:, rows_t:] @ cols[..., cols_u:]  # F_t psi' L_u
-        # One dot per row, then numpy's pairwise sum of the rows: one running
-        # sum (vdot) over the 16 MB buffer of m = 4 drifts by 1e-14.  The
-        # off-diagonal term, 2^m d_A d_B entries, takes one.
-        flat = buf.reshape(-1, cols_u).view(np.float64)
-        total = (flat[:, None] @ flat[:, :, None]).sum() + np.vdot(off, off).real
-        return math.sqrt(total / half)
+        c = qa ^ pb
+        # Each column block carries its target's sign, so every target is +J'.
+        signed = self._select[c, pa ^ qb, (pa & pb).bit_count() & 1]
+        rows = self._f_pauli[qa, pa] @ self._psi_b[qb, pb]  # F_t psi' by t
+        res = rows.reshape(half, -1, rows.shape[1]) @ self._cols.take(signed, axis=0)
+        res -= self._targets[c]  # [F_t psi' G_u^H - J'_(t, u) | F_t psi' L_u]
+        flat = res.reshape(-1).view(np.float64)
+        return math.sqrt((flat @ flat + self._rho[c]) / half)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 import types
 
@@ -141,6 +142,46 @@ def raw_image(s: Strategy, flavor: str, vec: np.ndarray) -> np.ndarray:
     """The isometry's image of any system vector, unnormalized, flattened."""
     tables = KrausTables(*party_observables(s, flavor))
     return tables.image(vec.reshape(s.dim_a, s.dim_b)).reshape(-1)
+
+
+class BlockFormContext:
+    """Oracle: the distance from the 2^m target blocks of the rotated image.
+
+    Each call writes R_t psi' C_u(t) for every row block t into one buffer,
+    subtracts the junk, and adds the off-diagonal part || F_t psi' L_u ||^2
+    from QR factors of whole blocks.  It checks the projected form at sizes
+    the six-step oracle cannot reach; at m = 4 a call takes milliseconds.
+    """
+
+    def __init__(self, s: Strategy, flavor: str):
+        self.n = 2 * s.m
+        tables = KrausTables(*party_observables(s, flavor))
+        half, (d_a, d_b) = 2**s.m, tables.dims
+        psi = s.state.reshaped()
+        self._junk = tables.junk(psi)
+        self._pauli_a = tables.x_a[:, None] @ tables.z_a[None]
+        self._psi_b = psi @ (tables.x_b[:, None] @ tables.z_b[None]).swapaxes(2, 3)
+        rows = tables.rows_a.reshape(half, -1, d_a) * 2.0**-s.m
+        cols = tables.hadamard @ tables.cols_b.reshape(d_b, half, -1)
+        cols = np.ascontiguousarray(cols.transpose(1, 0, 2))  # C_u by u
+        bits = np.arange(half)
+        blocks = np.linalg.qr(cols.conj().swapaxes(1, 2), mode="r")
+        others = blocks[bits[:, None] ^ bits[1:]].reshape(half, -1, d_b)
+        self._rows, self._cols = rows, cols
+        self._f = np.linalg.qr(rows, mode="r")
+        self._l = np.linalg.qr(others, mode="r").conj().swapaxes(1, 2)
+
+    def distance(self, p: int, q: int) -> float:
+        half = len(self._rows)
+        (pa, pb), (qa, qb) = divmod(p, half), divmod(q, half)
+        psi = self._pauli_a[qa, pa] @ self._psi_b[qb, pb]
+        t = np.arange(half)
+        u = t ^ qa ^ pb
+        signs = (-1.0) ** (np.bitwise_count(pa & pb) + np.bitwise_count(u & (pa ^ qb)))
+        blocks = self._rows @ psi @ self._cols[u] - signs[:, None, None] * self._junk
+        off = self._f @ psi @ self._l[u]
+        total = sum(np.vdot(x, x).real for x in (*blocks, *off))
+        return math.sqrt(total / half)
 
 
 def classical_diagonal_strategy():
@@ -558,6 +599,43 @@ class TestSizeLimit:
         assert ctx.distance(0, 2**n - 1) < 1e-9
 
 
+# m = 3 and 4, sampled pairs: honest, two noise levels and, at m = 3, the
+# noisy strategy with a junk state.
+BLOCK_FORM_NOISE = {
+    "honest": None,
+    "noisy": NoiseSpec(theta=0.03, w=0.01),
+    "very-noisy": NoiseSpec(theta=0.3, w=0.2),
+}
+BLOCK_FORM_CASES = [
+    (flavor, m, kind)
+    for flavor in ("my", "spp")
+    for m in (3, 4)
+    for kind in (*BLOCK_FORM_NOISE, "junk")
+    if kind != "junk" or m == 3
+]
+
+
+class TestAgainstBlockFormOracle:
+    @pytest.mark.parametrize("flavor,m,noisy", ORACLE_CASES)
+    def test_oracle_matches_six_step(self, flavor, m, noisy):
+        s = with_junk(oracle_case_strategy(flavor, m, noisy), seed=m)
+        oracle = BlockFormContext(s, flavor)
+        for p, q in itertools.product(BitString.all_strings(2 * m), repeat=2):
+            assert abs(oracle.distance(p.value, q.value) - six_step_distance(s, flavor, p, q)) <= 1e-12
+
+    @pytest.mark.parametrize("flavor,m,kind", BLOCK_FORM_CASES)
+    def test_distance_on_sampled_pairs(self, flavor, m, kind):
+        s = oracle_case_strategy(flavor, m, False)
+        spec = BLOCK_FORM_NOISE.get(kind, BLOCK_FORM_NOISE["noisy"])
+        if spec is not None:
+            s = perturb_strategy(s, spec, seed=4)
+        if kind == "junk":
+            s = with_junk(s, seed=3)
+        ctx, oracle = IsometryContext(s, flavor), BlockFormContext(s, flavor)
+        for p, q in select_pairs(2 * m, "sample", seed=m, sample_count=16):
+            assert abs(ctx.distance(p, q) - oracle.distance(p, q)) <= 1e-12
+
+
 def haar_unitary(rng, dim):
     """Haar-random unitary: QR of a complex Gaussian, phases of R divided out."""
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -616,12 +694,28 @@ class TestZeroNoiseDistance:
         pairs = select_pairs(2 * m, "exhaustive")
         assert max(ctx.distance(p, q) for p, q in pairs) < 1e-12
 
+    @pytest.mark.parametrize("flavor", ["my", "spp"])
+    def test_sampled_pairs_at_m4(self, flavor):
+        ctx = IsometryContext(oracle_case_strategy(flavor, 4, False), flavor)
+        pairs = select_pairs(8, "sample", seed=1, sample_count=1024)
+        assert max(ctx.distance(p, q) for p, q in pairs) < 1e-9
+
 
 class TestDistanceMemory:
-    def test_target_buffer_at_m3(self):
-        # The 2^m target blocks of 64 x 64 entries: 512 KB.
-        ctx = IsometryContext(honest_my_strategy(3), "my")
-        assert ctx._buf.nbytes <= 512 * 1024
+    def test_context_held_at_m3(self):
+        # A context that kept a target buffer of 2^m blocks of 64 x 64 entries
+        # held 0.91 MB at m = 3; the projected factors, targets and rho hold
+        # about 0.73 MB, 0.5 MB of it Alice's table of F_t X^q Z^p.
+        s = honest_my_strategy(3)
+        IsometryContext(s, "my")  # numpy's first-use setup
+        tracemalloc.start()
+        try:
+            ctx = IsometryContext(s, "my")
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert ctx.n == 6
+        assert held < 0.91 * 2**20
 
     def test_peak_of_one_call_at_m3(self):
         s = perturb_strategy(honest_my_strategy(3), NoiseSpec(theta=0.03, w=0.01), seed=1)
@@ -635,8 +729,9 @@ class TestDistanceMemory:
         assert peak <= 0.5 * 2**20
 
     def test_peak_of_the_build_at_m4(self):
-        # 22.3 MB held (the 16 MB target buffer and the tables); the build
-        # writes the tables in place, with no concatenated or negated copies.
+        # About 21.5 MB: the context's 19.3 MB, 16 MB of it Alice's table of
+        # F_t X^q Z^p, formed after the blocks and their QR factors are freed.
+        # A context with a 16 MB target buffer peaked at 25.6 MB.
         s = honest_my_strategy(4)
         tracemalloc.start()
         try:
