@@ -572,6 +572,7 @@ class TestRejectedInput:
         argv = ["verify-isometry", "--m", "1", "--test", "my", "--seed", "1", "--pairs"]
         code, report = run_cli(capsys, *argv, "sample:16")
         assert code == 0 and len(report["reports"]) == 16
+        assert len({(r["p"], r["q"]) for r in report["reports"]}) == 16
         code = cli.main(argv + ["sample:17"])
         captured = capsys.readouterr()
         assert code == 2

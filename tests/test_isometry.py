@@ -391,6 +391,24 @@ class TestSelectPairs:
         draws = [int(rng.integers(0, 16)) for _ in range(20)]
         assert select_pairs(4, "sample", seed=5, sample_count=10) == list(zip(draws[::2], draws[1::2]))
 
+    def test_sample_of_every_pair_is_the_exhaustive_set(self):
+        # 256 scalar draw pairs at n = 4 hold only 163 distinct pairs.
+        pairs = select_pairs(4, "sample", seed=1, sample_count=256)
+        assert sorted(pairs) == select_pairs(4, "exhaustive")
+
+    def test_sample_pairs_are_distinct(self):
+        # 4096 draw pairs at n = 6 hold only 2593 distinct pairs.
+        pairs = select_pairs(6, "sample", seed=1, sample_count=4096)
+        assert len(pairs) == len(set(pairs)) == 4096
+
+    def test_sample_skips_a_repeat_in_draw_order(self):
+        # Seed 49 repeats one of its first 16 draw pairs at n = 6; the
+        # sample keeps the other draws in order and takes the 17th pair.
+        rng = np.random.default_rng(49)
+        draws = [(int(rng.integers(0, 64)), int(rng.integers(0, 64))) for _ in range(17)]
+        assert len(set(draws[:16])) == 15
+        assert select_pairs(6, "sample", seed=49, sample_count=16) == list(dict.fromkeys(draws))
+
     def test_sample_deterministic(self):
         a = select_pairs(4, "sample", seed=5, sample_count=10)
         b = select_pairs(4, "sample", seed=5, sample_count=10)
