@@ -147,14 +147,13 @@ def raw_image(s: Strategy, flavor: str, vec: np.ndarray) -> np.ndarray:
 class BlockFormContext:
     """Oracle: the distance from the 2^m target blocks of the rotated image.
 
-    Each call writes R_t psi' C_u(t) for every row block t into one buffer,
-    subtracts the junk, and adds the off-diagonal part || F_t psi' L_u ||^2
-    from QR factors of whole blocks.  It checks the projected form at sizes
-    the six-step oracle cannot reach; at m = 4 a call takes milliseconds.
+    Each call forms R_t psi' C_u(t) for every row block t, subtracts the
+    signed junk, and adds the off-diagonal part || F_t psi' L_u ||^2 from QR
+    factors of whole blocks.  It checks the projected form at sizes the
+    six-step oracle cannot reach; at m = 4 a call takes milliseconds.
     """
 
     def __init__(self, s: Strategy, flavor: str):
-        self.n = 2 * s.m
         tables = KrausTables(*party_observables(s, flavor))
         half, (d_a, d_b) = 2**s.m, tables.dims
         psi = s.state.reshaped()
