@@ -34,7 +34,7 @@ _PAIR_SIGNS = np.array([WIN_SIGNS[pair] for pair in SPP_ALLOWED_PAIRS], dtype=np
 
 EXACT_GAME_LIMIT = 4  # 10^m question strings are enumerated
 
-# Rounds per sampler draw: bounds the int64 arrays that rng.integers returns.
+# Rounds per referee draw: bounds the int64 arrays that rng.integers returns.
 _DRAW_ROWS = 1 << 14
 
 
@@ -89,22 +89,6 @@ def _joint_distribution(s: Strategy, qa: str, qb: str) -> tuple[np.ndarray, np.n
     return prods.reshape(na * nb, s.m), probs / probs.sum()
 
 
-def _question_codes(rng: np.random.Generator, rows: int, m: int) -> np.ndarray:
-    """The next rows questions of rng's stream as codes sum_k digit_k 10^k.
-
-    The digits are drawn as one (rows, m) int64 array, as a one-shot draw
-    of all rounds takes them; the codes are built by Horner's rule in the
-    narrowest unsigned dtype that holds 10^m - 1.
-    """
-    code_type = np.min_scalar_type(10**m - 1)
-    digits = rng.integers(0, 10, size=(rows, m))
-    codes = digits[:, m - 1].astype(code_type)
-    for k in range(m - 2, -1, -1):
-        codes *= 10
-        codes += digits[:, k].astype(code_type)
-    return codes
-
-
 def sample_game(
     s: Strategy,
     rounds: int,
@@ -117,17 +101,15 @@ def sample_game(
     "subtest" outputs the accept value of one uniformly chosen sub-test.
     Both have the same expectation.
 
-    Each distinct question is measured once, for all of its rounds, in
-    increasing code order, and draws its rounds' answers in round order.
-    The questions and the referee's draws are taken _DRAW_ROWS rounds at a
-    time, which continues the stream of one full-size draw.  The only array
-    of one entry per round is a bit mask of the sub-tests that accept,
-    grouped by question; the round counts have one entry per possible
-    question (10^m).  The questions are the first draws of the seed's
-    stream, so a second generator of the same seed replays them to put the
-    masks back in round order, while the answers and the referee's draws
-    come from the first.  The mean and standard error come from the number
-    of accepting rounds.
+    Rounds are i.i.d., so only the number of rounds that ask each question
+    matters: one multinomial draw over the 10^m equally likely questions
+    gives those counts.  Each question with a nonzero count is then measured
+    once, in increasing code order, and draws its rounds' answers, writing
+    one byte per round, the bit mask of the sub-tests that accept, into one
+    buffer grouped by question.  The referee draws over that buffer
+    _DRAW_ROWS rounds at a time, which continues the stream of one
+    full-size draw.  The mean and standard error come from the number of
+    accepting rounds.
     """
     if referee not in ("threshold", "subtest"):
         raise ValueError(f"unknown referee {referee!r}")
@@ -135,16 +117,11 @@ def sample_game(
         raise ValueError(f"a standard error needs at least 2 rounds, got {rounds}")
     m = s.m
     rng = np.random.default_rng(seed)
-    sizes = [min(_DRAW_ROWS, rounds - start) for start in range(0, rounds, _DRAW_ROWS)]
-    counts = np.zeros(10**m, dtype=np.intp)
-    for size in sizes:
-        counts += np.bincount(_question_codes(rng, size, m), minlength=10**m)
-    # masks[starts[c]:starts[c] + counts[c]] holds the accept masks of
-    # question c's rounds, in round order; bit k is set when sub-test k accepts.
-    starts = np.cumsum(counts) - counts
+    counts = rng.multinomial(rounds, np.full(10**m, 10.0**-m))
+    # Bit k of a round's mask is set when sub-test k accepts.
     masks = np.empty(rounds, dtype=np.min_scalar_type(2**m - 1))
-    start_list, count_list = starts.tolist(), counts.tolist()
     bits = 1 << np.arange(m)
+    start = 0
     for code in np.flatnonzero(counts).tolist():
         combo = [(code // 10**k) % 10 for k in range(m)]
         qa, qb = _party_strings(combo)
@@ -155,35 +132,22 @@ def sample_game(
         if not cdf[-1] > 0:
             raise ValueError(f"question ({qa}, {qb}) has probabilities summing to 0")
         cdf /= cdf[-1]
-        start, count = start_list[code], count_list[code]
+        count = int(counts[code])
         # Generator.choice(len(probs), size=count, p=probs) draws these same picks.
         picks = cdf.searchsorted(rng.random(count), side="right")
         table = (prods == _PAIR_SIGNS[combo]) @ bits
         masks[start : start + count] = table[picks]
-    replay = np.random.default_rng(seed)
+        start += count
     accepts = 0
-    for size in sizes:
-        # A round reads its question's next unread mask.  The stable sort
-        # lists the slice's rounds of question c in round order, from sorted
-        # index first[c] on, so the i-th sorted round reads
-        # starts[c] + i - first[c].  The codes stay narrow for the sort,
-        # which numpy does by radix only for small integer types.
-        block_codes = _question_codes(replay, size, m)
-        order = np.argsort(block_codes, kind="stable")
-        block_counts = np.bincount(block_codes, minlength=10**m)
-        first = np.cumsum(block_counts) - block_counts
-        rows = (starts - first)[block_codes[order]] + np.arange(size)
-        starts += block_counts
-        block_masks = np.empty(size, dtype=masks.dtype)
-        block_masks[order] = masks[rows]
-        del order, rows
+    for start in range(0, rounds, _DRAW_ROWS):
+        block = masks[start : start + _DRAW_ROWS]
         if referee == "threshold":
             # A round's accept values sum to 2 * (accepting sub-tests) - m.
-            sums = 2 * np.bitwise_count(block_masks).astype(np.int8) - m
-            accept = sums >= rng.integers(-m + 1, m + 1, size=size)
+            sums = 2 * np.bitwise_count(block).astype(np.int8) - m
+            accept = sums >= rng.integers(-m + 1, m + 1, size=block.size)
         else:
-            picks = rng.integers(0, m, size=size).astype(masks.dtype)
-            accept = ((block_masks >> picks) & 1) == 1
+            picks = rng.integers(0, m, size=block.size).astype(masks.dtype)
+            accept = ((block >> picks) & 1) == 1
         accepts += int(np.count_nonzero(accept))
     mean, stderr = outcome_statistics(accepts, rounds)
     return {

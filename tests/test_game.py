@@ -175,16 +175,18 @@ def projector_joint_distribution(s, qa, qb):
 
 
 def per_question_sample_game(s, rounds, seed, referee="threshold"):
-    """Oracle sampler: masks every round once per distinct question, scores
-    answers with win_predicate and draws them with Generator.choice."""
+    """Oracle sampler: the question counts from Generator.multinomial, then
+    each asked question's rounds, in code order, answered with
+    Generator.choice and scored with win_predicate, then the referee's draws
+    over the grouped rounds in one piece."""
     m = s.m
     rng = np.random.default_rng(seed)
-    combos = rng.integers(0, 10, size=(rounds, m))
-    codes = combos @ (10 ** np.arange(m))
-    accept_vals = np.empty((rounds, m), dtype=np.int8)
-    for code in np.unique(codes):
-        mask = codes == code
-        combo = tuple((int(code) // 10**k) % 10 for k in range(m))
+    counts = rng.multinomial(rounds, [10.0**-m] * 10**m)
+    grouped = []
+    for code, count in enumerate(counts.tolist()):
+        if not count:
+            continue
+        combo = tuple((code // 10**k) % 10 for k in range(m))
         qa = "".join(SPP_ALLOWED_PAIRS[i][0] for i in combo)
         qb = "".join(SPP_ALLOWED_PAIRS[i][1] for i in combo)
         outcomes, probs = per_question_joint_distribution(s, qa, qb)
@@ -198,8 +200,8 @@ def per_question_sample_game(s, rounds, seed, referee="threshold"):
             ],
             dtype=np.int8,
         )
-        picks = rng.choice(len(outcomes), size=int(mask.sum()), p=probs)
-        accept_vals[mask] = signs[picks]
+        grouped.append(signs[rng.choice(len(outcomes), size=count, p=probs)])
+    accept_vals = np.concatenate(grouped)
     sums = accept_vals.sum(axis=1)
     if referee == "threshold":
         thresholds = rng.integers(-m + 1, m + 1, size=rounds)
@@ -310,11 +312,9 @@ class TestSamplerAgainstPerQuestionOracle:
 
         monkeypatch.setattr(game, "_joint_distribution", counted)
         sample_game(s, 300, seed=12)
-        combos = np.random.default_rng(12).integers(0, 10, size=(300, 2))
-        distinct = {
-            tuple(SPP_ALLOWED_PAIRS[i] for i in row) for row in combos.tolist()
-        }
-        assert len(asked) == len(set(asked)) == len(distinct)
+        counts = np.random.default_rng(12).multinomial(300, [0.01] * 100)
+        want = [game._party_strings((code % 10, code // 10)) for code in np.flatnonzero(counts)]
+        assert asked == want
 
     @pytest.mark.parametrize(
         "probs",
@@ -392,8 +392,9 @@ class TestSamplerMemory:
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("referee", ["threshold", "subtest"])
     def test_peak_bytes_per_round(self, m, referee):
-        # The one per-round array is the accept mask; the question codes are
-        # replayed a draw slice at a time.
+        # The one per-round array is the accept mask; the question counts
+        # are one entry per possible question, and the referee draws one
+        # slice at a time.
         s = perturb_strategy(honest_spp_strategy(m), NoiseSpec(theta=0.03, w=0.01), seed=1)
         rounds = 200_000
         tracemalloc.start()
@@ -406,8 +407,8 @@ class TestSamplerMemory:
         assert peak / rounds <= 6
 
     def test_peak_at_a_million_rounds(self):
-        # One uint8 accept mask per round plus one draw slice of working
-        # arrays; no per-round question codes or outcomes.
+        # One uint8 accept mask per round (0.95 MiB) plus one referee slice
+        # of working arrays; no per-round question codes or outcomes.
         s = perturb_strategy(honest_spp_strategy(3), NoiseSpec(theta=0.03, w=0.01), seed=1)
         tracemalloc.start()
         try:
@@ -416,7 +417,7 @@ class TestSamplerMemory:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * 2**20
+        assert peak <= 1.5 * 2**20
 
 
 class TestSampledExpectation:
