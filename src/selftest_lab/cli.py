@@ -121,6 +121,7 @@ class RunConfig:
     seed: Optional[int] = None
     # Set by the commands that read them; None leaves them out.
     rounds: Optional[int] = None  # game
+    referee: Optional[str] = None  # game, when it samples rounds
     pairs: Optional[str] = None  # the commands that verify isometry pairs
     sample_count: Optional[int] = None
 
@@ -389,6 +390,7 @@ def cmd_game(args) -> tuple[int, dict, None]:
         **_strategy_flags(args),
         seed=args.seed,
         rounds=args.rounds,
+        referee=args.referee if args.rounds else None,
     )
     strategy = _resolve_strategy(cfg, SPP_FLAVOR, check_game_size)
     exact = game_expectation_exact(strategy)
@@ -397,7 +399,7 @@ def cmd_game(args) -> tuple[int, dict, None]:
     ok = True
     mc = None
     if args.rounds:
-        mc = sample_game(strategy, args.rounds, seed=cfg.seed, referee=args.referee)
+        mc = sample_game(strategy, args.rounds, seed=cfg.seed, referee=cfg.referee)
         band = 4.0 * mc["stderr"]
         mc["within_4_sigma"] = abs(mc["mean"] - exact) <= band
         ok = bool(mc["within_4_sigma"])

@@ -266,6 +266,21 @@ class TestGame:
         assert code == 0
         assert report["monte_carlo"]["within_4_sigma"]
 
+    def test_referee_is_part_of_the_config(self, capsys):
+        argv = ["game", "--m", "1", "--rounds", "100", "--seed", "1"]
+        _, threshold = run_cli(capsys, *argv)
+        _, subtest = run_cli(capsys, *argv, "--referee", "subtest")
+        assert threshold["config"]["referee"] == "threshold"
+        assert subtest["config"]["referee"] == "subtest"
+        assert threshold["config_sha256"] != subtest["config_sha256"]
+
+    def test_exact_only_records_no_referee(self, capsys):
+        # A run of no rounds never reads --referee.
+        _, report = run_cli(capsys, "game", "--m", "1", "--rounds", "0", "--referee", "subtest")
+        _, default = run_cli(capsys, "game", "--m", "1")
+        assert "referee" not in report["config"]
+        assert report["config_sha256"] == default["config_sha256"]
+
     def test_rounds_without_seed_usage_error(self, capsys):
         assert cli.main(["game", "--m", "1", "--rounds", "100"]) == 2
 
