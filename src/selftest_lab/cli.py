@@ -317,6 +317,8 @@ def cmd_honest_check(args) -> tuple[int, dict, list]:
 def cmd_bounds(args) -> tuple[int, dict, None]:
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
+    if not 0 <= args.weight_p <= args.n:
+        raise UsageError(f"--weight-p must be in 0..{args.n}, got {args.weight_p}")
     bundle = EpsilonBundle(**{f.name: getattr(args, f.name) for f in fields(EpsilonBundle)})
     names = bnd.bound_names() if args.bound == "all" else (args.bound,)
     reports = [bnd.evaluate_bound(name, args.n, args.weight_p, bundle) for name in names]

@@ -194,6 +194,26 @@ class TestBounds:
         n = argv[argv.index("--n") + 1]
         assert captured.err == f"usage error: --n must be >= 1, got {n}\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--bound", "mayers-yao-ac", "--n", "2", "--weight-p", "-1"],
+            ["--bound", "chsh-ac", "--n", "2", "--weight-p", "99"],
+            ["--bound", "all", "--n", "2", "--weight-p", "5"],
+        ],
+    )
+    def test_weight_outside_zero_to_n_is_usage_error(self, capsys, monkeypatch, argv):
+        def unreachable(*args):
+            raise AssertionError("bound evaluated")
+
+        monkeypatch.setattr(cli.bnd, "evaluate_bound", unreachable)
+        code = cli.main(["bounds", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        weight = argv[argv.index("--weight-p") + 1]
+        assert captured.err == f"usage error: --weight-p must be in 0..2, got {weight}\n"
+
 
 class TestVerifyIsometry:
     def test_named_noisy_strategy(self, capsys):
