@@ -34,8 +34,8 @@ _PAIR_SIGNS = np.array([WIN_SIGNS[pair] for pair in SPP_ALLOWED_PAIRS], dtype=np
 
 EXACT_GAME_LIMIT = 4  # 10^m question strings are enumerated
 
-# Rounds per referee draw: bounds the int64 arrays that rng.integers returns.
-_DRAW_ROWS = 1 << 14
+# The most rounds a sample may have: numpy's multinomial counts are int64.
+MAX_ROUNDS = 2**63 - 1
 
 
 def win_predicate(qa: str, qb: str, a: int, b: int) -> bool:
@@ -101,15 +101,15 @@ def sample_game(
     "subtest" outputs the accept value of one uniformly chosen sub-test.
     Both have the same expectation.
 
-    Rounds are i.i.d., so only the number of rounds that ask each question
-    matters: one multinomial draw over the 10^m equally likely questions
-    gives those counts.  Each question with a nonzero count is then measured
-    once, in increasing code order, and draws its rounds' answers, writing
-    one byte per round, the bit mask of the sub-tests that accept, into one
-    buffer grouped by question.  The referee draws over that buffer
-    _DRAW_ROWS rounds at a time, which continues the stream of one
-    full-size draw.  The mean and standard error come from the number of
-    accepting rounds.
+    Rounds are i.i.d., so the sampler draws counts, never single rounds.
+    One multinomial draw over the 10^m equally likely questions gives each
+    question's rounds.  Each asked question is measured once, in increasing
+    code order, and its joint answers fold into the probabilities of the
+    2^m masks of accepting sub-tests (bit k set when sub-test k accepts).
+    One batched multinomial splits each question's rounds over the masks,
+    and one per mask splits its rounds over the referee's equally likely
+    draws.  The mean and standard error come from the rounds whose draw
+    the referee's rule accepts.
     """
     if referee not in ("threshold", "subtest"):
         raise ValueError(f"unknown referee {referee!r}")
@@ -118,37 +118,31 @@ def sample_game(
     m = s.m
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(rounds, np.full(10**m, 10.0**-m))
-    # Bit k of a round's mask is set when sub-test k accepts.
-    masks = np.empty(rounds, dtype=np.min_scalar_type(2**m - 1))
+    asked = np.flatnonzero(counts)
     bits = 1 << np.arange(m)
-    start = 0
-    for code in np.flatnonzero(counts).tolist():
+    mask_probs = np.empty((asked.size, 2**m))
+    for row, code in enumerate(asked.tolist()):
         combo = [(code // 10**k) % 10 for k in range(m)]
         qa, qb = _party_strings(combo)
         prods, probs = _joint_distribution(s, qa, qb)
         if not (np.isfinite(probs).all() and (probs >= 0).all()):
             raise ValueError(f"question ({qa}, {qb}) has probabilities {probs}")
-        cdf = probs.cumsum()
-        if not cdf[-1] > 0:
+        total = probs.sum()
+        if not total > 0:
             raise ValueError(f"question ({qa}, {qb}) has probabilities summing to 0")
-        cdf /= cdf[-1]
-        count = int(counts[code])
-        # Generator.choice(len(probs), size=count, p=probs) draws these same picks.
-        picks = cdf.searchsorted(rng.random(count), side="right")
         table = (prods == _PAIR_SIGNS[combo]) @ bits
-        masks[start : start + count] = table[picks]
-        start += count
-    accepts = 0
-    for start in range(0, rounds, _DRAW_ROWS):
-        block = masks[start : start + _DRAW_ROWS]
-        if referee == "threshold":
-            # A round's accept values sum to 2 * (accepting sub-tests) - m.
-            sums = 2 * np.bitwise_count(block).astype(np.int8) - m
-            accept = sums >= rng.integers(-m + 1, m + 1, size=block.size)
-        else:
-            picks = rng.integers(0, m, size=block.size).astype(masks.dtype)
-            accept = ((block >> picks) & 1) == 1
-        accepts += int(np.count_nonzero(accept))
+        mask_probs[row] = np.bincount(table, probs, 2**m) / total
+    mask_rounds = rng.multinomial(counts[asked], mask_probs).sum(axis=0)
+    # accept[mask, d]: the verdict on a round with that mask, given the
+    # referee's draw d: threshold d - m + 1 against the accept values' sum
+    # 2 * (accepting sub-tests) - m, or the accept value of sub-test d.
+    flags = (np.arange(2**m)[:, None] >> np.arange(m)) & 1
+    if referee == "threshold":
+        accept = 2 * flags.sum(axis=1, keepdims=True) - m >= np.arange(-m + 1, m + 1)
+    else:
+        accept = flags == 1
+    draws = rng.multinomial(mask_rounds, np.full(accept.shape, 1 / accept.shape[1]))
+    accepts = int(draws[accept].sum())
     mean, stderr = outcome_statistics(accepts, rounds)
     return {
         "rounds": rounds,

@@ -174,56 +174,54 @@ def projector_joint_distribution(s, qa, qb):
     return prods.reshape(na * nb, s.m), probs / probs.sum()
 
 
-def per_question_sample_game(s, rounds, seed, referee="threshold"):
-    """Oracle sampler: the question counts from Generator.multinomial, then
-    each asked question's rounds, in code order, answered with
-    Generator.choice and scored with win_predicate, then the referee's draws
-    over the grouped rounds in one piece."""
+def count_level_oracle_mean(s, rounds, seed, referee="threshold"):
+    """Oracle sampler at the count level, written apart from game.py: the
+    question counts from one Generator.multinomial, then per asked question
+    a multinomial over its joint answers, each answer pair scored sub-test by
+    sub-test with win_predicate, then per tuple of accept values a
+    multinomial over the referee's equally likely draws, each judged by the
+    literal rule.  Returns the mean accept value."""
     m = s.m
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(rounds, [10.0**-m] * 10**m)
-    grouped = []
+    by_accepts = {}
     for code, count in enumerate(counts.tolist()):
         if not count:
             continue
-        combo = tuple((code // 10**k) % 10 for k in range(m))
-        qa = "".join(SPP_ALLOWED_PAIRS[i][0] for i in combo)
-        qb = "".join(SPP_ALLOWED_PAIRS[i][1] for i in combo)
+        pairs = [SPP_ALLOWED_PAIRS[(code // 10**k) % 10] for k in range(m)]
+        qa = "".join(p[0] for p in pairs)
+        qb = "".join(p[1] for p in pairs)
         outcomes, probs = per_question_joint_distribution(s, qa, qb)
-        signs = np.array(
-            [
-                [
-                    1 if win_predicate(*SPP_ALLOWED_PAIRS[combo[k]], a[k], b[k]) else -1
-                    for k in range(m)
-                ]
-                for a, b in outcomes
-            ],
-            dtype=np.int8,
-        )
-        grouped.append(signs[rng.choice(len(outcomes), size=count, p=probs)])
-    accept_vals = np.concatenate(grouped)
-    sums = accept_vals.sum(axis=1)
+        for (a, b), n in zip(outcomes, rng.multinomial(count, probs).tolist()):
+            accepts = tuple(
+                1 if win_predicate(*pairs[k], a[k], b[k]) else -1 for k in range(m)
+            )
+            by_accepts[accepts] = by_accepts.get(accepts, 0) + n
     if referee == "threshold":
-        thresholds = rng.integers(-m + 1, m + 1, size=rounds)
-        accepted = np.where(sums >= thresholds, 1, -1)
+        draws, rule = range(-m + 1, m + 1), lambda accepts, t: sum(accepts) >= t
     else:
-        picks = rng.integers(0, m, size=rounds)
-        accepted = accept_vals[np.arange(rounds), picks]
-    return {
-        "rounds": rounds,
-        "seed": seed,
-        "referee": referee,
-        "mean": float(accepted.mean()),
-        "stderr": float(accepted.std(ddof=1) / math.sqrt(rounds)),
+        draws, rule = range(m), lambda accepts, k: accepts[k] == 1
+    accepted = 0
+    for accepts, n in sorted(by_accepts.items()):
+        split = rng.multinomial(n, [1 / len(draws)] * len(draws)).tolist()
+        accepted += sum(c for d, c in zip(draws, split) if rule(accepts, d))
+    return (2 * accepted - rounds) / rounds
+
+
+# Rounds of a law test: sigma is about 6.5e-7, so a 4-sigma band checks the
+# sampler's law to about 3e-6.
+LAW_ROUNDS = 10**12
+
+
+def assert_same_law(s, seed, referee):
+    """The sampler and the count-level oracle, each at LAW_ROUNDS, differ by
+    at most 4 standard errors of the difference of two such samples."""
+    got = sample_game(s, LAW_ROUNDS, seed, referee)
+    assert {**got, "mean": None, "stderr": None} == {
+        "rounds": LAW_ROUNDS, "seed": seed, "referee": referee, "mean": None, "stderr": None
     }
-
-
-def assert_same_sample(got, want):
-    """Every field equal but the standard error, which may differ by 4e-16
-    relative: the sampler takes it in closed form from the accept count, the
-    oracle from numpy's std of the outcomes."""
-    assert {**got, "stderr": None} == {**want, "stderr": None}
-    assert abs(got["stderr"] - want["stderr"]) <= 4e-16 * want["stderr"]
+    want = count_level_oracle_mean(s, LAW_ROUNDS, seed, referee)
+    assert abs(got["mean"] - want) <= 4 * math.sqrt(2) * got["stderr"]
 
 
 def merged_last_symbol(s):
@@ -256,25 +254,15 @@ def coarse_grained_strategy(m, path):
     return strategy_from_json(json.loads(path.read_text()))
 
 
-# Rounds per case: enough at m=3 for a few hundred distinct questions while
-# the oracle stays fast.
-ORACLE_ROUNDS = {1: 20_000, 2: 20_000, 3: 600}
-
-
-class TestSamplerAgainstPerQuestionOracle:
+class TestSamplerAgainstCountLevelOracle:
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("referee", ["threshold", "subtest"])
     @pytest.mark.parametrize("noisy", [False, True])
-    def test_equal_to_oracle(self, m, referee, noisy):
+    def test_same_law_as_oracle(self, m, referee, noisy):
         s = honest_spp_strategy(m)
         if noisy:
             s = perturb_strategy(s, NoiseSpec(theta=0.04, w=0.03), seed=m)
-        rounds = ORACLE_ROUNDS[m]
-        seed = 100 + m
-        assert_same_sample(
-            sample_game(s, rounds, seed, referee),
-            per_question_sample_game(s, rounds, seed, referee),
-        )
+        assert_same_law(s, 100 + m, referee)
 
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("referee", ["threshold", "subtest"])
@@ -287,19 +275,7 @@ class TestSamplerAgainstPerQuestionOracle:
             for kind in s.kinds(party)
         }
         assert counts == {2 ** (m - 1), 2**m}
-        assert_same_sample(
-            sample_game(s, 20_000, 8, referee), per_question_sample_game(s, 20_000, 8, referee)
-        )
-
-    @pytest.mark.parametrize("referee", ["threshold", "subtest"])
-    def test_rounds_spanning_several_draw_slices(self, referee):
-        # Two full slices and three rounds of a third: the sliced draws must
-        # continue the oracle's one-shot stream across slice boundaries.
-        s = perturb_strategy(honest_spp_strategy(2), NoiseSpec(theta=0.04, w=0.03), seed=6)
-        rounds = 2 * game._DRAW_ROWS + 3
-        assert_same_sample(
-            sample_game(s, rounds, 21, referee), per_question_sample_game(s, rounds, 21, referee)
-        )
+        assert_same_law(s, 8, referee)
 
     def test_one_distribution_per_distinct_question(self, monkeypatch):
         s = honest_spp_strategy(2)
@@ -389,35 +365,23 @@ class TestOutcomeStatistics:
 
 
 class TestSamplerMemory:
-    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("m, rounds", [(2, 10**3), (3, 10**5)])
     @pytest.mark.parametrize("referee", ["threshold", "subtest"])
-    def test_peak_bytes_per_round(self, m, referee):
-        # The one per-round array is the accept mask; the question counts
-        # are one entry per possible question, and the referee draws one
-        # slice at a time.
+    def test_peak_does_not_grow_with_rounds(self, m, rounds, referee):
+        # The sampler holds the 10^m question counts and 2^m mask entries
+        # per asked question, and nothing per round.  At these rounds every
+        # question is asked, so 10^12 rounds add nothing but a few bytes.
         s = perturb_strategy(honest_spp_strategy(m), NoiseSpec(theta=0.03, w=0.01), seed=1)
-        rounds = 200_000
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            sample_game(s, rounds, seed=4, referee=referee)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak / rounds <= 6
-
-    def test_peak_at_a_million_rounds(self):
-        # One uint8 accept mask per round (0.95 MiB) plus one referee slice
-        # of working arrays; no per-round question codes or outcomes.
-        s = perturb_strategy(honest_spp_strategy(3), NoiseSpec(theta=0.03, w=0.01), seed=1)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            sample_game(s, 1_000_000, seed=1)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * 2**20
+        peaks = []
+        for n in (rounds, 10**12):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                sample_game(s, n, seed=4, referee=referee)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 4 * 2**10
 
 
 class TestSampledExpectation:
@@ -455,6 +419,24 @@ class TestSampledExpectation:
     def test_too_few_rounds_for_a_standard_error(self, rounds):
         with pytest.raises(ValueError, match="at least 2 rounds"):
             sample_game(honest_spp_strategy(1), rounds, seed=0)
+
+
+class TestSampledLawAtScale:
+    # One sample of 10^12 rounds per case, within 4 sigma (about 2.6e-6) of
+    # the exact value: each checks the sampler's law to about 3e-6.
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("referee", ["threshold", "subtest"])
+    def test_noisy_strategy(self, m, referee):
+        s = perturb_strategy(honest_spp_strategy(m), NoiseSpec(theta=0.03, w=0.01), seed=m)
+        mc = sample_game(s, LAW_ROUNDS, seed=2026 + m, referee=referee)
+        assert abs(mc["mean"] - game_expectation_exact(s)) <= 4 * mc["stderr"]
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("referee", ["threshold", "subtest"])
+    def test_measurements_with_fewer_outcomes(self, tmp_path, m, referee):
+        s = coarse_grained_strategy(m, tmp_path / "coarse.json")
+        mc = sample_game(s, LAW_ROUNDS, seed=3030 + m, referee=referee)
+        assert abs(mc["mean"] - game_expectation_exact(s)) <= 4 * mc["stderr"]
 
 
 class TestDeltaEpsilon:
