@@ -26,6 +26,7 @@ from . import bounds as bnd
 from .bitstrings import AdjacencyMatrix, BitString
 from .game import (
     MAX_GAME_EXPECTATION,
+    MAX_ROUNDS,
     check_game_size,
     delta_and_epsilon,
     game_expectation_exact,
@@ -133,6 +134,8 @@ class RunConfig:
             raise UsageError(
                 f"--rounds must be 0 (exact value only) or >= 2, got {rounds}"
             )
+        if rounds > MAX_ROUNDS:
+            raise UsageError(f"--rounds must be at most 2^63 - 1 = {MAX_ROUNDS}, got {rounds}")
         if self.sample_count is not None and self.sample_count < 1:
             raise UsageError(f"sample count must be >= 1, got {self.sample_count}")
         if self.strategy and self.strategy not in NAMED_STRATEGIES:

@@ -316,6 +316,20 @@ class TestGame:
             f"usage error: --rounds must be 0 (exact value only) or >= 2, got {rounds}\n"
         )
 
+    def test_rounds_beyond_the_multinomial_limit(self, capsys):
+        # The sampler's counts are int64; one more round than 2^63 - 1 is a
+        # usage error, not an OverflowError out of the draw.
+        code = cli.main(["game", "--m", "1", "--rounds", str(2**63), "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"usage error: --rounds must be at most 2^63 - 1 = {2**63 - 1}, got {2**63}\n"
+        )
+        code, report = run_cli(capsys, "game", "--m", "1", "--rounds", str(2**63 - 1), "--seed", "1")
+        assert report["monte_carlo"]["rounds"] == 2**63 - 1
+        assert code == (0 if report["passed"] else 1)
+
     def test_two_rounds_sample(self, capsys):
         code, report = run_cli(capsys, "game", "--m", "1", "--rounds", "2", "--seed", "1")
         assert code == (0 if report["passed"] else 1)
