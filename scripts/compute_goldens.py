@@ -13,7 +13,8 @@ import numpy as np
 from selftest_lab import bounds as bd
 from selftest_lab import game as gm
 from selftest_lab.bitstrings import BitString
-from selftest_lab.strategies import EpsilonBundle, basis_vectors, honest_spp_strategy
+from selftest_lab.bounds import EpsilonBundle
+from selftest_lab.strategies import basis_vectors, honest_spp_strategy
 
 
 def main():

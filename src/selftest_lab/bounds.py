@@ -8,23 +8,47 @@ form.  The two paths do not agree (the published constants cannot be
 reproduced mechanically), so consumers take the larger of the two.  Bounds
 above 2, the diameter of normalized-state space, are flagged vacuous but
 still reported verbatim.
+
+The six sum-of-roots bounds are one table, ``_TABLE``: a row names the
+``EpsilonBundle`` fields it reads, its radicand pair and (the game only) its
+scale 10^(n/8), and checks its inputs where it is evaluated.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict
-from typing import Callable, Optional
+from dataclasses import asdict, dataclass, fields
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .bitstrings import BitString, dot, half_a, half_b, hamming_weight, swap_halves
-from .strategies import EpsilonBundle
 
 VACUOUS_THRESHOLD = 2.0  # diameter of the space of normalized states
 
 GRAPH_BOUND_LIMIT = 4  # the double sums enumerate 2^(2n) terms
 
 _SQRT2 = math.sqrt(2.0)
+
+
+def _check_nonneg(name: str, value: float) -> None:
+    if not 0 <= value < math.inf:  # also false for NaN
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+
+
+@dataclass(frozen=True)
+class EpsilonBundle:
+    """Error parameters feeding the robustness bound formulas."""
+
+    eps: float = 0.0
+    eps1: float = 0.0
+    eps2: float = 0.0
+    eps3: float = 0.0
+    delta: float = 0.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            _check_nonneg(f.name, getattr(self, f.name))
 
 
 def anticommute_bound(s: BitString, t: BitString, e: EpsilonBundle) -> float:
@@ -102,41 +126,6 @@ def induced_epsilon_functions(e: EpsilonBundle):
     )
 
 
-def _check_weight(n: int, weight_p: int) -> None:
-    if not 0 <= weight_p <= n:
-        raise ValueError(f"weight_p={weight_p} out of range 0..{n}")
-
-
-def _check_nonneg(name: str, value: float) -> None:
-    if not 0 <= value < math.inf:  # also false for NaN
-        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-
-
-def sufficient_conditions_radicands(
-    n: int, weight_p: int, e: EpsilonBundle
-) -> tuple[float, float]:
-    _check_weight(n, weight_p)
-    return _radicands(n, weight_p, e.eps1, e.eps2, e.eps3)
-
-
-def _radicands(
-    n: int, weight_p: int, eps1: float, eps2: float, eps3: float
-) -> tuple[float, float]:
-    first = (
-        weight_p / 2 * ((n - 1) * eps1 + 2 * n * eps2 + eps3)
-        + n / 4 * (eps3 - eps1)
-        + n**2 / 8 * (eps1 + 2 * eps2)
-    )
-    second = n**2 / 4 * (eps1 + 2 * eps2) + n / 2 * (eps2 + eps3 - eps1)
-    return first, second
-
-
-def sufficient_conditions_bound(n: int, weight_p: int, e: EpsilonBundle) -> float:
-    """Published closed form of the e-bit self-test bound from (eps1..3)."""
-    first, second = sufficient_conditions_radicands(n, weight_p, e)
-    return math.sqrt(first) + math.sqrt(second)
-
-
 def mayers_yao_anticommute_bound(eps: float) -> float:
     """Anticommutation estimate from the single-pair X/Z/D correlations."""
     _check_nonneg("eps", eps)
@@ -153,9 +142,24 @@ def chsh_anticommute_bound(eps: float) -> float:
     return 2 * math.sqrt(2 * _SQRT2 * eps)
 
 
-def my_parallel_radicands(n: int, weight_p: int, eps: float) -> tuple[float, float]:
-    _check_nonneg("eps", eps)
-    _check_weight(n, weight_p)
+def _sufficient_radicands(n, weight_p, eps1, eps2, eps3):
+    first = (
+        weight_p / 2 * ((n - 1) * eps1 + 2 * n * eps2 + eps3)
+        + n / 4 * (eps3 - eps1)
+        + n**2 / 8 * (eps1 + 2 * eps2)
+    )
+    second = n**2 / 4 * (eps1 + 2 * eps2) + n / 2 * (eps2 + eps3 - eps1)
+    return first, second
+
+
+def _recomputed_radicands(anticommute, n, weight_p, eps):
+    """The sufficient-conditions pair at eps1 = 4 sqrt(2 eps), eps2 =
+    sqrt(2 eps) and eps3 = anticommute(eps)."""
+    root = math.sqrt(2 * eps)
+    return _sufficient_radicands(n, weight_p, 4 * root, root, anticommute(eps))
+
+
+def _my_parallel_radicands(n, weight_p, eps):
     e4 = mayers_yao_anticommute_bound(eps)
     root = math.sqrt(2 * eps)
     first = root * (9 * n**2 / 4 + 3 * n / 2) + n * e4 / 2
@@ -165,22 +169,61 @@ def my_parallel_radicands(n: int, weight_p: int, eps: float) -> tuple[float, flo
     return first, second
 
 
+def _spp_radicands(n, weight_p, root):
+    first = root * (9 * n**2 / 4 + (3 + 2**1.25) * n / 2)
+    second = root * (
+        9 * n**2 / 8
+        + n * (5 * weight_p / 2 - 0.25 + 2**-0.75)
+        + weight_p * (2**0.25 - 0.5)
+    )
+    return first, second
+
+
+class _SumOfRoots(NamedTuple):
+    """s sqrt(r1) + s sqrt(r2), with s = 10^(n/8) when scaled, else 1.  Called
+    with (n, weight_p, *inputs), it checks them and gives (value, (r1, r2))."""
+
+    reads: tuple[str, ...]  # the EpsilonBundle fields that radicands takes after n, weight_p
+    radicands: Callable[..., tuple[float, float]]
+    scaled: bool = False
+
+    def __call__(self, n: int, weight_p: int, *inputs: float):
+        for name, value in zip(self.reads, inputs):
+            _check_nonneg(name, value)
+        if not 0 <= weight_p <= n:
+            raise ValueError(f"weight_p={weight_p} out of range 0..{n}")
+        first, second = self.radicands(n, weight_p, *inputs)
+        scale = 10 ** (n / 8) if self.scaled else 1.0
+        return scale * math.sqrt(first) + scale * math.sqrt(second), (first, second)
+
+
+# name -> its sum-of-roots row; the two estimates are functions of eps.
+_TABLE = {
+    "sufficient-conditions": _SumOfRoots(("eps1", "eps2", "eps3"), _sufficient_radicands),
+    "mayers-yao-ac": mayers_yao_anticommute_bound,
+    "chsh-ac": chsh_anticommute_bound,
+    "my-parallel": _SumOfRoots(("eps",), _my_parallel_radicands),
+    "my-parallel-recomputed": _SumOfRoots(
+        ("eps",), partial(_recomputed_radicands, mayers_yao_anticommute_bound)
+    ),
+    "spp": _SumOfRoots(("eps",), lambda n, w, eps: _spp_radicands(n, w, math.sqrt(2 * eps))),
+    "spp-recomputed": _SumOfRoots(
+        ("eps",), partial(_recomputed_radicands, chsh_anticommute_bound)
+    ),
+    "game": _SumOfRoots(
+        ("delta",), lambda n, w, delta: _spp_radicands(n, w, math.sqrt(n * delta)), True
+    ),
+}
+
+
+def sufficient_conditions_bound(n: int, weight_p: int, e: EpsilonBundle) -> float:
+    """Published closed form of the e-bit self-test bound from (eps1..3)."""
+    return _TABLE["sufficient-conditions"](n, weight_p, e.eps1, e.eps2, e.eps3)[0]
+
+
 def my_parallel_bound(n: int, weight_p: int, eps: float) -> float:
     """Published self-test distance bound of the parallel pair test."""
-    first, second = my_parallel_radicands(n, weight_p, eps)
-    return math.sqrt(first) + math.sqrt(second)
-
-
-def _recomputed_bound(
-    n: int, weight_p: int, eps: float, anticommute: Callable[[float], float]
-) -> float:
-    """The sufficient-conditions closed form at eps1 = 4 sqrt(2 eps),
-    eps2 = sqrt(2 eps) and eps3 = anticommute(eps)."""
-    _check_nonneg("eps", eps)
-    _check_weight(n, weight_p)
-    root = math.sqrt(2 * eps)
-    first, second = _radicands(n, weight_p, 4 * root, root, anticommute(eps))
-    return math.sqrt(first) + math.sqrt(second)
+    return _TABLE["my-parallel"](n, weight_p, eps)[0]
 
 
 def my_parallel_recomputed_bound(n: int, weight_p: int, eps: float) -> float:
@@ -189,85 +232,46 @@ def my_parallel_recomputed_bound(n: int, weight_p: int, eps: float) -> float:
     sufficient-conditions closed form.  Does not match the published
     constants; consumers take the max.
     """
-    return _recomputed_bound(n, weight_p, eps, mayers_yao_anticommute_bound)
-
-
-def spp_radicands(n: int, weight_p: int, eps_or_root) -> tuple[float, float]:
-    first = eps_or_root * (9 * n**2 / 4 + (3 + 2**1.25) * n / 2)
-    second = eps_or_root * (
-        9 * n**2 / 8
-        + n * (5 * weight_p / 2 - 0.25 + 2**-0.75)
-        + weight_p * (2**0.25 - 0.5)
-    )
-    return first, second
+    return _TABLE["my-parallel-recomputed"](n, weight_p, eps)[0]
 
 
 def spp_selftest_bound(n: int, weight_p: int, eps: float) -> float:
     """Published self-test distance bound of the strictly parallel test."""
-    _check_nonneg("eps", eps)
-    _check_weight(n, weight_p)
-    first, second = spp_radicands(n, weight_p, math.sqrt(2 * eps))
-    return math.sqrt(first) + math.sqrt(second)
+    return _TABLE["spp"](n, weight_p, eps)[0]
 
 
 def spp_recomputed_bound(n: int, weight_p: int, eps: float) -> float:
     """Strictly parallel analogue of the recomputed path, with the CHSH
     anticommutation estimate in place of the Mayers-Yao one."""
-    return _recomputed_bound(n, weight_p, eps, chsh_anticommute_bound)
+    return _TABLE["spp-recomputed"](n, weight_p, eps)[0]
 
 
 def game_robustness_bound(n: int, weight_p: int, delta: float) -> float:
     """Published bound in terms of the game-value deficit delta."""
-    _check_nonneg("delta", delta)
-    _check_weight(n, weight_p)
-    scale = 10 ** (n / 8)
-    first, second = spp_radicands(n, weight_p, math.sqrt(n * delta))
-    return scale * math.sqrt(first) + scale * math.sqrt(second)
-
-
-# name -> (value, radicand pair or None), both of (n, weight_p, bundle).
-_BOUNDS: dict[str, tuple[Callable, Optional[Callable]]] = {
-    "sufficient-conditions": (
-        sufficient_conditions_bound,
-        sufficient_conditions_radicands,
-    ),
-    "mayers-yao-ac": (lambda n, w, e: mayers_yao_anticommute_bound(e.eps), None),
-    "chsh-ac": (lambda n, w, e: chsh_anticommute_bound(e.eps), None),
-    "my-parallel": (
-        lambda n, w, e: my_parallel_bound(n, w, e.eps),
-        lambda n, w, e: my_parallel_radicands(n, w, e.eps),
-    ),
-    "my-parallel-recomputed": (
-        lambda n, w, e: my_parallel_recomputed_bound(n, w, e.eps),
-        None,
-    ),
-    "spp": (
-        lambda n, w, e: spp_selftest_bound(n, w, e.eps),
-        lambda n, w, e: spp_radicands(n, w, math.sqrt(2 * e.eps)),
-    ),
-    "spp-recomputed": (lambda n, w, e: spp_recomputed_bound(n, w, e.eps), None),
-    "game": (lambda n, w, e: game_robustness_bound(n, w, e.delta), None),
-}
+    return _TABLE["game"](n, weight_p, delta)[0]
 
 
 def evaluate_bound(name: str, n: int, weight_p: int, e: EpsilonBundle) -> dict:
-    """The report of one registry bound: name, inputs, value, radicand terms
-    (empty where the bound has no radicand pair) and the vacuous flag."""
-    if name not in _BOUNDS:
+    """The report of one table bound: name, inputs, value, radicand terms
+    (the unscaled pair; empty for the two estimates) and the vacuous flag."""
+    if name not in _TABLE:
         raise ValueError(f"unknown bound {name!r}; known: {sorted(bound_names())}")
-    value, radicands = _BOUNDS[name]
-    result = value(n, weight_p, e)
+    row = _TABLE[name]
     terms = {}
-    if radicands:
-        terms["radicand_1"], terms["radicand_2"] = radicands(n, weight_p, e)
+    if isinstance(row, _SumOfRoots):
+        value, (terms["radicand_1"], terms["radicand_2"]) = row(
+            n, weight_p, *(getattr(e, f) for f in row.reads)
+        )
+    else:
+        value = row(e.eps)
     return {
         "name": name,
         "inputs": {"n": n, "weight_p": weight_p, **asdict(e)},
-        "value": result,
+        "value": value,
         "terms": terms,
-        "vacuous": result > VACUOUS_THRESHOLD,
+        "vacuous": value > VACUOUS_THRESHOLD,
     }
 
 
 def bound_names() -> tuple[str, ...]:
-    return tuple(_BOUNDS)
+    return tuple(_TABLE)

@@ -24,6 +24,7 @@ from typing import Optional, Sequence, TextIO
 from . import bitstrings as bs
 from . import bounds as bnd
 from .bitstrings import AdjacencyMatrix, BitString
+from .bounds import EpsilonBundle
 from .game import (
     MAX_GAME_EXPECTATION,
     MAX_ROUNDS,
@@ -39,7 +40,6 @@ from .strategies import (
     MY_FLAVOR,
     NAMED_STRATEGIES,
     SPP_FLAVOR,
-    EpsilonBundle,
     NoiseSpec,
     Strategy,
     honest_my_strategy,

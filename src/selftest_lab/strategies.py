@@ -12,12 +12,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .bitstrings import AdjacencyMatrix
+from .bounds import EpsilonBundle  # noqa: F401  (re-exported: defined with the bounds it feeds)
 from .linalg import (
     StateVector,
     STRUCTURAL_ATOL,
@@ -125,23 +126,6 @@ class Measurement:
 
     def __iter__(self):
         return iter(self.projectors.items())
-
-
-@dataclass(frozen=True)
-class EpsilonBundle:
-    """Error parameters feeding the robustness bound formulas."""
-
-    eps: float = 0.0
-    eps1: float = 0.0
-    eps2: float = 0.0
-    eps3: float = 0.0
-    delta: float = 0.0
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not 0 <= value < math.inf:  # also false for NaN
-                raise ValueError(f"{f.name} must be finite and nonnegative, got {value}")
 
 
 @dataclass(frozen=True)

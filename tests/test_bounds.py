@@ -24,10 +24,20 @@ from selftest_lab.bounds import (
     swap_step_bound,
     xz_swap_bound,
 )
-from selftest_lab.strategies import EpsilonBundle
+from selftest_lab.bounds import EpsilonBundle
 
 UNIFORM = EpsilonBundle(eps1=0.01, eps2=0.01, eps3=0.01)
 ZERO = EpsilonBundle()
+
+# Each sum-of-roots bound of the table, by name, as a function of (n, weight_p, bundle).
+SUM_OF_ROOTS = {
+    "sufficient-conditions": sufficient_conditions_bound,
+    "my-parallel": lambda n, w, e: my_parallel_bound(n, w, e.eps),
+    "my-parallel-recomputed": lambda n, w, e: my_parallel_recomputed_bound(n, w, e.eps),
+    "spp": lambda n, w, e: spp_selftest_bound(n, w, e.eps),
+    "spp-recomputed": lambda n, w, e: spp_recomputed_bound(n, w, e.eps),
+    "game": lambda n, w, e: game_robustness_bound(n, w, e.delta),
+}
 
 # Golden values below were produced by scripts/compute_goldens.py.
 
@@ -262,12 +272,33 @@ class TestBoundReports:
             assert report["value"] >= 0.0
             assert report["name"] == name
 
-    def test_radicand_terms_exposed(self):
-        report = evaluate_bound("my-parallel", 2, 0, EpsilonBundle(eps=1e-4))
+    def test_sum_of_roots_names(self):
+        assert set(bound_names()) == {*SUM_OF_ROOTS, "mayers-yao-ac", "chsh-ac"}
+
+    @pytest.mark.parametrize("name", sorted(SUM_OF_ROOTS))
+    @pytest.mark.parametrize("n, w", [(2, 0), (4, 3)])
+    def test_radicand_terms_exposed(self, name, n, w):
+        e = EpsilonBundle(eps=1e-4, eps1=1e-4, eps2=2e-4, eps3=3e-4, delta=1e-4)
+        report = evaluate_bound(name, n, w, e)
         assert set(report["terms"]) == {"radicand_1", "radicand_2"}
-        assert report["value"] == pytest.approx(
-            math.sqrt(report["terms"]["radicand_1"]) + math.sqrt(report["terms"]["radicand_2"])
-        )
+        r1, r2 = report["terms"]["radicand_1"], report["terms"]["radicand_2"]
+        assert r1 > 0 and r2 > 0
+        s = 10 ** (n / 8) if name == "game" else 1.0
+        assert report["value"] == s * math.sqrt(r1) + s * math.sqrt(r2)
+
+    def test_estimates_have_no_terms(self):
+        for name in ("mayers-yao-ac", "chsh-ac"):
+            assert evaluate_bound(name, 2, 0, EpsilonBundle(eps=1e-4))["terms"] == {}
+
+    def test_public_functions_read_the_table(self):
+        for n in range(1, 9):
+            for w in range(n + 1):
+                for x in (0.0, 1e-12, 1e-4, 0.03, 2.0):
+                    e = EpsilonBundle(eps=x, eps1=x, eps2=x / 2, eps3=3 * x, delta=x)
+                    for name, fn in SUM_OF_ROOTS.items():
+                        assert fn(n, w, e) == evaluate_bound(name, n, w, e)["value"], (
+                            name, n, w, x,
+                        )
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
