@@ -106,10 +106,11 @@ def sample_game(
     question's rounds.  Each asked question is measured once, in increasing
     code order, and its joint answers fold into the probabilities of the
     2^m masks of accepting sub-tests (bit k set when sub-test k accepts).
-    One batched multinomial splits each question's rounds over the masks,
-    and one per mask splits its rounds over the referee's equally likely
-    draws.  The mean and standard error come from the rounds whose draw
-    the referee's rule accepts.
+    A multinomial right after the fold splits the question's rounds over
+    the masks, added into one vector of 2^m counts, so nothing is held per
+    question.  One multinomial per mask then splits its rounds over the
+    referee's equally likely draws.  The mean and standard error come from
+    the rounds whose draw the referee's rule accepts.
     """
     if referee not in ("threshold", "subtest"):
         raise ValueError(f"unknown referee {referee!r}")
@@ -120,8 +121,8 @@ def sample_game(
     counts = rng.multinomial(rounds, np.full(10**m, 10.0**-m))
     asked = np.flatnonzero(counts)
     bits = 1 << np.arange(m)
-    mask_probs = np.empty((asked.size, 2**m))
-    for row, code in enumerate(asked.tolist()):
+    mask_rounds = np.zeros(2**m, dtype=np.int64)
+    for code in asked.tolist():
         combo = [(code // 10**k) % 10 for k in range(m)]
         qa, qb = _party_strings(combo)
         prods, probs = _joint_distribution(s, qa, qb)
@@ -131,8 +132,7 @@ def sample_game(
         if not total > 0:
             raise ValueError(f"question ({qa}, {qb}) has probabilities summing to 0")
         table = (prods == _PAIR_SIGNS[combo]) @ bits
-        mask_probs[row] = np.bincount(table, probs, 2**m) / total
-    mask_rounds = rng.multinomial(counts[asked], mask_probs).sum(axis=0)
+        mask_rounds += rng.multinomial(counts[code], np.bincount(table, probs, 2**m) / total)
     # accept[mask, d]: the verdict on a round with that mask, given the
     # referee's draw d: threshold d - m + 1 against the accept values' sum
     # 2 * (accepting sub-tests) - m, or the accept value of sub-test d.

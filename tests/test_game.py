@@ -381,6 +381,21 @@ class TestSamplerMemory:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 4 * 2**10
 
+    @pytest.mark.parametrize("referee", ["threshold", "subtest"])
+    def test_peak_at_m4(self, referee):
+        # Each asked question's 2^m mask counts are drawn right after its
+        # fold and added into one vector, so no array of 10^4 x 16 entries
+        # is held (that took a traced 2.9 MB).
+        s = perturb_strategy(honest_spp_strategy(4), NoiseSpec(theta=0.03), seed=1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sample_game(s, 2 * 10**5, seed=1, referee=referee)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestSampledExpectation:
     def test_honest_m1_within_three_sigma(self):
