@@ -33,7 +33,7 @@ from .game import (
     game_expectation_exact,
     sample_game,
 )
-from .isometry import check_isometry_size, verify_bound
+from .isometry import check_isometry_size, pair_policy, verify_bound
 from .protocols import epsilon_my, epsilon_spp, my_test_spec, spp_test_spec
 from .strategies import (
     FLAVORS,
@@ -141,8 +141,10 @@ class RunConfig:
         if self.strategy and self.strategy not in NAMED_STRATEGIES:
             if not os.path.exists(self.strategy):
                 raise UsageError(f"strategy file not found: {self.strategy}")
-        needs_seed = rounds > 0 or self.pairs == "sample"
-        if needs_seed and self.seed is None:
+        self.require_seed(rounds > 0 or self.pairs == "sample")
+
+    def require_seed(self, sampling: bool) -> None:
+        if sampling and self.seed is None:
             raise UsageError("sampling requested but no --seed given")
 
     def to_dict(self) -> dict:
@@ -344,7 +346,7 @@ def _verify(strategy: Strategy, flavor: str, cfg: RunConfig):
     _, measure, test_spec = _flavor_functions(flavor)
     eps = measure(strategy).eps
     reports = verify_bound(
-        strategy, test_spec(strategy.m), pairs=cfg.pairs, seed=cfg.seed or 0,
+        strategy, test_spec(strategy.m), pairs=cfg.pairs, seed=cfg.seed,
         sample_count=cfg.sample_count, eps=eps,
     )
     return eps, reports, max(r.distance for r in reports), all(r.passed for r in reports)
@@ -360,7 +362,13 @@ def cmd_verify_isometry(args) -> tuple[int, dict, list]:
         pairs=pairs,
         sample_count=sample_count,
     )
-    strategy = _resolve_strategy(cfg, args.test, lambda m: check_isometry_size(2 * m))
+
+    def check_size(m):
+        # Before any distance: --pairs auto samples at m >= 3, and a sample needs a seed.
+        check_isometry_size(2 * m)
+        cfg.require_seed(pair_policy(2 * m, cfg.pairs) == "sample")
+
+    strategy = _resolve_strategy(cfg, args.test, check_size)
     eps, reports, max_distance, ok = _verify(strategy, args.test, cfg)
     summary = (
         f"verify-isometry[{args.test}] m={strategy.m}: {len(reports)} pairs, "

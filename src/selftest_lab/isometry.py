@@ -266,6 +266,13 @@ class IsometryReport:
         }
 
 
+def pair_policy(n: int, pairs: str) -> str:
+    """The policy that pairs names at n: auto is exhaustive up to 256 pairs, else a sample."""
+    if pairs == "auto":
+        return "exhaustive" if 4**n <= 256 else "sample"
+    return pairs
+
+
 def select_pairs(
     n: int, pairs: str = "auto", seed: int = 0, sample_count: int = 64
 ) -> list[tuple[int, int]]:
@@ -276,8 +283,7 @@ def select_pairs(
     sample_count pairs.  Near 4^n that is a coupon collector's count of draws:
     sample:65536 at n = 8 takes about 1.5M scalar draws.
     """
-    if pairs == "auto":
-        pairs = "exhaustive" if 4**n <= 256 else "sample"
+    pairs = pair_policy(n, pairs)
     if pairs == "exhaustive":
         return list(itertools.product(range(2**n), repeat=2))
     if pairs == "sample":

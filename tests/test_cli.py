@@ -248,6 +248,23 @@ class TestVerifyIsometry:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("form", ["named", "file"])
+    def test_auto_policy_that_samples_requires_seed(self, capsys, monkeypatch, tmp_path, form):
+        # At m = 3 auto samples 64 of the 4096 pairs; no strategy is built
+        # and no distance taken before the seed is asked for.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("strategy built")
+
+        monkeypatch.setattr(cli, "honest_my_strategy", unreachable)
+        path = tmp_path / "recipe.json"
+        path.write_text(json.dumps({"type": "honest-my", "m": 3}))
+        strategy = ["--m", "3"] if form == "named" else ["--strategy", str(path)]
+        code = cli.main(["verify-isometry", "--test", "my", *strategy])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "usage error: sampling requested but no --seed given\n"
+
     def test_csv_export(self, capsys, tmp_path):
         csv_path = tmp_path / "report.csv"
         code = cli.main(
