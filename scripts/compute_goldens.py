@@ -13,7 +13,6 @@ import numpy as np
 from selftest_lab import bounds as bd
 from selftest_lab import game as gm
 from selftest_lab.bitstrings import BitString
-from selftest_lab.bounds import EpsilonBundle
 from selftest_lab.strategies import basis_vectors, honest_spp_strategy
 
 
@@ -24,7 +23,7 @@ def main():
     print(f"my_parallel_bound(2, 0, 1e-6)       = {bd.my_parallel_bound(2, 0, 1e-6)!r}")
     print(f"spp_selftest_bound(2, 1, 1e-6)      = {bd.spp_selftest_bound(2, 1, 1e-6)!r}")
     print(f"game_robustness_bound(2, 0, 1e-8)   = {bd.game_robustness_bound(2, 0, 1e-8)!r}")
-    uniform = EpsilonBundle(eps1=0.01, eps2=0.01, eps3=0.01)
+    uniform = bd.EpsilonBundle(eps1=0.01, eps2=0.01, eps3=0.01)
     print(f"sufficient_conditions_bound(2, 0, uniform 0.01) = "
           f"{bd.sufficient_conditions_bound(2, 0, uniform)!r}")
 

@@ -142,48 +142,41 @@ def chsh_anticommute_bound(eps: float) -> float:
     return 2 * math.sqrt(2 * _SQRT2 * eps)
 
 
-def _sufficient_radicands(n, weight_p, eps1, eps2, eps3):
-    first = (
-        weight_p / 2 * ((n - 1) * eps1 + 2 * n * eps2 + eps3)
-        + n / 4 * (eps3 - eps1)
-        + n**2 / 8 * (eps1 + 2 * eps2)
+def _sufficient_radicands(n, w, eps1, eps2, eps3):
+    return (
+        w / 2 * ((n - 1) * eps1 + 2 * n * eps2 + eps3) + n / 4 * (eps3 - eps1)
+        + n**2 / 8 * (eps1 + 2 * eps2),
+        n**2 / 4 * (eps1 + 2 * eps2) + n / 2 * (eps2 + eps3 - eps1),
     )
-    second = n**2 / 4 * (eps1 + 2 * eps2) + n / 2 * (eps2 + eps3 - eps1)
-    return first, second
 
 
-def _recomputed_radicands(anticommute, n, weight_p, eps):
-    """The sufficient-conditions pair at eps1 = 4 sqrt(2 eps), eps2 =
-    sqrt(2 eps) and eps3 = anticommute(eps)."""
+def _recomputed(anticommute, n, w, eps):
+    """The sufficient-conditions pair at (4 sqrt(2 eps), sqrt(2 eps), anticommute(eps))."""
     root = math.sqrt(2 * eps)
-    return _sufficient_radicands(n, weight_p, 4 * root, root, anticommute(eps))
+    return _sufficient_radicands(n, w, 4 * root, root, anticommute(eps))
 
 
-def _my_parallel_radicands(n, weight_p, eps):
-    e4 = mayers_yao_anticommute_bound(eps)
-    root = math.sqrt(2 * eps)
-    first = root * (9 * n**2 / 4 + 3 * n / 2) + n * e4 / 2
-    second = root * (
-        9 * n**2 / 8 + n * (5 * weight_p / 2 - 0.25) - weight_p / 2
-    ) + e4 * (n / 4 + weight_p / 2)
-    return first, second
-
-
-def _spp_radicands(n, weight_p, root):
-    first = root * (9 * n**2 / 4 + (3 + 2**1.25) * n / 2)
-    second = root * (
-        9 * n**2 / 8
-        + n * (5 * weight_p / 2 - 0.25 + 2**-0.75)
-        + weight_p * (2**0.25 - 0.5)
+def _my_parallel_radicands(n, w, eps):
+    e4, root = mayers_yao_anticommute_bound(eps), math.sqrt(2 * eps)
+    return (
+        root * (9 * n**2 / 4 + 3 * n / 2) + n * e4 / 2,
+        root * (9 * n**2 / 8 + n * (5 * w / 2 - 0.25) - w / 2) + e4 * (n / 4 + w / 2),
     )
-    return first, second
 
 
-class _SumOfRoots(NamedTuple):
-    """s sqrt(r1) + s sqrt(r2), with s = 10^(n/8) when scaled, else 1.  Called
-    with (n, weight_p, *inputs), it checks them and gives (value, (r1, r2))."""
+def _spp_radicands(n, w, root):
+    return (
+        root * (9 * n**2 / 4 + (3 + 2**1.25) * n / 2),
+        root * (9 * n**2 / 8 + n * (5 * w / 2 - 0.25 + 2**-0.75) + w * (2**0.25 - 0.5)),
+    )
 
-    reads: tuple[str, ...]  # the EpsilonBundle fields that radicands takes after n, weight_p
+
+class _Row(NamedTuple):
+    """A bound s sqrt(r1) + s sqrt(r2), s = 10^(n/8) when scaled, else 1, with
+    (r1, r2) = radicands(n, weight_p, *inputs) and the inputs the fields of
+    reads.  Called so, it checks them and gives (value, (r1, r2))."""
+
+    reads: tuple[str, ...]
     radicands: Callable[..., tuple[float, float]]
     scaled: bool = False
 
@@ -199,20 +192,14 @@ class _SumOfRoots(NamedTuple):
 
 # name -> its sum-of-roots row; the two estimates are functions of eps.
 _TABLE = {
-    "sufficient-conditions": _SumOfRoots(("eps1", "eps2", "eps3"), _sufficient_radicands),
+    "sufficient-conditions": _Row(("eps1", "eps2", "eps3"), _sufficient_radicands),
     "mayers-yao-ac": mayers_yao_anticommute_bound,
     "chsh-ac": chsh_anticommute_bound,
-    "my-parallel": _SumOfRoots(("eps",), _my_parallel_radicands),
-    "my-parallel-recomputed": _SumOfRoots(
-        ("eps",), partial(_recomputed_radicands, mayers_yao_anticommute_bound)
-    ),
-    "spp": _SumOfRoots(("eps",), lambda n, w, eps: _spp_radicands(n, w, math.sqrt(2 * eps))),
-    "spp-recomputed": _SumOfRoots(
-        ("eps",), partial(_recomputed_radicands, chsh_anticommute_bound)
-    ),
-    "game": _SumOfRoots(
-        ("delta",), lambda n, w, delta: _spp_radicands(n, w, math.sqrt(n * delta)), True
-    ),
+    "my-parallel": _Row(("eps",), _my_parallel_radicands),
+    "my-parallel-recomputed": _Row(("eps",), partial(_recomputed, mayers_yao_anticommute_bound)),
+    "spp": _Row(("eps",), lambda n, w, eps: _spp_radicands(n, w, math.sqrt(2 * eps))),
+    "spp-recomputed": _Row(("eps",), partial(_recomputed, chsh_anticommute_bound)),
+    "game": _Row(("delta",), lambda n, w, delta: _spp_radicands(n, w, math.sqrt(n * delta)), True),
 }
 
 
@@ -227,11 +214,9 @@ def my_parallel_bound(n: int, weight_p: int, eps: float) -> float:
 
 
 def my_parallel_recomputed_bound(n: int, weight_p: int, eps: float) -> float:
-    """Same bound re-derived by substituting the primitive estimates, with
-    the Mayers-Yao anticommutation estimate as eps3, into the
-    sufficient-conditions closed form.  Does not match the published
-    constants; consumers take the max.
-    """
+    """Same bound re-derived by substituting the primitive estimates, with the
+    Mayers-Yao anticommutation estimate as eps3, into the sufficient-conditions
+    closed form.  Does not match the published constants; consumers take the max."""
     return _TABLE["my-parallel-recomputed"](n, weight_p, eps)[0]
 
 
@@ -257,13 +242,11 @@ def evaluate_bound(name: str, n: int, weight_p: int, e: EpsilonBundle) -> dict:
     if name not in _TABLE:
         raise ValueError(f"unknown bound {name!r}; known: {sorted(bound_names())}")
     row = _TABLE[name]
-    terms = {}
-    if isinstance(row, _SumOfRoots):
-        value, (terms["radicand_1"], terms["radicand_2"]) = row(
-            n, weight_p, *(getattr(e, f) for f in row.reads)
-        )
+    if isinstance(row, _Row):
+        value, pair = row(n, weight_p, *(getattr(e, f) for f in row.reads))
+        terms = dict(zip(("radicand_1", "radicand_2"), pair))
     else:
-        value = row(e.eps)
+        value, terms = row(e.eps), {}
     return {
         "name": name,
         "inputs": {"n": n, "weight_p": weight_p, **asdict(e)},

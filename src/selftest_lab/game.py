@@ -106,11 +106,10 @@ def sample_game(
     question's rounds.  Each asked question is measured once, in increasing
     code order, and its joint answers fold into the probabilities of the
     2^m masks of accepting sub-tests (bit k set when sub-test k accepts).
-    A multinomial right after the fold splits the question's rounds over
-    the masks, added into one vector of 2^m counts, so nothing is held per
-    question.  One multinomial per mask then splits its rounds over the
-    referee's equally likely draws.  The mean and standard error come from
-    the rounds whose draw the referee's rule accepts.
+    A multinomial right after each fold adds that question's rounds per
+    mask into one vector of 2^m counts, and one per mask splits its rounds
+    over the referee's equally likely draws.  The mean and standard error
+    come from the rounds whose draw the referee's rule accepts.
     """
     if referee not in ("threshold", "subtest"):
         raise ValueError(f"unknown referee {referee!r}")

@@ -268,9 +268,7 @@ class IsometryReport:
 
 def pair_policy(n: int, pairs: str) -> str:
     """The policy that pairs names at n: auto is exhaustive up to 256 pairs, else a sample."""
-    if pairs == "auto":
-        return "exhaustive" if 4**n <= 256 else "sample"
-    return pairs
+    return ("exhaustive" if 4**n <= 256 else "sample") if pairs == "auto" else pairs
 
 
 def select_pairs(

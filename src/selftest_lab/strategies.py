@@ -18,7 +18,6 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .bitstrings import AdjacencyMatrix
-from .bounds import EpsilonBundle  # noqa: F401  (re-exported: defined with the bounds it feeds)
 from .linalg import (
     StateVector,
     STRUCTURAL_ATOL,

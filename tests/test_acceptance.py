@@ -24,6 +24,7 @@ from selftest_lab.bitstrings import (
     parity_average,
 )
 from selftest_lab.bounds import (
+    EpsilonBundle,
     anticommute_bound,
     chsh_anticommute_bound,
     game_robustness_bound,
@@ -51,7 +52,6 @@ from selftest_lab.protocols import (
     my_test_spec,
 )
 from selftest_lab.strategies import (
-    EpsilonBundle,
     NoiseSpec,
     honest_my_strategy,
     honest_spp_strategy,

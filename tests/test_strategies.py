@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from selftest_lab.bitstrings import AdjacencyMatrix
+from selftest_lab.bounds import EpsilonBundle
 from selftest_lab.linalg import (
     PAULI_X,
     PAULI_Z,
@@ -17,7 +18,6 @@ from selftest_lab.linalg import (
     graph_state,
 )
 from selftest_lab.strategies import (
-    EpsilonBundle,
     Measurement,
     NoiseSpec,
     Strategy,
