@@ -233,6 +233,18 @@ class TestSelfTestBounds:
             0.12836214494993553, abs=1e-14
         )
 
+    @pytest.mark.parametrize("fn, field", [
+        (my_parallel_bound, "eps"),
+        (my_parallel_recomputed_bound, "eps"),
+        (spp_selftest_bound, "eps"),
+        (spp_recomputed_bound, "eps"),
+        (game_robustness_bound, "delta"),
+    ])
+    @pytest.mark.parametrize("x", [-1e-9, math.nan, math.inf])
+    def test_bad_input_rejected(self, fn, field, x):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and nonnegative"):
+            fn(2, 0, x)
+
     def test_nondecreasing_in_error(self):
         grid = np.linspace(0.0, 0.2, 10)
         for n in (2, 4):
