@@ -24,6 +24,7 @@ from typing import Optional, Sequence, TextIO
 from . import bitstrings as bs
 from . import bounds as bnd
 from .bitstrings import AdjacencyMatrix, BitString
+from .bounds import EpsilonBundle
 from .game import (
     MAX_GAME_EXPECTATION,
     MAX_ROUNDS,
@@ -140,11 +141,6 @@ class RunConfig:
         if self.strategy and self.strategy not in NAMED_STRATEGIES:
             if not os.path.exists(self.strategy):
                 raise UsageError(f"strategy file not found: {self.strategy}")
-        self.require_seed(rounds > 0 or self.pairs == "sample")
-
-    def require_seed(self, sampling: bool) -> None:
-        if sampling and self.seed is None:
-            raise UsageError("sampling requested but no --seed given")
 
     def to_dict(self) -> dict:
         return {k: v for k, v in asdict(self).items() if v is not None}
@@ -186,8 +182,9 @@ def _resolve_strategy(cfg: RunConfig, flavor: str, check_size) -> Strategy:
     A named strategy is the recipe its flags spell, built by the same code
     as a recipe file.  check_size(m) raises on an m too large for the
     command; it runs on the m that every form carries, before any strategy
-    is built or a recipe's type and noise are read.  So does the seed check
-    of --pairs auto, which samples at m >= 3.
+    is built or a recipe's type and noise are read.  So does the check that
+    a sampling run has a seed: one with rounds, or whose pairs resolve to a
+    sample at m (auto samples at m >= 3).
     """
     if cfg.strategy in NAMED_STRATEGIES:
         noise = {"theta": cfg.theta, "w": cfg.w, "seed": cfg.noise_seed}
@@ -201,7 +198,8 @@ def _resolve_strategy(cfg: RunConfig, flavor: str, check_size) -> Strategy:
     if type(m) is not int or m < 1:  # not isinstance: JSON true loads as a bool, an int
         raise ValueError(f'strategy file {cfg.strategy} needs an integer "m" >= 1, got {m!r}')
     check_size(m)
-    cfg.require_seed(pair_policy(2 * m, cfg.pairs) == "sample")
+    if (cfg.rounds or pair_policy(2 * m, cfg.pairs) == "sample") and cfg.seed is None:
+        raise UsageError("sampling requested but no --seed given")
     if "type" in doc:
         kind, m, theta, w, seed = recipe_from_json(doc)
         build, _, _ = _flavor_functions(kind.removeprefix("honest-"))
@@ -325,11 +323,17 @@ def cmd_bounds(args) -> tuple[int, dict, None]:
         raise UsageError(f"--n must be >= 1, got {args.n}")
     if not 0 <= args.weight_p <= args.n:
         raise UsageError(f"--weight-p must be in 0..{args.n}, got {args.weight_p}")
-    bundle = bnd.EpsilonBundle(*(getattr(args, f.name) for f in fields(bnd.EpsilonBundle)))
+    bundle = EpsilonBundle(**{f.name: getattr(args, f.name) for f in fields(EpsilonBundle)})
     names = bnd.bound_names() if args.bound == "all" else (args.bound,)
     reports = [bnd.evaluate_bound(name, args.n, args.weight_p, bundle) for name in names]
-    config = {"command": "bounds", "bound": args.bound, "n": args.n, "weight_p": args.weight_p}
-    return _report({**config, **asdict(bundle)}, True, bounds=reports)
+    config = {
+        "command": "bounds",
+        "bound": args.bound,
+        "n": args.n,
+        "weight_p": args.weight_p,
+        **asdict(bundle),
+    }
+    return _report(config, True, bounds=reports)
 
 
 # --- verify-isometry --------------------------------------------------------
@@ -528,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"one of {', '.join(bnd.bound_names())}, or all")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--weight-p", type=int, default=0)
-    for f in fields(bnd.EpsilonBundle):
+    for f in fields(EpsilonBundle):
         p.add_argument(f"--{f.name}", type=float, default=0.0)
     p.set_defaults(fn=cmd_bounds)
 
