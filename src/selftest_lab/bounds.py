@@ -172,9 +172,9 @@ def _spp_radicands(n, w, root):
 
 
 class _Row(NamedTuple):
-    """A bound s sqrt(r1) + s sqrt(r2), s = 10^(n/8) when scaled, else 1, with
-    (r1, r2) = radicands(n, weight_p, *inputs) and the inputs the fields of
-    reads.  Called so, it checks them and gives (value, (r1, r2))."""
+    """s sqrt(r1) + s sqrt(r2), (r1, r2) = radicands(n, weight_p, *inputs) for the
+    EpsilonBundle fields named in reads, s = 10^(n/8) when scaled, else 1.  A call
+    checks its inputs and weight_p and returns (value, (r1, r2))."""
 
     reads: tuple[str, ...]
     radicands: Callable[..., tuple[float, float]]

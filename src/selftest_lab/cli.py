@@ -345,7 +345,7 @@ def _verify(strategy: Strategy, flavor: str, cfg: RunConfig):
     _, measure, test_spec = _flavor_functions(flavor)
     eps = measure(strategy).eps
     reports = verify_bound(
-        strategy, test_spec(strategy.m), pairs=cfg.pairs, seed=cfg.seed,
+        strategy, test_spec(strategy.m), pairs=cfg.pairs, seed=cfg.seed or 0,
         sample_count=cfg.sample_count, eps=eps,
     )
     return eps, reports, max(r.distance for r in reports), all(r.passed for r in reports)
