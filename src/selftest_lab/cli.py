@@ -375,6 +375,8 @@ def cmd_verify_isometry(args) -> tuple[int, dict, list]:
         rows.append(
             (r.p, r.q, r.distance, top, top > bnd.VACUOUS_THRESHOLD, r.passed)
         )
+    # A pair's bounds depend on the run only through |p|: one row per weight.
+    by_weight = sorted({r.p.count("1"): r.bounds for r in reports}.items())
     return _report(
         cfg.to_dict(), ok, rows,
         test=args.test,
@@ -383,7 +385,9 @@ def cmd_verify_isometry(args) -> tuple[int, dict, list]:
         pairs=len(reports),
         max_distance=max_distance,
         summary=summary,
-        reports=[r.to_dict() for r in reports],
+        bounds_by_weight=[{"weight_p": k, "bounds": b, "vacuous": {
+            name: v > bnd.VACUOUS_THRESHOLD for name, v in b.items()}} for k, b in by_weight],
+        reports=[{"p": r.p, "q": r.q, "distance": r.distance, "passed": r.passed} for r in reports],
     )
 
 

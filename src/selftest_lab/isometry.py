@@ -71,7 +71,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (
-    VACUOUS_THRESHOLD,
     my_parallel_bound,
     my_parallel_recomputed_bound,
     spp_recomputed_bound,
@@ -251,19 +250,6 @@ class IsometryReport:
     distance: float
     bounds: dict
     passed: bool  # against the larger of the two bound paths
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "distance": self.distance,
-            "bounds": dict(self.bounds),
-            "vacuous": {k: v > VACUOUS_THRESHOLD for k, v in self.bounds.items()},
-            "passed_by": {
-                k: self.distance <= v + DISTANCE_SLACK for k, v in self.bounds.items()
-            },
-            "passed": self.passed,
-        }
 
 
 def pair_policy(n: int, pairs: str) -> str:

@@ -284,7 +284,7 @@ class TestVerifyIsometry:
         )
         assert code == 0
         assert report["passed"]
-        assert set(report["reports"][0]["bounds"]) == {"spp", "spp-recomputed"}
+        assert set(report["bounds_by_weight"][0]["bounds"]) == {"spp", "spp-recomputed"}
         assert "summary" in report
 
 

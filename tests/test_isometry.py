@@ -8,6 +8,7 @@ import pytest
 
 from selftest_lab.bitstrings import AdjacencyMatrix, BitString, adjacency_phase
 from selftest_lab.bounds import (
+    VACUOUS_THRESHOLD,
     my_parallel_bound,
     my_parallel_recomputed_bound,
 )
@@ -461,7 +462,7 @@ class TestVerifyBound:
         assert rep.eps == pytest.approx(1.0)
         reports = verify_bound(s, my_test_spec(1), eps=rep.eps)
         assert all(r.passed for r in reports)  # bounds are enormous
-        assert all(d["vacuous"]["my-parallel"] for d in (r.to_dict() for r in reports))
+        assert all(r.bounds["my-parallel"] > VACUOUS_THRESHOLD for r in reports)
 
     def test_three_pairs_sampled_zero_noise(self):
         # Largest guarded size: n=6 ancilla indices, sampled (p, q) pairs.
