@@ -138,6 +138,9 @@ class RunConfig:
             raise UsageError(f"--rounds must be at most 2^63 - 1 = {MAX_ROUNDS}, got {rounds}")
         if self.sample_count is not None and self.sample_count < 1:
             raise UsageError(f"sample count must be >= 1, got {self.sample_count}")
+        for flag, seed in (("--seed", self.seed), ("--noise-seed", self.noise_seed)):
+            if seed is not None and seed < 0:
+                raise UsageError(f"{flag} must be >= 0, got {seed}")
         if self.strategy and self.strategy not in NAMED_STRATEGIES:
             if not os.path.exists(self.strategy):
                 raise UsageError(f"strategy file not found: {self.strategy}")
@@ -585,8 +588,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     with ExitStack() as files:
         try:
             # Opened before the run, so a bad path fails before the work.
+            csv_path = getattr(args, "csv", None)
+            if args.out and csv_path and os.path.realpath(args.out) == os.path.realpath(csv_path):
+                raise UsageError(f"--out and --csv name the same file {args.out}")
             out = _open_output(files, "--out", args.out)
-            csv_file = _open_output(files, "--csv", getattr(args, "csv", None), newline="")
+            csv_file = _open_output(files, "--csv", csv_path, newline="")
             code, report, csv_rows = args.fn(args)
         except UsageError as exc:
             print(f"usage error: {exc}", file=sys.stderr)

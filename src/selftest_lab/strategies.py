@@ -502,4 +502,5 @@ def recipe_from_json(doc: Mapping) -> tuple[str, int, float, float, int]:
                          "the allowed keys are theta, w and seed")
     seed = noise.get("seed", 0)
     _check_field(isinstance(seed, int), "noise.seed", "an integer", seed)
+    _check_field(seed >= 0, "noise.seed", ">= 0", seed)
     return kind, m, float(noise.get("theta", 0.0)), float(noise.get("w", 0.0)), seed

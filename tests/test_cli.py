@@ -287,6 +287,44 @@ class TestVerifyIsometry:
         assert set(report["bounds_by_weight"][0]["bounds"]) == {"spp", "spp-recomputed"}
         assert "summary" in report
 
+    @pytest.mark.parametrize("flavor", ["my", "spp"])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_bounds_stated_once_per_weight(self, flavor, m):
+        # The report before rounding, so every value compares bit for bit.
+        args = cli.build_parser().parse_args(
+            ["verify-isometry", "--strategy", f"honest-{flavor}", "--m", str(m),
+             "--test", flavor, "--theta", "0.03", "--w", "0.01", "--pairs", "exhaustive"]
+        )
+        code, report, _ = args.fn(args)
+        assert code == 0
+        n = 2 * m
+        rows = report["bounds_by_weight"]
+        assert [row["weight_p"] for row in rows] == list(range(n + 1))
+        functions = isometry._bound_functions(flavor)
+        for row in rows:
+            assert set(row) == {"weight_p", "bounds", "vacuous"}
+            assert row["bounds"] == {
+                name: fn(n, row["weight_p"], report["eps"]) for name, fn in functions.items()
+            }
+            assert row["vacuous"] == {
+                name: v > VACUOUS_THRESHOLD for name, v in row["bounds"].items()
+            }
+        assert len(report["reports"]) == 4**n
+        for entry in report["reports"]:
+            assert set(entry) == {"p", "q", "distance", "passed"}
+            top = max(rows[entry["p"].count("1")]["bounds"].values())
+            assert entry["passed"] == (entry["distance"] <= top + isometry.DISTANCE_SLACK)
+
+    def test_sample_lists_only_the_weights_of_its_pairs(self, capsys):
+        code, report = run_cli(
+            capsys, "verify-isometry", "--strategy", "honest-my", "--m", "2", "--test", "my",
+            "--theta", "0.03", "--pairs", "sample:3", "--seed", "1",
+        )
+        assert code == 0
+        weights = sorted({entry["p"].count("1") for entry in report["reports"]})
+        assert len(weights) < 5  # a proper subset of 0..4
+        assert [row["weight_p"] for row in report["bounds_by_weight"]] == weights
+
 
 class TestGame:
     def test_exact_only(self, capsys):
@@ -453,6 +491,36 @@ class TestRejectedInput:
         err = capsys.readouterr().err
         assert code == 2
         assert err == f"error: strategy lacks the {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        # Seeds that the run never reads: these exited 0 and recorded them.
+        (["verify-isometry", "--test", "my", "--pairs", "exhaustive", "--seed", "-3"],
+         "usage error: --seed must be >= 0, got -3"),
+        (["game", "--seed", "-2"], "usage error: --seed must be >= 0, got -2"),
+        (["sweep-noise", "--thetas", "0", "--ws", "0", "--seed", "-1"],
+         "usage error: --seed must be >= 0, got -1"),
+        (["game", "--rounds", "100", "--seed", "1", "--theta", "0.01", "--noise-seed", "-7"],
+         "usage error: --noise-seed must be >= 0, got -7"),
+        # Seeds that the run reads: these failed inside numpy without a name.
+        (["verify-isometry", "--test", "my", "--pairs", "sample:4", "--seed", "-3"],
+         "usage error: --seed must be >= 0, got -3"),
+        (["game", "--rounds", "100", "--seed", "-2"], "usage error: --seed must be >= 0, got -2"),
+        (["game", "--strategy", "RECIPE"],
+         "error: strategy field noise.seed must be >= 0, got -4"),
+    ], ids=["verify-exhaustive", "game-exact", "sweep", "game-noise-seed", "verify-sample",
+            "game-rounds", "recipe-noise-seed"])
+    def test_negative_seed(self, capsys, tmp_path, argv, message):
+        recipe = tmp_path / "recipe.json"
+        recipe.write_text(json.dumps(
+            {"type": "honest-spp", "m": 1, "noise": {"theta": 0.1, "w": 0.1, "seed": -4}}
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([str(recipe) if a == "RECIPE" else a for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == message + "\n"
 
     def test_runtime_error_exits_without_traceback(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
@@ -783,6 +851,25 @@ class TestOutputFiles:
         assert captured.err == (
             f"error: cannot write {flag} {path}: No such file or directory\n"
         )
+
+    @pytest.mark.parametrize("csv_form", ["same", "relative"])
+    def test_out_and_csv_on_one_path(self, capsys, monkeypatch, tmp_path, csv_form):
+        # Both handles would open the file for writing, and the last flush
+        # would leave one of the two reports.
+        def unreachable(*args):
+            raise AssertionError("command ran")
+
+        monkeypatch.setattr(cli, "honest_my_strategy", unreachable)
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "report"
+        csv_path = str(path) if csv_form == "same" else "report"
+        code = cli.main(["verify-isometry", "--test", "my", "--out", str(path),
+                         "--csv", csv_path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"usage error: --out and --csv name the same file {path}\n"
+        assert not path.exists()
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         path = tmp_path / "report.json"
