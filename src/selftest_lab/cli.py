@@ -587,10 +587,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     with ExitStack() as files:
         try:
-            # Opened before the run, so a bad path fails before the work.
             csv_path = getattr(args, "csv", None)
             if args.out and csv_path and os.path.realpath(args.out) == os.path.realpath(csv_path):
                 raise UsageError(f"--out and --csv name the same file {args.out}")
+            # Opened before the run, so a bad path fails before the work.
             out = _open_output(files, "--out", args.out)
             csv_file = _open_output(files, "--csv", csv_path, newline="")
             code, report, csv_rows = args.fn(args)
