@@ -12,7 +12,6 @@ import numpy as np
 
 from selftest_lab import bounds as bd
 from selftest_lab import game as gm
-from selftest_lab.bitstrings import BitString
 from selftest_lab.strategies import basis_vectors, honest_spp_strategy
 
 
@@ -29,10 +28,8 @@ def main():
 
     print()
     print("== enumerated generic bound vs closed form (they differ) ==")
-    e_ac, e_xz = bd.induced_epsilon_functions(uniform)
     for n in (2, 4):
-        p = BitString.zeros(n)
-        enum = bd.graph_state_bound(n, p, e_ac, e_xz)
+        enum = bd.graph_state_bound(n, 0, *bd.induced_epsilon_functions(n, uniform))
         closed = bd.sufficient_conditions_bound(n, 0, uniform)
         print(f"n={n}: enumeration={enum!r} closed_form={closed!r}")
 

@@ -11,7 +11,8 @@ still reported verbatim.
 
 The six sum-of-roots bounds are one table, ``_TABLE``: a row names the
 ``EpsilonBundle`` fields it reads, its radicand pair and (the game only) its
-scale 10^(n/8), and checks its inputs where it is evaluated.
+scale 10^(n/8).  A bound whose scale, radicands or value is not finite is a
+ValueError that names it and n, so no report holds a value JSON cannot state.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import asdict, dataclass, fields
 from functools import partial
 from typing import Callable, NamedTuple
 
-from .bitstrings import BitString, dot, half_a, half_b, hamming_weight, swap_halves
+from .bitstrings import dot, half_a, half_b, swap_halves
 
 VACUOUS_THRESHOLD = 2.0  # diameter of the space of normalized states
 
@@ -51,61 +52,58 @@ class EpsilonBundle:
             _check_nonneg(f.name, getattr(self, f.name))
 
 
-def anticommute_bound(s: BitString, t: BitString, e: EpsilonBundle) -> float:
+def anticommute_bound(s: int, t: int, n: int, e: EpsilonBundle) -> float:
     """Error budget for exchanging the X-string and Z-string operator blocks."""
-    if s.n != t.n:
-        raise ValueError(f"length mismatch: {s.n} vs {t.n}")
-    sa, sb = hamming_weight(half_a(s)), hamming_weight(half_b(s))
-    ta, tb = hamming_weight(half_a(t)), hamming_weight(half_b(t))
+    sa, sb = half_a(s, n).bit_count(), half_b(s, n).bit_count()
+    ta, tb = half_a(t, n).bit_count(), half_b(t, n).bit_count()
     return (
         (sa * ta + sb * tb) * (e.eps1 + 2 * e.eps2)
         + dot(t, s) * (e.eps3 - e.eps1)
-        + 2 * e.eps2 * min(hamming_weight(s), hamming_weight(t))
+        + 2 * e.eps2 * min(s.bit_count(), t.bit_count())
     )
 
 
-def xz_swap_bound(s: BitString, e: EpsilonBundle) -> float:
+def xz_swap_bound(s: int, n: int, e: EpsilonBundle) -> float:
     """Error budget for trading an X-string operator for its Z-string image."""
-    sa, sb = half_a(s), half_b(s)
+    sa, sb = half_a(s, n), half_b(s, n)
     return (
-        hamming_weight(s) * e.eps2
-        + anticommute_bound(sa, swap_halves(sb), e)
-        + anticommute_bound(sb, swap_halves(sa), e)
+        s.bit_count() * e.eps2
+        + anticommute_bound(sa, swap_halves(sb, n), n, e)
+        + anticommute_bound(sb, swap_halves(sa, n), n, e)
     )
 
 
-def swap_step_bound(t: BitString, k: int, e: EpsilonBundle) -> float:
+def swap_step_bound(t: int, k: int, n: int, e: EpsilonBundle) -> float:
     """Budget for moving one X operator past a same-side Z-string.
 
     Requires t supported on the half containing position k.
     """
-    n = t.n
     if n % 2:
         raise ValueError(f"even length required, got {n}")
     if not 1 <= k <= n:
         raise ValueError(f"position {k} out of range 1..{n}")
-    side = half_a(t) if k <= n // 2 else half_b(t)
+    side = half_a(t, n) if k <= n // 2 else half_b(t, n)
     if side != t:
-        raise ValueError(f"t={t} not confined to the half containing k={k}")
-    return hamming_weight(t) * (e.eps1 + 2 * e.eps2) + t.bit(k) * (e.eps3 - e.eps1)
+        raise ValueError(f"t={t:0{n}b} not confined to the half containing k={k}")
+    return t.bit_count() * (e.eps1 + 2 * e.eps2) + (t >> (n - k) & 1) * (e.eps3 - e.eps1)
 
 
 def graph_state_bound(
     n: int,
-    p: BitString,
-    e_ac: Callable[[BitString, BitString], float],
-    e_xz: Callable[[BitString], float],
+    p: int,
+    e_ac: Callable[[int, int], float],
+    e_xz: Callable[[int], float],
 ) -> float:
     """Generic self-test distance bound, enumerating both double sums.
 
     sqrt((1/2^(2n-1)) Sum_{s,t} [e_ac(s,p) + e_ac(s, p xor t)])
     + sqrt((1/2^(2n-1)) Sum_{t,u} [e_ac(t,u) + e_xz(u)]).
     """
-    if p.n != n:
-        raise ValueError(f"p has length {p.n}, expected {n}")
+    if not 0 <= p < 2**n:
+        raise ValueError(f"p={p} out of range for {n} bits")
     if n > GRAPH_BOUND_LIMIT:
         raise ValueError(f"n={n} exceeds enumeration limit {GRAPH_BOUND_LIMIT}")
-    strings = list(BitString.all_strings(n))
+    strings = range(2**n)
     weight = 1.0 / 2 ** (2 * n - 1)
     first = sum(
         e_ac(s, p) + e_ac(s, p ^ t)
@@ -118,11 +116,11 @@ def graph_state_bound(
     return math.sqrt(weight * first) + math.sqrt(weight * second)
 
 
-def induced_epsilon_functions(e: EpsilonBundle):
-    """The (e_ac, e_xz) pair induced by a primitive error bundle."""
+def induced_epsilon_functions(n: int, e: EpsilonBundle):
+    """The (e_ac, e_xz) pair on n-bit strings induced by a primitive error bundle."""
     return (
-        lambda s, t: anticommute_bound(s, t, e),
-        lambda s: xz_swap_bound(s, e),
+        lambda s, t: anticommute_bound(s, t, n, e),
+        lambda s: xz_swap_bound(s, n, e),
     )
 
 
@@ -173,21 +171,34 @@ def _spp_radicands(n, w, root):
 
 class _Row(NamedTuple):
     """s sqrt(r1) + s sqrt(r2), (r1, r2) = radicands(n, weight_p, *inputs) for the
-    EpsilonBundle fields named in reads, s = 10^(n/8) when scaled, else 1.  A call
-    checks its inputs and weight_p and returns (value, (r1, r2))."""
+    EpsilonBundle fields named in reads, s = 10^(n/8) when scaled, else 1."""
 
     reads: tuple[str, ...]
     radicands: Callable[..., tuple[float, float]]
     scaled: bool = False
 
-    def __call__(self, n: int, weight_p: int, *inputs: float):
-        for name, value in zip(self.reads, inputs):
-            _check_nonneg(name, value)
-        if not 0 <= weight_p <= n:
-            raise ValueError(f"weight_p={weight_p} out of range 0..{n}")
-        first, second = self.radicands(n, weight_p, *inputs)
-        scale = 10 ** (n / 8) if self.scaled else 1.0
-        return scale * math.sqrt(first) + scale * math.sqrt(second), (first, second)
+
+def _check_finite(name: str, n: int, *values: float) -> None:
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"bound {name} is not finite at n={n}")
+
+
+def _sum_of_roots(name: str, n: int, weight_p: int, *inputs: float):
+    """(value, (r1, r2)) of the table row name; checks its inputs and weight_p,
+    and that its scale, radicands and value are finite."""
+    row = _TABLE[name]
+    for field, value in zip(row.reads, inputs):
+        _check_nonneg(field, value)
+    if not 0 <= weight_p <= n:
+        raise ValueError(f"weight_p={weight_p} out of range 0..{n}")
+    first, second = row.radicands(n, weight_p, *inputs)
+    try:
+        scale = 10 ** (n / 8) if row.scaled else 1.0
+    except OverflowError:
+        scale = math.inf
+    value = scale * math.sqrt(first) + scale * math.sqrt(second)
+    _check_finite(name, n, scale, first, second, value)
+    return value, (first, second)
 
 
 # name -> its sum-of-roots row; the two estimates are functions of eps.
@@ -205,35 +216,35 @@ _TABLE = {
 
 def sufficient_conditions_bound(n: int, weight_p: int, e: EpsilonBundle) -> float:
     """Published closed form of the e-bit self-test bound from (eps1..3)."""
-    return _TABLE["sufficient-conditions"](n, weight_p, e.eps1, e.eps2, e.eps3)[0]
+    return _sum_of_roots("sufficient-conditions", n, weight_p, e.eps1, e.eps2, e.eps3)[0]
 
 
 def my_parallel_bound(n: int, weight_p: int, eps: float) -> float:
     """Published self-test distance bound of the parallel pair test."""
-    return _TABLE["my-parallel"](n, weight_p, eps)[0]
+    return _sum_of_roots("my-parallel", n, weight_p, eps)[0]
 
 
 def my_parallel_recomputed_bound(n: int, weight_p: int, eps: float) -> float:
     """Same bound re-derived by substituting the primitive estimates, with the
     Mayers-Yao anticommutation estimate as eps3, into the sufficient-conditions
     closed form.  Does not match the published constants; consumers take the max."""
-    return _TABLE["my-parallel-recomputed"](n, weight_p, eps)[0]
+    return _sum_of_roots("my-parallel-recomputed", n, weight_p, eps)[0]
 
 
 def spp_selftest_bound(n: int, weight_p: int, eps: float) -> float:
     """Published self-test distance bound of the strictly parallel test."""
-    return _TABLE["spp"](n, weight_p, eps)[0]
+    return _sum_of_roots("spp", n, weight_p, eps)[0]
 
 
 def spp_recomputed_bound(n: int, weight_p: int, eps: float) -> float:
     """Strictly parallel analogue of the recomputed path, with the CHSH
     anticommutation estimate in place of the Mayers-Yao one."""
-    return _TABLE["spp-recomputed"](n, weight_p, eps)[0]
+    return _sum_of_roots("spp-recomputed", n, weight_p, eps)[0]
 
 
 def game_robustness_bound(n: int, weight_p: int, delta: float) -> float:
     """Published bound in terms of the game-value deficit delta."""
-    return _TABLE["game"](n, weight_p, delta)[0]
+    return _sum_of_roots("game", n, weight_p, delta)[0]
 
 
 def evaluate_bound(name: str, n: int, weight_p: int, e: EpsilonBundle) -> dict:
@@ -243,10 +254,11 @@ def evaluate_bound(name: str, n: int, weight_p: int, e: EpsilonBundle) -> dict:
         raise ValueError(f"unknown bound {name!r}; known: {sorted(bound_names())}")
     row = _TABLE[name]
     if isinstance(row, _Row):
-        value, pair = row(n, weight_p, *(getattr(e, f) for f in row.reads))
+        value, pair = _sum_of_roots(name, n, weight_p, *(getattr(e, f) for f in row.reads))
         terms = dict(zip(("radicand_1", "radicand_2"), pair))
     else:
         value, terms = row(e.eps), {}
+        _check_finite(name, n, value)
     return {
         "name": name,
         "inputs": {"n": n, "weight_p": weight_p, **asdict(e)},

@@ -23,7 +23,7 @@ from typing import Optional, Sequence, TextIO
 
 from . import bitstrings as bs
 from . import bounds as bnd
-from .bitstrings import AdjacencyMatrix, BitString
+from .bitstrings import AdjacencyMatrix
 from .bounds import EpsilonBundle
 from .game import (
     MAX_GAME_EXPECTATION,
@@ -239,28 +239,20 @@ def run_lemma_checks(max_n: int, even_ns: Sequence[int]) -> tuple[bool, list[dic
         checks.append(entry)
 
     for n in range(1, max_n + 1):
-        ok = all(
-            bs.average_dot(t) == Fraction(bs.hamming_weight(t), 2)
-            for t in BitString.all_strings(n)
-        )
+        ok = all(bs.average_dot(t, n) == Fraction(t.bit_count(), 2) for t in range(2**n))
         add("string-sum-average", n, ok)
         add("string-sum-double-average", n, bs.double_average_dot(n) == Fraction(n, 4))
-        ok = all(
-            bs.parity_average(t) == (1 if t.value == 0 else 0)
-            for t in BitString.all_strings(n)
-        )
+        ok = all(bs.parity_average(t, n) == (1 if t == 0 else 0) for t in range(2**n))
         add("string-sum-parity", n, ok)
     for n in even_ns:
         add("half-swap-identity", n, bs.check_half_swap_identity(n))
     for n in even_ns:
-        adj = AdjacencyMatrix.half_swap(n)
-        witness = bs.find_phase_violation(adj)
-        add(
-            "phase-consistency",
-            n,
-            witness is None,
-            None if witness is None else f"violated at s={witness[0]} t={witness[1]}",
-        )
+        witness = bs.find_phase_violation(AdjacencyMatrix.half_swap(n))
+        detail = None
+        if witness is not None:
+            s, t = witness
+            detail = f"violated at s={s:0{n}b} t={t:0{n}b}"
+        add("phase-consistency", n, witness is None, detail)
     return all(c["passed"] for c in checks), checks
 
 

@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .bitstrings import AdjacencyMatrix, BitString, adjacency_phase
+from .bitstrings import AdjacencyMatrix, adjacency_phase
 
 STRUCTURAL_ATOL = 1e-10  # Hermitian/unitary/projector checks
 NORM_ATOL = 1e-12  # state normalization at construction
@@ -138,18 +138,20 @@ def qubit_layout(n: int) -> Layout:
     return tuple((f"q{k}", 2) for k in range(1, n + 1))
 
 
-def ordered_power(ops: Sequence[np.ndarray], t: BitString) -> np.ndarray:
-    """Product of ops[k]^(t_k) with the index increasing from left to right.
+def ordered_power(ops: Sequence[np.ndarray], t: int) -> np.ndarray:
+    """Product of ops[k]^(t_k) over the positions k of the bit string t, with
+    the index increasing from left to right.
 
     Acting on a state, the highest selected index is applied first.  The
     order matters whenever the family does not commute.
     """
-    if len(ops) != t.n:
-        raise ValueError(f"family size {len(ops)} != exponent length {t.n}")
+    n = len(ops)
+    if not 0 <= t < 2**n:
+        raise ValueError(f"exponent {t} out of range for a family of {n}")
     dim = ops[0].shape[0] if ops else 1
     acc = np.eye(dim, dtype=complex)
-    for k in range(1, t.n + 1):
-        if t.bit(k):
+    for k in range(1, n + 1):
+        if t >> (n - k) & 1:
             acc = acc @ ops[k - 1]
     return acc
 
@@ -159,8 +161,8 @@ def graph_state(adj: AdjacencyMatrix) -> StateVector:
     n = adj.n
     scale = 2.0 ** (-n / 2)
     amps = np.empty(2**n, dtype=complex)
-    for u in BitString.all_strings(n):
-        amps[u.value] = -scale if adjacency_phase(u, adj) else scale
+    for u in range(2**n):
+        amps[u] = -scale if adjacency_phase(u, adj) else scale
     return StateVector(amps, qubit_layout(n))
 
 

@@ -9,139 +9,152 @@ from selftest_lab import bitstrings as bits_module
 from selftest_lab.bitstrings import (
     EXHAUSTIVE_LIMIT,
     AdjacencyMatrix,
-    BitString,
     adjacency_phase,
     average_dot,
     check_half_swap_identity,
     dot,
-    dot_mod2,
     double_average_dot,
     find_phase_violation,
     half_a,
     half_b,
-    hamming_weight,
     parity_average,
     swap_halves,
 )
 
-bitstrings = hst.integers(min_value=1, max_value=8).flatmap(
-    lambda n: hst.lists(hst.integers(0, 1), min_size=n, max_size=n)
-).map(BitString.from_bits)
 
-even_bitstrings = hst.integers(min_value=1, max_value=4).flatmap(
-    lambda h: hst.lists(hst.integers(0, 1), min_size=2 * h, max_size=2 * h)
-).map(BitString.from_bits)
-
-
-def all_pairs(n):
-    return itertools.product(BitString.all_strings(n), repeat=2)
+def strings_of(lengths, count):
+    """(n, x_1, ..., x_count): a length drawn from lengths and n-bit strings."""
+    return lengths.flatmap(
+        lambda n: hst.tuples(hst.just(n), *[hst.integers(0, 2**n - 1)] * count)
+    )
 
 
-class TestBitString:
-    def test_roundtrip_index(self):
-        for n in (1, 3, 5):
-            for x in BitString.all_strings(n):
-                assert BitString.from_index(x.value, n) == x
+bitstring_pairs = strings_of(hst.integers(min_value=1, max_value=8), 2)
+even_bitstrings = strings_of(hst.integers(min_value=1, max_value=4).map(lambda h: 2 * h), 1)
 
-    def test_str_is_position_order(self):
-        assert str(BitString.from_str("1011")) == "1011"
-        assert BitString.from_str("10").value == 2  # position 1 is the MSB
 
-    def test_one_hot(self):
-        for n in (1, 4, 7):
-            for k in range(1, n + 1):
-                e = BitString.one_hot(k, n)
-                assert hamming_weight(e) == 1
-                assert e.bit(k) == 1
+def positions(x, n):
+    """The digits of the n-bit string x, position 1 first."""
+    return [int(c) for c in format(x, f"0{n}b")]
 
-    def test_rejects_bad_bits(self):
-        with pytest.raises(ValueError):
-            BitString.from_bits([0, 2])
-        with pytest.raises(ValueError):
-            BitString.one_hot(5, 4)
+
+def from_positions(d):
+    return int("".join(map(str, d)), 2)
+
+
+def paired(i, j, n):
+    """Whether 0-based positions i and j are an edge of the half-swap graph."""
+    return abs(i - j) == n // 2
+
+
+# name -> (even n only, arity, the helper at length n, its per-position
+# reference); the reference takes n and the digit lists of the helper's strings.
+HELPERS = {
+    "half_a": (True, 1, lambda n: lambda x: half_a(x, n),
+               lambda n, d: from_positions(d[: n // 2] + [0] * (n // 2))),
+    "half_b": (True, 1, lambda n: lambda x: half_b(x, n),
+               lambda n, d: from_positions([0] * (n // 2) + d[n // 2:])),
+    "swap_halves": (True, 1, lambda n: lambda x: swap_halves(x, n),
+                    lambda n, d: from_positions(d[n // 2:] + d[: n // 2])),
+    "dot": (False, 2, lambda n: dot,
+            lambda n, d, e: sum(a * b for a, b in zip(d, e))),
+    "half_swap.apply": (True, 1, lambda n: AdjacencyMatrix.half_swap(n).apply,
+                        lambda n, d: from_positions([
+                            sum(d[j] for j in range(n) if paired(i, j, n)) % 2
+                            for i in range(n)
+                        ])),
+    "half_swap.quad": (True, 1, lambda n: AdjacencyMatrix.half_swap(n).quad,
+                       lambda n, d: sum(d[i] * d[j] for i in range(n) for j in range(n)
+                                        if paired(i, j, n))),
+}
+
+HELPER_CASES = [
+    (name, n)
+    for name, (even_only, *_) in HELPERS.items()
+    for n in range(1, 9)
+    if n % 2 == 0 or not even_only
+]
+
+
+@pytest.mark.parametrize("name, n", HELPER_CASES)
+def test_int_helper_matches_positions(name, n):
+    # Every string (every pair, for dot) against the per-position definition.
+    _, arity, make, reference = HELPERS[name]
+    helper = make(n)
+    for xs in itertools.product(range(2**n), repeat=arity):
+        assert helper(*xs) == reference(n, *(positions(x, n) for x in xs)), (name, xs)
 
 
 class TestHalves:
     def test_examples(self):
-        x = BitString.from_str("1011")
-        assert str(half_a(x)) == "1000"
-        assert str(half_b(x)) == "0011"
-        z = BitString.from_str("0000")
-        assert half_a(z) == z and half_b(z) == z
-        f = BitString.from_str("1111")
-        assert str(half_a(f)) == "1100"
-        assert str(half_b(f)) == "0011"
+        assert half_a(0b1011, 4) == 0b1000
+        assert half_b(0b1011, 4) == 0b0011
+        assert half_a(0, 4) == 0 and half_b(0, 4) == 0
+        assert half_a(0b1111, 4) == 0b1100
+        assert half_b(0b1111, 4) == 0b0011
 
     def test_halves_xor_to_whole(self):
         for n in (2, 4, 6, 8):
-            for x in BitString.all_strings(n):
-                assert (half_a(x) ^ half_b(x)) == x
+            for x in range(2**n):
+                assert (half_a(x, n) ^ half_b(x, n)) == x
 
     def test_odd_length_rejected(self):
-        x = BitString.from_str("101")
         for fn in (half_a, half_b, swap_halves):
             with pytest.raises(ValueError):
-                fn(x)
+                fn(0b101, 3)
 
     @given(even_bitstrings)
-    def test_halves_partition_property(self, x):
-        assert (half_a(x) ^ half_b(x)) == x
-        assert hamming_weight(half_a(x)) + hamming_weight(half_b(x)) == hamming_weight(x)
+    def test_halves_partition_property(self, case):
+        n, x = case
+        assert (half_a(x, n) ^ half_b(x, n)) == x
+        assert half_a(x, n).bit_count() + half_b(x, n).bit_count() == x.bit_count()
 
     @given(even_bitstrings)
-    def test_swap_halves_properties(self, x):
-        assert swap_halves(swap_halves(x)) == x
-        assert hamming_weight(swap_halves(x)) == hamming_weight(x)
-        assert half_a(swap_halves(x)) == swap_halves(half_b(x))
+    def test_swap_halves_properties(self, case):
+        n, x = case
+        assert swap_halves(swap_halves(x, n), n) == x
+        assert swap_halves(x, n).bit_count() == x.bit_count()
+        assert half_a(swap_halves(x, n), n) == swap_halves(half_b(x, n), n)
 
 
 class TestSwapHalves:
     def test_example(self):
-        assert str(swap_halves(BitString.from_str("1011"))) == "1110"
+        assert swap_halves(0b1011, 4) == 0b1110
 
     def test_involution_and_dot_preserving(self):
         for n in (2, 4, 6, 8):
-            for x in BitString.all_strings(n):
-                assert swap_halves(swap_halves(x)) == x
+            for x in range(2**n):
+                assert swap_halves(swap_halves(x, n), n) == x
         for n in (2, 4, 6, 8):
-            for x, y in all_pairs(n):
-                assert dot(swap_halves(x), swap_halves(y)) == dot(x, y)
-                assert dot(swap_halves(x), y) == dot(x, swap_halves(y))
+            for x, y in itertools.product(range(2**n), repeat=2):
+                assert dot(swap_halves(x, n), swap_halves(y, n)) == dot(x, y)
+                assert dot(swap_halves(x, n), y) == dot(x, swap_halves(y, n))
 
 
 class TestDot:
     def test_examples(self):
-        one = BitString.from_str("11")
-        assert dot(one, one) == 2
-        assert dot_mod2(one, one) == 0
-        assert dot(BitString.from_str("10"), BitString.from_str("01")) == 0
+        assert dot(0b11, 0b11) == 2
+        assert dot(0b10, 0b01) == 0
 
     def test_one_hot_orthogonality(self):
         n = 5
         for j in range(1, n + 1):
             for k in range(1, n + 1):
                 expected = 1 if j == k else 0
-                assert dot(BitString.one_hot(j, n), BitString.one_hot(k, n)) == expected
+                assert dot(1 << (n - j), 1 << (n - k)) == expected
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            dot(BitString.from_str("10"), BitString.from_str("100"))
-
-    @given(bitstrings, bitstrings)
-    def test_matches_naive_sum(self, x, y):
-        if x.n != y.n:
-            with pytest.raises(ValueError):
-                dot(x, y)
-        else:
-            assert dot(x, y) == sum(a * b for a, b in zip(x.bits, y.bits))
+    @given(bitstring_pairs)
+    def test_matches_naive_sum(self, case):
+        n, x, y = case
+        assert dot(x, y) == sum(a * b for a, b in zip(positions(x, n), positions(y, n)))
 
 
 class TestAdjacency:
     def test_half_swap_is_half_swap(self):
         for n in (2, 4, 6):
             r = AdjacencyMatrix.half_swap(n)
-            for x in BitString.all_strings(n):
-                assert r.apply(x) == swap_halves(x)
+            for x in range(2**n):
+                assert r.apply(x) == swap_halves(x, n)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -153,19 +166,18 @@ class TestAdjacency:
 
     def test_quadratic_form(self):
         r = AdjacencyMatrix.half_swap(4)
-        s = BitString.from_str("1100")
         # s.Rs with R pairing (1,3), (2,4)
-        assert r.quad(s) == 0
-        assert r.quad(BitString.from_str("1010")) == 2
+        assert r.quad(0b1100) == 0
+        assert r.quad(0b1010) == 2
 
 
 class TestPhase:
     def test_examples(self):
         r2 = AdjacencyMatrix.half_swap(2)
-        assert adjacency_phase(BitString.from_str("00"), r2) == 0
-        assert adjacency_phase(BitString.from_str("11"), r2) == 1
+        assert adjacency_phase(0b00, r2) == 0
+        assert adjacency_phase(0b11, r2) == 1
         r4 = AdjacencyMatrix.half_swap(4)
-        assert adjacency_phase(BitString.from_str("1100"), r4) == 0
+        assert adjacency_phase(0b1100, r4) == 0
 
     def test_consistency_half_swap(self):
         for n in (2, 4, 6):
@@ -189,25 +201,25 @@ class TestPhase:
 class TestStringSums:
     def test_average_dot_example(self):
         # s.t over s in {00,01,10,11} against t=11 gives 0,1,1,2
-        assert average_dot(BitString.from_str("11")) == Fraction(1)
+        assert average_dot(0b11, 2) == Fraction(1)
 
     def test_double_average_example(self):
         assert double_average_dot(2) == Fraction(1, 2)
 
     def test_parity_examples(self):
-        assert parity_average(BitString.from_str("00")) == 1
-        assert parity_average(BitString.from_str("10")) == 0
+        assert parity_average(0b00, 2) == 1
+        assert parity_average(0b10, 2) == 0
 
     def test_identities_hold_small(self):
         for n in range(1, 7):
-            for t in BitString.all_strings(n):
-                assert average_dot(t) == Fraction(hamming_weight(t), 2)
-                assert parity_average(t) == (1 if t.value == 0 else 0)
+            for t in range(2**n):
+                assert average_dot(t, n) == Fraction(t.bit_count(), 2)
+                assert parity_average(t, n) == (1 if t == 0 else 0)
             assert double_average_dot(n) == Fraction(n, 4)
 
     def test_limit_guard(self):
         with pytest.raises(ValueError):
-            average_dot(BitString.zeros(11))
+            average_dot(0, 11)
         with pytest.raises(ValueError):
             double_average_dot(11)
 
@@ -215,19 +227,19 @@ class TestStringSums:
 # Every exhaustive check refuses the first size over the limit (12 for the
 # even-n checks) before it enumerates anything.
 @pytest.mark.parametrize(
-    "check, arg",
+    "check, args",
     [
-        (average_dot, BitString.zeros(EXHAUSTIVE_LIMIT + 1)),
-        (double_average_dot, EXHAUSTIVE_LIMIT + 1),
-        (parity_average, BitString.zeros(EXHAUSTIVE_LIMIT + 1)),
-        (check_half_swap_identity, 12),
-        (find_phase_violation, AdjacencyMatrix.half_swap(12)),
+        (average_dot, (0, EXHAUSTIVE_LIMIT + 1)),
+        (double_average_dot, (EXHAUSTIVE_LIMIT + 1,)),
+        (parity_average, (0, EXHAUSTIVE_LIMIT + 1)),
+        (check_half_swap_identity, (12,)),
+        (find_phase_violation, (AdjacencyMatrix.half_swap(12),)),
     ],
     ids=lambda v: v.__name__ if callable(v) else None,
 )
-def test_exhaustive_guard(check, arg):
+def test_exhaustive_guard(check, args):
     with pytest.raises(ValueError, match="exceeds exhaustive-check limit"):
-        check(arg)
+        check(*args)
 
 
 class TestHalfSwapIdentity:
@@ -236,9 +248,9 @@ class TestHalfSwapIdentity:
         assert check_half_swap_identity(4)
 
     def test_zero_strings_trivial(self):
-        z = BitString.zeros(4)
+        z = 0
         w = z ^ z
-        assert dot_mod2(swap_halves(w), z) == 0
+        assert dot(swap_halves(w, 4), z) & 1 == 0
 
     def test_odd_rejected(self):
         with pytest.raises(ValueError):

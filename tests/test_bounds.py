@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
 
-from selftest_lab.bitstrings import BitString
 from selftest_lab.bounds import (
     anticommute_bound,
     bound_names,
@@ -42,65 +41,56 @@ SUM_OF_ROOTS = {
 # Golden values below were produced by scripts/compute_goldens.py.
 
 
-def bits(s):
-    return BitString.from_str(s)
-
-
 class TestAnticommuteBound:
     def test_zero_strings(self):
-        z = BitString.zeros(4)
-        assert anticommute_bound(z, z, UNIFORM) == 0.0
+        assert anticommute_bound(0, 0, 4, UNIFORM) == 0.0
 
     def test_zero_bundle(self):
-        for s, t in itertools.product(BitString.all_strings(4), repeat=2):
-            assert anticommute_bound(s, t, ZERO) == 0.0
+        for s, t in itertools.product(range(2**4), repeat=2):
+            assert anticommute_bound(s, t, 4, ZERO) == 0.0
 
     def test_hand_example(self):
         # (1*1 + 0)(0.01 + 0.02) + 1*(0.01-0.01) + 2*0.01*1 = 0.05
-        assert anticommute_bound(bits("10"), bits("10"), UNIFORM) == pytest.approx(0.05)
+        assert anticommute_bound(0b10, 0b10, 2, UNIFORM) == pytest.approx(0.05)
 
     def test_nonnegative_everywhere_small(self):
-        for s, t in itertools.product(BitString.all_strings(4), repeat=2):
-            assert anticommute_bound(s, t, UNIFORM) >= 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            anticommute_bound(bits("10"), bits("1000"), UNIFORM)
+        for s, t in itertools.product(range(2**4), repeat=2):
+            assert anticommute_bound(s, t, 4, UNIFORM) >= 0.0
 
 
 class TestXzSwapBound:
     def test_zeros(self):
-        assert xz_swap_bound(BitString.zeros(4), UNIFORM) == 0.0
-        assert xz_swap_bound(bits("11"), ZERO) == 0.0
+        assert xz_swap_bound(0, 4, UNIFORM) == 0.0
+        assert xz_swap_bound(0b11, 2, ZERO) == 0.0
 
     def test_hand_example(self):
         # |s| eps2 = 0.02; both half terms contribute 0.05 each.
-        assert xz_swap_bound(bits("11"), UNIFORM) == pytest.approx(0.12)
+        assert xz_swap_bound(0b11, 2, UNIFORM) == pytest.approx(0.12)
 
 
 class TestSwapStepBound:
     def test_zero_string(self):
-        assert swap_step_bound(BitString.zeros(6), 1, UNIFORM) == 0.0
+        assert swap_step_bound(0, 1, 6, UNIFORM) == 0.0
 
     def test_hand_example_bit_clear(self):
         e = EpsilonBundle(eps1=0.01, eps2=0.005, eps3=0.0)
-        assert swap_step_bound(bits("110000"), 3, e) == pytest.approx(0.04)
+        assert swap_step_bound(0b110000, 3, 6, e) == pytest.approx(0.04)
 
     def test_set_bit_adds_eps3_minus_eps1(self):
         e = EpsilonBundle(eps1=0.01, eps2=0.005, eps3=0.02)
-        base = swap_step_bound(bits("110000"), 3, e)
-        assert swap_step_bound(bits("110000"), 1, e) == pytest.approx(base + 0.01)
+        base = swap_step_bound(0b110000, 3, 6, e)
+        assert swap_step_bound(0b110000, 1, 6, e) == pytest.approx(base + 0.01)
 
     def test_side_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            swap_step_bound(bits("110000"), 4, UNIFORM)  # t on side a, k on side b
+            swap_step_bound(0b110000, 4, 6, UNIFORM)  # t on side a, k on side b
         with pytest.raises(ValueError):
-            swap_step_bound(bits("100100"), 1, UNIFORM)  # t spans both halves
+            swap_step_bound(0b100100, 1, 6, UNIFORM)  # t spans both halves
 
 
 def brute_force_graph_bound(n, p, e_ac, e_xz):
     """Independent re-implementation of the two enumerated double sums."""
-    strings = [BitString.from_index(v, n) for v in range(2**n)]
+    strings = range(2**n)
     total1 = 0.0
     total2 = 0.0
     for s in strings:
@@ -114,20 +104,18 @@ def brute_force_graph_bound(n, p, e_ac, e_xz):
 class TestGraphStateBound:
     def test_zero_functions(self):
         zero = lambda *args: 0.0
-        assert graph_state_bound(2, BitString.zeros(2), zero, zero) == 0.0
+        assert graph_state_bound(2, 0, zero, zero) == 0.0
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_constant_functions_match_closed_form(self, n):
         a, b = 0.003, 0.007
-        val = graph_state_bound(
-            n, BitString.zeros(n), lambda s, t: a, lambda s: b
-        )
+        val = graph_state_bound(n, 0, lambda s, t: a, lambda s: b)
         assert val == pytest.approx(2 * math.sqrt(a) + math.sqrt(2 * (a + b)), abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_matches_independent_enumeration(self, n):
-        e_ac, e_xz = induced_epsilon_functions(UNIFORM)
-        p = BitString.zeros(n)
+        e_ac, e_xz = induced_epsilon_functions(n, UNIFORM)
+        p = 0
         assert graph_state_bound(n, p, e_ac, e_xz) == pytest.approx(
             brute_force_graph_bound(n, p, e_ac, e_xz), abs=1e-12
         )
@@ -135,8 +123,8 @@ class TestGraphStateBound:
     def test_enumerated_value_differs_from_closed_form(self):
         # The published closed form is NOT the enumeration of the published
         # epsilon functions; both values are locked here to document the gap.
-        e_ac, e_xz = induced_epsilon_functions(UNIFORM)
-        enum = graph_state_bound(2, BitString.zeros(2), e_ac, e_xz)
+        e_ac, e_xz = induced_epsilon_functions(2, UNIFORM)
+        enum = graph_state_bound(2, 0, e_ac, e_xz)
         closed = sufficient_conditions_bound(2, 0, UNIFORM)
         assert enum == pytest.approx(0.5880741785844452, abs=1e-12)
         assert closed == pytest.approx(0.32247448713915894, abs=1e-12)
@@ -145,7 +133,13 @@ class TestGraphStateBound:
     def test_limit_guard(self):
         zero = lambda *args: 0.0
         with pytest.raises(ValueError):
-            graph_state_bound(6, BitString.zeros(6), zero, zero)
+            graph_state_bound(6, 0, zero, zero)
+
+    @pytest.mark.parametrize("p", [-1, 4])
+    def test_p_out_of_range(self, p):
+        zero = lambda *args: 0.0
+        with pytest.raises(ValueError, match=f"p={p} out of range for 2 bits"):
+            graph_state_bound(2, p, zero, zero)
 
 
 class TestSufficientConditionsBound:
@@ -316,6 +310,12 @@ class TestBoundReports:
         with pytest.raises(ValueError):
             evaluate_bound("tightest", 2, 0, ZERO)
 
+    @pytest.mark.parametrize("name", ["mayers-yao-ac", "chsh-ac"])
+    def test_infinite_estimate_rejected(self, name):
+        # The sum-of-roots rows are covered by the bounds command's tests.
+        with pytest.raises(ValueError, match=f"^bound {name} is not finite at n=2$"):
+            evaluate_bound(name, 2, 0, EpsilonBundle(eps=1e308))
+
 
 bundles = hst.builds(
     EpsilonBundle,
@@ -330,9 +330,8 @@ bundles = hst.builds(
 class TestBundleProperties:
     @given(bundles, hst.integers(0, 15), hst.integers(0, 15))
     def test_anticommute_nonnegative(self, e, sv, tv):
-        s, t = BitString.from_index(sv, 4), BitString.from_index(tv, 4)
-        assert anticommute_bound(s, t, e) >= 0.0
-        assert xz_swap_bound(s, e) >= 0.0
+        assert anticommute_bound(sv, tv, 4, e) >= 0.0
+        assert xz_swap_bound(sv, 4, e) >= 0.0
 
     @given(bundles, hst.integers(2, 3).map(lambda h: 2 * h), hst.integers(0, 4))
     def test_sufficient_conditions_nonnegative(self, e, n, w):
@@ -351,11 +350,11 @@ class TestRandomSweep:
                 eps3=float(rng.uniform(0, 0.5)),
                 delta=float(rng.uniform(0, 0.5)),
             )
-            s = BitString.from_index(int(rng.integers(0, 2**n)), n)
-            t = BitString.from_index(int(rng.integers(0, 2**n)), n)
+            s = int(rng.integers(0, 2**n))
+            t = int(rng.integers(0, 2**n))
             w = int(rng.integers(0, n + 1))
-            assert anticommute_bound(s, t, e) >= 0.0
-            assert xz_swap_bound(s, e) >= 0.0
+            assert anticommute_bound(s, t, n, e) >= 0.0
+            assert xz_swap_bound(s, n, e) >= 0.0
             assert sufficient_conditions_bound(n, w, e) >= 0.0
             assert my_parallel_bound(n, w, e.eps) >= 0.0
             assert spp_selftest_bound(n, w, e.eps) >= 0.0

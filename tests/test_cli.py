@@ -90,7 +90,7 @@ class TestLemmaChecks:
         code, report, _ = cli.cmd_lemma_checks(args)
         assert code == 1
         bad = [c for c in report["checks"] if not c["passed"]]
-        assert bad and "violated at" in bad[0]["detail"]
+        assert bad and bad[0]["detail"] == "violated at s=00 t=00"
 
 
 class TestHonestCheck:
@@ -397,6 +397,22 @@ class TestGame:
 
 
 class TestRejectedInput:
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["--n", "3000"], "bound game is not finite at n=3000", id="scale"),
+        pytest.param(["--n", "2", "--bound", "my-parallel", "--eps", "1e308"],
+                     "bound my-parallel is not finite at n=2", id="infinite"),
+        pytest.param(["--n", "2", "--bound", "sufficient-conditions",
+                      "--eps1", "1e308", "--eps2", "1e308"],
+                     "bound sufficient-conditions is not finite at n=2", id="nan"),
+    ])
+    def test_non_finite_bound(self, capsys, argv, message):
+        # Infinity and NaN are not JSON, and the overflowing scale was a traceback.
+        code = cli.main(["bounds", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("kind, defect, check", [
         pytest.param("X", lambda p, q: (1.3 * p, q), "completeness", id="X"),
         pytest.param("Z", lambda p, q: (1.3 * p, q), "completeness", id="Z"),

@@ -6,7 +6,7 @@ import types
 import numpy as np
 import pytest
 
-from selftest_lab.bitstrings import AdjacencyMatrix, BitString, adjacency_phase
+from selftest_lab.bitstrings import AdjacencyMatrix, adjacency_phase
 from selftest_lab.bounds import (
     VACUOUS_THRESHOLD,
     my_parallel_bound,
@@ -88,11 +88,12 @@ def xz_observables(s: Strategy, flavor: str) -> tuple[list, list]:
     )
 
 
-def apply_string(ops: list[np.ndarray], bits: BitString, vec: np.ndarray) -> np.ndarray:
-    """Apply the ordered operator string to a vector (highest index first)."""
+def apply_string(ops: list[np.ndarray], bits: int, vec: np.ndarray) -> np.ndarray:
+    """Apply the ordered operator string ops^bits to a vector (highest index first)."""
+    n = len(ops)
     out = vec
-    for k in range(bits.n, 0, -1):
-        if bits.bit(k):
+    for k in range(n, 0, -1):
+        if bits >> (n - k) & 1:
             out = ops[k - 1] @ out
     return out
 
@@ -104,11 +105,10 @@ def junk_matrix(zs: list[np.ndarray], psi: np.ndarray) -> np.ndarray:
     """
     n = len(zs)
     cols = np.empty((psi.shape[0], 2**n), dtype=complex)
-    for t in BitString.all_strings(n):
-        cols[:, t.value] = apply_string(zs, t, psi)
+    for t in range(2**n):
+        cols[:, t] = apply_string(zs, t, psi)
     adj = AdjacencyMatrix.half_swap(n)
-    signs = np.array([-1.0 if adjacency_phase(sb, adj) else 1.0
-                      for sb in BitString.all_strings(n)])
+    signs = np.array([-1.0 if adjacency_phase(sb, adj) else 1.0 for sb in range(2**n)])
     return (cols @ walsh_hadamard(n)) * signs[None, :] * 2.0 ** (-n / 2)
 
 
@@ -117,15 +117,12 @@ def ideal_pair_state(n: int) -> StateVector:
     return graph_state(AdjacencyMatrix.half_swap(n))
 
 
-def pauli_string_state(p: BitString, q: BitString, base: np.ndarray) -> np.ndarray:
+def pauli_string_state(p: int, q: int, base: np.ndarray) -> np.ndarray:
     """X^q Z^p applied to a computational-basis-indexed amplitude vector."""
-    n = p.n
-    if q.n != n or base.shape != (2**n,):
-        raise ValueError("p, q and the base state must share one qubit count")
-    v = np.arange(2**n)
-    signs = (-1.0) ** np.bitwise_count(v & p.value)
+    v = np.arange(base.shape[0])
+    signs = (-1.0) ** np.bitwise_count(v & p)
     out = np.empty_like(base)
-    out[v ^ q.value] = signs * base
+    out[v ^ q] = signs * base
     return out
 
 
@@ -134,7 +131,7 @@ def six_step_distance(s, flavor, p, q) -> float:
     xs, zs = xz_observables(s, flavor)
     vec = apply_string(xs, q, apply_string(zs, p, s.state.amps))
     junk = junk_matrix(zs, s.state.amps)
-    ideal = pauli_string_state(p, q, ideal_pair_state(p.n).amps)
+    ideal = pauli_string_state(p, q, ideal_pair_state(len(zs)).amps)
     target = junk[:, :, None] * ideal[None, None, :]
     return float(np.linalg.norm(six_step_image(xs, zs, vec) - target))
 
@@ -263,8 +260,8 @@ class TestJunkState:
         # Zero-noise exactness over all 16 (p, q) pairs at one e-bit.
         s = honest_my_strategy(1)
         ctx = IsometryContext(s, "my")
-        for p, q in itertools.product(BitString.all_strings(2), repeat=2):
-            assert ctx.distance(p.value, q.value) < 1e-9
+        for p, q in itertools.product(range(2**2), repeat=2):
+            assert ctx.distance(p, q) < 1e-9
 
     def test_enumeration_guard(self):
         assert ISOMETRY_LIMIT == 8
@@ -301,8 +298,8 @@ class TestPauliStringState:
         zs = [embed(PAULI_Z, layout, sites=(k,)) for k in range(1, n + 1)]
         rng = np.random.default_rng(17)
         for _ in range(20):
-            p = BitString.from_index(int(rng.integers(0, 2**n)), n)
-            q = BitString.from_index(int(rng.integers(0, 2**n)), n)
+            p = int(rng.integers(0, 2**n))
+            q = int(rng.integers(0, 2**n))
             direct = pauli_string_state(p, q, psi.amps)
             oracle = ordered_power(xs, q) @ (ordered_power(zs, p) @ psi.amps)
             assert np.allclose(direct, oracle, atol=1e-12)
@@ -330,12 +327,12 @@ class TestSelftestDistance:
             eps_and_strategies.append((epsilon_my(s).eps, s))
         for eps, s in eps_and_strategies:
             ctx = IsometryContext(s, "my")
-            for p, q in itertools.product(BitString.all_strings(2), repeat=2):
+            for p, q in itertools.product(range(2**2), repeat=2):
                 bound = max(
-                    my_parallel_bound(2, sum(p.bits), eps),
-                    my_parallel_recomputed_bound(2, sum(p.bits), eps),
+                    my_parallel_bound(2, p.bit_count(), eps),
+                    my_parallel_recomputed_bound(2, p.bit_count(), eps),
                 )
-                assert ctx.distance(p.value, q.value) <= bound + 1e-9
+                assert ctx.distance(p, q) <= bound + 1e-9
 
     def test_wrong_register_order_is_loud(self):
         # Swapping the roles of the two ancilla blocks must give a visibly
@@ -511,14 +508,14 @@ class TestAgainstClosedFormImage:
         big = 2**n
         got = KrausTables(*parties).image(v.reshape(dims)).reshape(dim, big, big)
         expected = np.zeros((dim, big, big), dtype=complex)
-        for s in BitString.all_strings(n):
-            for t in BitString.all_strings(n):
-                for u in BitString.all_strings(n):
-                    phase = (-1.0) ** ((t.value & (s.value ^ u.value)).bit_count())
+        for s in range(big):
+            for t in range(big):
+                for u in range(big):
+                    phase = (-1.0) ** ((t & (s ^ u)).bit_count())
                     vec = apply_string(xs, s, v)
                     vec = apply_string(zs, t, vec)
                     vec = apply_string(xs, u, vec)
-                    expected[:, s.value, u.value] += phase * vec
+                    expected[:, s, u] += phase * vec
         expected /= 2.0 ** (3 * n / 2)
         assert np.allclose(got, expected, atol=1e-12)
         assert np.allclose(six_step_image(xs, zs, v), expected, atol=1e-12)
@@ -569,8 +566,8 @@ class TestAgainstSixStepOracle:
     def test_distance_over_all_pairs(self, flavor, m, noisy):
         s = oracle_case_strategy(flavor, m, noisy)
         ctx = IsometryContext(s, flavor)
-        for p, q in itertools.product(BitString.all_strings(2 * m), repeat=2):
-            assert abs(ctx.distance(p.value, q.value) - six_step_distance(s, flavor, p, q)) <= 1e-12
+        for p, q in itertools.product(range(4**m), repeat=2):
+            assert abs(ctx.distance(p, q) - six_step_distance(s, flavor, p, q)) <= 1e-12
 
     @pytest.mark.parametrize("flavor,kind", M3_CASES)
     def test_distance_on_sampled_m3_pairs(self, flavor, kind):
@@ -582,8 +579,7 @@ class TestAgainstSixStepOracle:
         ctx = IsometryContext(s, flavor)
         pairs = select_pairs(6, "sample", seed=5, sample_count=1 if kind == "junk" else 3)
         for p, q in pairs:
-            oracle = six_step_distance(s, flavor, *(BitString.from_index(x, 6) for x in (p, q)))
-            assert abs(ctx.distance(p, q) - oracle) <= 1e-12
+            assert abs(ctx.distance(p, q) - six_step_distance(s, flavor, p, q)) <= 1e-12
 
     @pytest.mark.parametrize("flavor,m,noisy", ORACLE_CASES)
     def test_apply_isometry_elementwise(self, flavor, m, noisy):
@@ -638,8 +634,8 @@ class TestAgainstBlockFormOracle:
     def test_oracle_matches_six_step(self, flavor, m, noisy):
         s = with_junk(oracle_case_strategy(flavor, m, noisy), seed=m)
         oracle = BlockFormContext(s, flavor)
-        for p, q in itertools.product(BitString.all_strings(2 * m), repeat=2):
-            assert abs(oracle.distance(p.value, q.value) - six_step_distance(s, flavor, p, q)) <= 1e-12
+        for p, q in itertools.product(range(4**m), repeat=2):
+            assert abs(oracle.distance(p, q) - six_step_distance(s, flavor, p, q)) <= 1e-12
 
     @pytest.mark.parametrize("flavor,m,kind", BLOCK_FORM_CASES)
     def test_distance_on_sampled_pairs(self, flavor, m, kind):
@@ -695,9 +691,9 @@ class TestStrategyWithJunk:
         assert (s.dim_a, s.dim_b) == (3 * 2**m, 2 * 2**m)
         assert all(c.passed for c in validate_strategy(s))
         ctx = IsometryContext(s, flavor)
-        for p, q in itertools.product(BitString.all_strings(2 * m), repeat=2):
+        for p, q in itertools.product(range(4**m), repeat=2):
             expected = six_step_distance(s, flavor, p, q)
-            assert abs(ctx.distance(p.value, q.value) - expected) <= 1e-12
+            assert abs(ctx.distance(p, q) - expected) <= 1e-12
             if not noisy:
                 assert expected < 1e-9
 
