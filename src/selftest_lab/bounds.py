@@ -191,11 +191,11 @@ def _sum_of_roots(name: str, n: int, weight_p: int, *inputs: float):
         _check_nonneg(field, value)
     if not 0 <= weight_p <= n:
         raise ValueError(f"weight_p={weight_p} out of range 0..{n}")
-    first, second = row.radicands(n, weight_p, *inputs)
     try:
+        first, second = row.radicands(n, weight_p, *inputs)
         scale = 10 ** (n / 8) if row.scaled else 1.0
-    except OverflowError:
-        scale = math.inf
+    except OverflowError:  # n, or the game's scale, beyond a float
+        first = second = scale = math.inf
     value = scale * math.sqrt(first) + scale * math.sqrt(second)
     _check_finite(name, n, scale, first, second, value)
     return value, (first, second)

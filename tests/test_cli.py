@@ -404,9 +404,11 @@ class TestRejectedInput:
         pytest.param(["--n", "2", "--bound", "sufficient-conditions",
                       "--eps1", "1e308", "--eps2", "1e308"],
                      "bound sufficient-conditions is not finite at n=2", id="nan"),
+        pytest.param(["--n", "1" + "0" * 400],
+                     "bound sufficient-conditions is not finite at n=1" + "0" * 400, id="huge-n"),
     ])
     def test_non_finite_bound(self, capsys, argv, message):
-        # Infinity and NaN are not JSON, and the overflowing scale was a traceback.
+        # Infinity and NaN are not JSON, and an n or scale beyond a float was a traceback.
         code = cli.main(["bounds", *argv])
         captured = capsys.readouterr()
         assert code == 2
