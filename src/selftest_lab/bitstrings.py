@@ -1,4 +1,4 @@
-"""Exact bit-string combinatorics: weights, half splits, dot products, graph phases.
+"""Exact bit-string combinatorics: weights, half splits, dot products, the half-swap phase.
 
 An n-bit string is an int x in [0, 2^n).  Bit positions are 1-based
 (k = 1..n) and big-endian: position k is bit n - k of x, so position 1 is the
@@ -13,8 +13,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from typing import Optional
-
-import numpy as np
 
 # Exhaustive checks enumerate 2^(2n) pairs; n=10 is about 10^6 pairs.
 EXHAUSTIVE_LIMIT = 10
@@ -54,86 +52,32 @@ def dot(x: int, y: int) -> int:
     return (x & y).bit_count()
 
 
-class AdjacencyMatrix:
-    """Symmetric (0,1)-matrix with zero diagonal, acting on bit strings."""
+def half_swap_phase(s: int, n: int) -> int:
+    """Graph-state phase (s.Rs / 2) mod 2 = s_A.s_B mod 2 of the half-swap graph.
 
-    def __init__(self, entries):
-        m = np.asarray(entries, dtype=np.uint8)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"adjacency matrix must be square, got shape {m.shape}")
-        if not np.array_equal(m, m.T):
-            raise ValueError("adjacency matrix must be symmetric")
-        if m.diagonal().any():
-            raise ValueError("adjacency matrix must have zero diagonal")
-        if not np.isin(m, (0, 1)).all():
-            raise ValueError("adjacency matrix entries must be 0 or 1")
-        self.n = m.shape[0]
-        # Row i as a bit string, for popcount-based products.
-        self._row_masks = tuple(int("".join(map(str, row)), 2) for row in m)
-
-    @classmethod
-    def zeros(cls, n: int) -> "AdjacencyMatrix":
-        return cls(np.zeros((n, n), dtype=np.uint8))
-
-    @classmethod
-    def half_swap(cls, n: int) -> "AdjacencyMatrix":
-        """Adjacency of n/2 isolated edges pairing position k with k + n/2.
-
-        As a permutation it exchanges the two halves of a bit string.
-        """
-        if n % 2:
-            raise ValueError(f"half_swap needs even n, got {n}")
-        m = np.zeros((n, n), dtype=np.uint8)
-        h = n // 2
-        for k in range(h):
-            m[k, k + h] = m[k + h, k] = 1
-        return cls(m)
-
-    def apply(self, x: int) -> int:
-        """Mod-2 matrix-vector product A x."""
-        out = 0
-        for mask in self._row_masks:
-            out = (out << 1) | ((mask & x).bit_count() & 1)
-        return out
-
-    def quad(self, s: int) -> int:
-        """Integer quadratic form s . A s."""
-        return sum(
-            (mask & s).bit_count()
-            for k, mask in enumerate(self._row_masks)
-            if s >> (self.n - 1 - k) & 1
-        )
-
-
-def adjacency_phase(s: int, adj: AdjacencyMatrix) -> int:
-    """Graph-state phase ((s . A s) / 2) mod 2.
-
-    The quadratic form of a symmetric zero-diagonal matrix is always even;
-    an odd value means the matrix is malformed.
+    R is its adjacency: n/2 isolated edges pairing position k with k + n/2,
+    the e-bits of the parallel tests.  R s is ``swap_halves(s, n)``.
     """
-    q = adj.quad(s)
-    if q % 2:
-        raise RuntimeError(f"odd quadratic form {q}: malformed adjacency matrix")
-    return (q // 2) % 2
+    _check_even(n)
+    return ((s >> n // 2) & s).bit_count() & 1
 
 
-def find_phase_violation(adj: AdjacencyMatrix) -> Optional[tuple[int, int]]:
-    """First (s, t) pair violating P(s) + P(t) = P(s xor t) + s.A(s xor t) mod 2.
+def find_phase_violation(n: int) -> Optional[tuple[int, int]]:
+    """First (s, t) pair violating P(s) + P(t) = P(s xor t) + s.R(s xor t) mod 2
+    for the half-swap phase P and matrix R at length n.
 
     Returns None when the additivity property holds for all 2^(2n) pairs.
     """
-    n = adj.n
     _check_exhaustive(n)
     strings = range(2**n)
-    p_table = [adjacency_phase(s, adj) for s in strings]
-    # (A u) reduced mod 2, per u.
-    au_masks = [adj.apply(u) for u in strings]
+    p_table = [half_swap_phase(s, n) for s in strings]
+    ru_masks = [swap_halves(u, n) for u in strings]
     for s in strings:
         ps = p_table[s]
         for t in strings:
             u = s ^ t
             lhs = ps ^ p_table[t]
-            rhs = p_table[u] ^ ((s & au_masks[u]).bit_count() & 1)
+            rhs = p_table[u] ^ ((s & ru_masks[u]).bit_count() & 1)
             if lhs != rhs:
                 return s, t
     return None

@@ -23,7 +23,6 @@ from typing import Optional, Sequence, TextIO
 
 from . import bitstrings as bs
 from . import bounds as bnd
-from .bitstrings import AdjacencyMatrix
 from .bounds import EpsilonBundle
 from .game import (
     MAX_GAME_EXPECTATION,
@@ -247,7 +246,7 @@ def run_lemma_checks(max_n: int, even_ns: Sequence[int]) -> tuple[bool, list[dic
     for n in even_ns:
         add("half-swap-identity", n, bs.check_half_swap_identity(n))
     for n in even_ns:
-        witness = bs.find_phase_violation(AdjacencyMatrix.half_swap(n))
+        witness = bs.find_phase_violation(n)
         detail = None
         if witness is not None:
             s, t = witness
@@ -364,14 +363,16 @@ def cmd_verify_isometry(args) -> tuple[int, dict, list]:
         f"{'all bounds hold' if ok else 'BOUND VIOLATED'}"
     )
     print(summary, file=sys.stderr)
+    n = 2 * strategy.m
     rows = [("p", "q", "distance", "max_bound", "vacuous", "passed")]
+    entries = []
     for r in reports:
+        p, q = f"{r.p:0{n}b}", f"{r.q:0{n}b}"
         top = max(r.bounds.values())
-        rows.append(
-            (r.p, r.q, r.distance, top, top > bnd.VACUOUS_THRESHOLD, r.passed)
-        )
+        rows.append((p, q, r.distance, top, top > bnd.VACUOUS_THRESHOLD, r.passed))
+        entries.append({"p": p, "q": q, "distance": r.distance, "passed": r.passed})
     # A pair's bounds depend on the run only through |p|: one row per weight.
-    by_weight = sorted({r.p.count("1"): r.bounds for r in reports}.items())
+    by_weight = sorted({r.p.bit_count(): r.bounds for r in reports}.items())
     return _report(
         cfg.to_dict(), ok, rows,
         test=args.test,
@@ -382,7 +383,7 @@ def cmd_verify_isometry(args) -> tuple[int, dict, list]:
         summary=summary,
         bounds_by_weight=[{"weight_p": k, "bounds": b, "vacuous": {
             name: v > bnd.VACUOUS_THRESHOLD for name, v in b.items()}} for k, b in by_weight],
-        reports=[{"p": r.p, "q": r.q, "distance": r.distance, "passed": r.passed} for r in reports],
+        reports=entries,
     )
 
 
@@ -439,24 +440,24 @@ def cmd_sweep_noise(args) -> tuple[int, dict, list]:
         sample_count=sample_count,
     )
     check_isometry_size(2 * args.m)
+    # Every point is checked before the first one runs.
+    grid = [NoiseSpec(theta=theta, w=w) for theta in thetas for w in ws]
     build, _, _ = _flavor_functions(args.flavor)
     honest = build(args.m)
     points = []
-    for i, (theta, w) in enumerate((t, w) for t in thetas for w in ws):
-        noisy = perturb_strategy(
-            honest, NoiseSpec(theta=theta, w=w), seed=(cfg.seed or 0) + i
-        )
+    for i, noise in enumerate(grid):
+        noisy = perturb_strategy(honest, noise, seed=(cfg.seed or 0) + i)
         eps, reports, max_dist, point_ok = _verify(noisy, args.flavor, cfg)
         # The bounds of the worst pair, the first one on a tie; they depend on |p|.
         worst = max(reports, key=lambda r: r.distance)
         printed, recomputed = worst.bounds.values()
         points.append(
             {
-                "theta": theta,
-                "w": w,
+                "theta": noise.theta,
+                "w": noise.w,
                 "eps": eps,
                 "max_distance": max_dist,
-                "weight_p": worst.p.count("1"),
+                "weight_p": worst.p.bit_count(),
                 "printed_bound": printed,
                 "recomputed_bound": recomputed,
                 "vacuous": max(printed, recomputed) > bnd.VACUOUS_THRESHOLD,

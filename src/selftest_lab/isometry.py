@@ -76,7 +76,7 @@ from .bounds import (
     spp_recomputed_bound,
     spp_selftest_bound,
 )
-from .linalg import StateVector
+from .linalg import StateVector, half_swap_signs
 from .protocols import TestSpec
 from .strategies import FLAVORS, MY_FLAVOR, SPP_FLAVOR, Strategy
 
@@ -128,8 +128,7 @@ class KrausTables:
         self.x_a, self.z_a, self.p_a, k_a = _party_tables(*alice)
         self.x_b, self.z_b, self.p_b, k_b = _party_tables(*bob)
         self.dims = (k_a.shape[-1], k_b.shape[-1])
-        bits = np.arange(2**self.m)
-        self.hadamard = (-1.0) ** np.bitwise_count(bits[:, None] & bits)  # entries +-1
+        self.hadamard = half_swap_signs(self.m)
         # Rows (t_A, s_A, a) and columns (t_B, s_B, b).
         self.rows_a = k_a.reshape(-1, self.dims[0])
         self.cols_b = k_b.reshape(-1, self.dims[1]).T
@@ -245,8 +244,8 @@ class IsometryContext:
 
 @dataclass(frozen=True)
 class IsometryReport:
-    p: str
-    q: str
+    p: int  # n-bit strings as big-endian ints
+    q: int
     distance: float
     bounds: dict
     passed: bool  # against the larger of the two bound paths
@@ -323,12 +322,6 @@ def verify_bound(
         p, q = pq
         bounds = {name: fn(n, p.bit_count(), eps) for name, fn in bound_fns.items()}
         dist = ctx.distance(p, q)
-        return IsometryReport(
-            p=f"{p:0{n}b}",
-            q=f"{q:0{n}b}",
-            distance=dist,
-            bounds=bounds,
-            passed=dist <= max(bounds.values()) + DISTANCE_SLACK,
-        )
+        return IsometryReport(p, q, dist, bounds, dist <= max(bounds.values()) + DISTANCE_SLACK)
 
     return [evaluate(pq) for pq in selected]

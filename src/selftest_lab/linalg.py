@@ -4,6 +4,10 @@ States are flat complex vectors over an ordered register layout; the first
 register is the most significant index block (matching the usual Kronecker
 ordering), so an n-qubit basis state |x> sits at the big-endian index of x.
 Everything here is exact dense arithmetic; nothing is sampled or truncated.
+
+The one graph state the lab needs, m e-bits pairing qubit k with k + m, is
+2^(-m) (-1)^(a.b) over its halves a and b: ``half_swap_signs(m)`` is that
+sign matrix, which is also the unnormalized Walsh-Hadamard transform.
 """
 
 from __future__ import annotations
@@ -14,8 +18,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-
-from .bitstrings import AdjacencyMatrix, adjacency_phase
 
 STRUCTURAL_ATOL = 1e-10  # Hermitian/unitary/projector checks
 NORM_ATOL = 1e-12  # state normalization at construction
@@ -80,10 +82,6 @@ class StateVector:
 
     def reshaped(self) -> np.ndarray:
         return self.amps.reshape(self.dims)
-
-    def with_layout(self, layout) -> "StateVector":
-        """Re-declare the register structure of the same amplitudes."""
-        return StateVector(self.amps, layout)
 
 
 def kron(*mats: np.ndarray) -> np.ndarray:
@@ -156,16 +154,6 @@ def ordered_power(ops: Sequence[np.ndarray], t: int) -> np.ndarray:
     return acc
 
 
-def graph_state(adj: AdjacencyMatrix) -> StateVector:
-    """The n-qubit state 2^(-n/2) Sum_u (-1)^(P(u)) |u> for the phase P of adj."""
-    n = adj.n
-    scale = 2.0 ** (-n / 2)
-    amps = np.empty(2**n, dtype=complex)
-    for u in range(2**n):
-        amps[u] = -scale if adjacency_phase(u, adj) else scale
-    return StateVector(amps, qubit_layout(n))
-
-
 def real_expectation(val: complex) -> float:
     """The real part of an expectation value; a large imaginary part is an error."""
     if abs(val.imag) >= 1e-10:
@@ -195,7 +183,12 @@ def bipartite_expectation(
     return real_expectation(complex(np.vdot(psi, out)))
 
 
+def half_swap_signs(m: int) -> np.ndarray:
+    """The +-1 matrix (-1)^(a.b) over m-bit strings a (rows) and b (columns)."""
+    a = np.arange(2**m)
+    return (-1.0) ** np.bitwise_count(a[:, None] & a)
+
+
 def walsh_hadamard(n: int) -> np.ndarray:
     """Normalized H^(x n): entry (u, v) = (-1)^(u.v) / 2^(n/2)."""
-    u = np.arange(2**n)
-    return ((-1.0) ** np.bitwise_count(u[:, None] & u[None, :])) / 2 ** (n / 2)
+    return half_swap_signs(n) / 2 ** (n / 2)

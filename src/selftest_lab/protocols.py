@@ -19,8 +19,8 @@ from .strategies import (
     MY_FLAVOR,
     SPP_FLAVOR,
     Strategy,
-    ceil_log2,
     honest_my_strategy,
+    my_question_kinds,
 )
 
 CHSH_MAX = 2.0 * math.sqrt(2.0)
@@ -89,11 +89,9 @@ def my_required_pairs(m: int) -> tuple[tuple[str, str], ...]:
         if not qa == qb == "D"
     ]
     mixed = []
-    for j in range(1, ceil_log2(m) + 1):
-        for fam in (f"X{j}", f"Z{j}"):
-            for named in ("X", "Z"):
-                mixed.append((named, fam))
-                mixed.append((fam, named))
+    for fam in my_question_kinds(m)[3:]:  # the index families, after X, Z, D
+        for named in ("X", "Z"):
+            mixed += [(named, fam), (fam, named)]
     return tuple(core + mixed)
 
 

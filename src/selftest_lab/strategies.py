@@ -17,13 +17,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .bitstrings import AdjacencyMatrix
-from .linalg import (
-    StateVector,
-    STRUCTURAL_ATOL,
-    graph_state,
-    kron,
-)
+from .linalg import STRUCTURAL_ATOL, StateVector, half_swap_signs, kron
 
 MY_FLAVOR = "my"
 SPP_FLAVOR = "spp"
@@ -282,12 +276,11 @@ def _honest_strategy(
     m: int, question_kinds: Callable[[int], tuple[str, ...]], basis_string: Callable[[str], str]
 ) -> Strategy:
     """Both parties measure each of the question_kinds(m) in the product basis
-    that basis_string names, on the graph state of m isolated edges."""
+    that basis_string names, on m e-bits: amplitude 2^-m (-1)^(a.b) at |a>|b>."""
     if m < 1:
         raise ValueError(f"need at least one sub-test, got {m}")
     table = {kind: product_basis_measurement(basis_string(kind)) for kind in question_kinds(m)}
-    psi = graph_state(AdjacencyMatrix.half_swap(2 * m))
-    state = psi.with_layout((("A", 2**m), ("B", 2**m)))
+    state = StateVector((half_swap_signs(m) * 2.0**-m).reshape(-1), (("A", 2**m), ("B", 2**m)))
     return Strategy(state=state, alice=dict(table), bob=dict(table), m=m)
 
 

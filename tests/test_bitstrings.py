@@ -8,8 +8,6 @@ from hypothesis import strategies as hst
 from selftest_lab import bitstrings as bits_module
 from selftest_lab.bitstrings import (
     EXHAUSTIVE_LIMIT,
-    AdjacencyMatrix,
-    adjacency_phase,
     average_dot,
     check_half_swap_identity,
     dot,
@@ -17,6 +15,7 @@ from selftest_lab.bitstrings import (
     find_phase_violation,
     half_a,
     half_b,
+    half_swap_phase,
     parity_average,
     swap_halves,
 )
@@ -58,14 +57,9 @@ HELPERS = {
                     lambda n, d: from_positions(d[n // 2:] + d[: n // 2])),
     "dot": (False, 2, lambda n: dot,
             lambda n, d, e: sum(a * b for a, b in zip(d, e))),
-    "half_swap.apply": (True, 1, lambda n: AdjacencyMatrix.half_swap(n).apply,
-                        lambda n, d: from_positions([
-                            sum(d[j] for j in range(n) if paired(i, j, n)) % 2
-                            for i in range(n)
-                        ])),
-    "half_swap.quad": (True, 1, lambda n: AdjacencyMatrix.half_swap(n).quad,
-                       lambda n, d: sum(d[i] * d[j] for i in range(n) for j in range(n)
-                                        if paired(i, j, n))),
+    "half_swap_phase": (True, 1, lambda n: lambda x: half_swap_phase(x, n),
+                        lambda n, d: sum(d[i] * d[j] for i in range(n) for j in range(n)
+                                         if paired(i, j, n)) // 2 % 2),
 }
 
 HELPER_CASES = [
@@ -99,7 +93,7 @@ class TestHalves:
                 assert (half_a(x, n) ^ half_b(x, n)) == x
 
     def test_odd_length_rejected(self):
-        for fn in (half_a, half_b, swap_halves):
+        for fn in (half_a, half_b, swap_halves, half_swap_phase):
             with pytest.raises(ValueError):
                 fn(0b101, 3)
 
@@ -149,52 +143,31 @@ class TestDot:
         assert dot(x, y) == sum(a * b for a, b in zip(positions(x, n), positions(y, n)))
 
 
-class TestAdjacency:
-    def test_half_swap_is_half_swap(self):
-        for n in (2, 4, 6):
-            r = AdjacencyMatrix.half_swap(n)
-            for x in range(2**n):
-                assert r.apply(x) == swap_halves(x, n)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AdjacencyMatrix([[0, 1], [0, 0]])  # not symmetric
-        with pytest.raises(ValueError):
-            AdjacencyMatrix([[1, 0], [0, 0]])  # nonzero diagonal
-        with pytest.raises(ValueError):
-            AdjacencyMatrix([[0, 2], [2, 0]])  # not 0/1
-
-    def test_quadratic_form(self):
-        r = AdjacencyMatrix.half_swap(4)
-        # s.Rs with R pairing (1,3), (2,4)
-        assert r.quad(0b1100) == 0
-        assert r.quad(0b1010) == 2
-
-
 class TestPhase:
     def test_examples(self):
-        r2 = AdjacencyMatrix.half_swap(2)
-        assert adjacency_phase(0b00, r2) == 0
-        assert adjacency_phase(0b11, r2) == 1
-        r4 = AdjacencyMatrix.half_swap(4)
-        assert adjacency_phase(0b1100, r4) == 0
+        assert half_swap_phase(0b00, 2) == 0
+        assert half_swap_phase(0b11, 2) == 1
+        # R pairs positions (1,3) and (2,4): s.Rs is 0 for 1100 and 2 for 1010.
+        assert half_swap_phase(0b1100, 4) == 0
+        assert half_swap_phase(0b1010, 4) == 1
 
     def test_consistency_half_swap(self):
         for n in (2, 4, 6):
-            assert find_phase_violation(AdjacencyMatrix.half_swap(n)) is None
-
-    def test_consistency_zeros(self):
-        assert find_phase_violation(AdjacencyMatrix.zeros(2)) is None
+            assert find_phase_violation(n) is None
 
     def test_limit_guard(self):
         with pytest.raises(ValueError):
-            find_phase_violation(AdjacencyMatrix.zeros(12))
+            find_phase_violation(12)
+
+    def test_odd_length_rejected(self):
+        with pytest.raises(ValueError, match="odd"):
+            find_phase_violation(3)
 
     def test_corrupted_phase_detected(self, monkeypatch):
         monkeypatch.setattr(
-            bits_module, "adjacency_phase", lambda s, adj: 1 - adjacency_phase(s, adj)
+            bits_module, "half_swap_phase", lambda s, n: 1 - half_swap_phase(s, n)
         )
-        witness = find_phase_violation(AdjacencyMatrix.half_swap(2))
+        witness = find_phase_violation(2)
         assert witness is not None
 
 
@@ -233,7 +206,7 @@ class TestStringSums:
         (double_average_dot, (EXHAUSTIVE_LIMIT + 1,)),
         (parity_average, (0, EXHAUSTIVE_LIMIT + 1)),
         (check_half_swap_identity, (12,)),
-        (find_phase_violation, (AdjacencyMatrix.half_swap(12),)),
+        (find_phase_violation, (12,)),
     ],
     ids=lambda v: v.__name__ if callable(v) else None,
 )

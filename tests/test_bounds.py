@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as hst
 
 from selftest_lab.bounds import (
+    _sufficient_radicands,
     anticommute_bound,
     bound_names,
     chsh_anticommute_bound,
@@ -101,6 +103,33 @@ def brute_force_graph_bound(n, p, e_ac, e_xz):
     return math.sqrt(scale * total1) + math.sqrt(scale * total2)
 
 
+def enumerated_radicands(n, p, e):
+    """The two radicands of graph_state_bound over the lemma budgets at bundle e,
+    as exact sums with the weight 1/2^(2n-1)."""
+    e_ac, e_xz = induced_epsilon_functions(n, e)
+    pairs = list(itertools.product(range(2**n), repeat=2))
+    weight = Fraction(1, 2 ** (2 * n - 1))
+    return (
+        weight * sum(e_ac(s, p) + e_ac(s, p ^ t) for s, t in pairs),
+        weight * sum(e_ac(t, u) + e_xz(u) for t, u in pairs),
+    )
+
+
+F = Fraction
+# (n, |p|) -> (enumerated, closed form): each a pair of radicands, each radicand
+# its (eps1, eps2, eps3) coefficients.
+RADICAND_COEFFICIENTS = {
+    (2, 0): (((0, F(9, 2), 1), (0, F(21, 2), 2)), ((0, 1, F(1, 2)), (0, 3, 1))),
+    (2, 1): (((0, F(19, 2), 2), (0, F(21, 2), 2)), ((F(1, 2), 3, 1), (0, 3, 1))),
+    (2, 2): (((0, F(25, 2), 3), (0, F(21, 2), 2)), ((1, 5, F(3, 2)), (0, 3, 1))),
+    (4, 0): (((2, F(221, 16), 2), (4, F(493, 16), 4)), ((1, 4, 1), (2, 10, 2))),
+    (4, 1): (((3, F(345, 16), 3), (4, F(493, 16), 4)), ((F(5, 2), 8, F(3, 2)), (2, 10, 2))),
+    (4, 2): (((4, F(453, 16), 4), (4, F(493, 16), 4)), ((4, 12, 2), (2, 10, 2))),
+    (4, 3): (((5, F(537, 16), 5), (4, F(493, 16), 4)), ((F(11, 2), 16, F(5, 2)), (2, 10, 2))),
+    (4, 4): (((6, F(605, 16), 6), (4, F(493, 16), 4)), ((7, 20, 3), (2, 10, 2))),
+}
+
+
 class TestGraphStateBound:
     def test_zero_functions(self):
         zero = lambda *args: 0.0
@@ -120,15 +149,36 @@ class TestGraphStateBound:
             brute_force_graph_bound(n, p, e_ac, e_xz), abs=1e-12
         )
 
-    def test_enumerated_value_differs_from_closed_form(self):
-        # The published closed form is NOT the enumeration of the published
-        # epsilon functions; both values are locked here to document the gap.
-        e_ac, e_xz = induced_epsilon_functions(2, UNIFORM)
-        enum = graph_state_bound(2, 0, e_ac, e_xz)
-        closed = sufficient_conditions_bound(2, 0, UNIFORM)
-        assert enum == pytest.approx(0.5880741785844452, abs=1e-12)
-        assert closed == pytest.approx(0.32247448713915894, abs=1e-12)
-        assert enum - closed > 0.2
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_coefficient_table_against_closed_form(self, n):
+        # Both radicands are linear in (eps1, eps2, eps3), so unit bundles read
+        # off their coefficients exactly.  The enumerated double sums depend on
+        # p only through |p|; the closed form is not their value.
+        units = [
+            EpsilonBundle(**{f: Fraction(int(f == unit)) for f in ("eps1", "eps2", "eps3")})
+            for unit in ("eps1", "eps2", "eps3")
+        ]
+        for p in range(2**n):
+            enumerated = tuple(zip(*(enumerated_radicands(n, p, e) for e in units)))
+            closed = tuple(zip(*(
+                _sufficient_radicands(Fraction(n), Fraction(p.bit_count()), e.eps1, e.eps2, e.eps3)
+                for e in units
+            )))
+            assert (enumerated, closed) == RADICAND_COEFFICIENTS[n, p.bit_count()], p
+            # Each eps3 coefficient, and radicand 2's eps1, is twice the closed form's.
+            for got, want in zip(enumerated, closed):
+                assert got[2] == 2 * want[2]
+            assert enumerated[1][0] == 2 * closed[1][0]
+
+    @pytest.mark.parametrize("n, weight", sorted(RADICAND_COEFFICIENTS))
+    def test_coefficient_table_gives_both_bounds(self, n, weight):
+        # At eps1..3 = 0.01 each radicand is 0.01 times its row's coefficient sum.
+        enumerated, closed = RADICAND_COEFFICIENTS[n, weight]
+        p = (1 << weight) - 1
+        assert graph_state_bound(n, p, *induced_epsilon_functions(n, UNIFORM)) == pytest.approx(
+            sum(math.sqrt(0.01 * sum(r)) for r in enumerated), abs=1e-12)
+        assert sufficient_conditions_bound(n, weight, UNIFORM) == pytest.approx(
+            sum(math.sqrt(0.01 * sum(r)) for r in closed), abs=1e-12)
 
     def test_limit_guard(self):
         zero = lambda *args: 0.0

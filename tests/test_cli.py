@@ -82,9 +82,9 @@ class TestLemmaChecks:
         assert captured.err == f"usage error: {message}\n"
 
     def test_corrupted_phase_exits_nonzero(self, monkeypatch):
-        # A phase inconsistent with the adjacency.
-        phase = bitstrings.adjacency_phase
-        monkeypatch.setattr(bitstrings, "adjacency_phase", lambda s, adj: 1 - phase(s, adj))
+        # A phase inconsistent with the half-swap graph's adjacency.
+        phase = bitstrings.half_swap_phase
+        monkeypatch.setattr(bitstrings, "half_swap_phase", lambda s, n: 1 - phase(s, n))
         parser = cli.build_parser()
         args = parser.parse_args(["lemma-checks", "--max-n", "2", "--even-n", "2"])
         code, report, _ = cli.cmd_lemma_checks(args)
@@ -920,6 +920,21 @@ class TestOutputFiles:
 
 
 class TestSweepNoise:
+    @pytest.mark.parametrize("grid, message", [
+        (["--thetas", "0,4"], "theta 4.0 outside [-pi, pi]"),
+        (["--ws", "0,2"], "w 2.0 outside [0, 1]"),
+    ], ids=["theta", "w"])
+    def test_bad_point_rejected_before_any_point_runs(self, capsys, monkeypatch, grid, message):
+        def no_point_may_run(*args, **kwargs):
+            raise AssertionError("a grid point ran before the grid was checked")
+
+        monkeypatch.setattr(cli, "perturb_strategy", no_point_may_run)
+        code = cli.main(["sweep-noise", "--m", "1", *grid])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_grid_report(self, capsys):
         code, report = run_cli(
             capsys, "sweep-noise", "--m", "1", "--thetas", "0,0.02,0.04",
@@ -957,7 +972,7 @@ class TestSweepNoise:
             distances = [r.distance for r in reports]
             worst = distances.index(max(distances))  # the first on a tie
             worst_indices.append(worst)
-            weight = reports[worst].p.count("1")
+            weight = reports[worst].p.bit_count()
             assert point["eps"] == cli.round_floats(eps)
             assert point["weight_p"] == weight
             bounds = [fn(2 * m, weight, point["eps"]) for fn in (printed_bound, recomputed_bound)]

@@ -6,7 +6,7 @@ import types
 import numpy as np
 import pytest
 
-from selftest_lab.bitstrings import AdjacencyMatrix, adjacency_phase
+from selftest_lab.bitstrings import half_swap_phase
 from selftest_lab.bounds import (
     VACUOUS_THRESHOLD,
     my_parallel_bound,
@@ -16,7 +16,6 @@ from selftest_lab.linalg import (
     PAULI_X,
     PAULI_Z,
     StateVector,
-    graph_state,
     kron,
     ordered_power,
     qubit_layout,
@@ -107,14 +106,15 @@ def junk_matrix(zs: list[np.ndarray], psi: np.ndarray) -> np.ndarray:
     cols = np.empty((psi.shape[0], 2**n), dtype=complex)
     for t in range(2**n):
         cols[:, t] = apply_string(zs, t, psi)
-    adj = AdjacencyMatrix.half_swap(n)
-    signs = np.array([-1.0 if adjacency_phase(sb, adj) else 1.0 for sb in range(2**n)])
+    signs = np.array([-1.0 if half_swap_phase(sb, n) else 1.0 for sb in range(2**n)])
     return (cols @ walsh_hadamard(n)) * signs[None, :] * 2.0 ** (-n / 2)
 
 
 def ideal_pair_state(n: int) -> StateVector:
-    """Graph state of n/2 isolated edges on the U block."""
-    return graph_state(AdjacencyMatrix.half_swap(n))
+    """Graph state of n/2 isolated edges on the U block, amplitude by amplitude."""
+    scale = 2.0 ** (-n / 2)
+    amps = [-scale if half_swap_phase(u, n) else scale for u in range(2**n)]
+    return StateVector(amps, qubit_layout(n))
 
 
 def pauli_string_state(p: int, q: int, base: np.ndarray) -> np.ndarray:

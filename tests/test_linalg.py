@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from selftest_lab.bitstrings import AdjacencyMatrix
+from selftest_lab.bitstrings import half_swap_phase
 from selftest_lab.linalg import (
     ANTIDIAG_XZ,
     DIAG_XZ,
@@ -14,19 +14,21 @@ from selftest_lab.linalg import (
     bipartite_expectation,
     embed,
     expectation,
-    graph_state,
+    half_swap_signs,
     kron,
     ordered_power,
     pauli_observables,
     qubit_layout,
     walsh_hadamard,
 )
+from selftest_lab.strategies import honest_my_strategy
 
 SQRT2 = math.sqrt(2.0)
 
 
 def ebit_state():
-    return graph_state(AdjacencyMatrix.half_swap(2))
+    """One e-bit on two qubits, its amplitudes written out."""
+    return StateVector(np.array([1, 1, 1, -1]) / 2, qubit_layout(2))
 
 
 class TestKronEmbed:
@@ -123,24 +125,27 @@ class TestPauliObservables:
 
 class TestGraphState:
     def test_single_edge_amplitudes_exact(self):
-        psi = ebit_state()
+        psi = honest_my_strategy(1).state
         assert np.array_equal(psi.amps, np.array([0.5, 0.5, 0.5, -0.5], dtype=complex))
-
-    def test_single_qubit_no_edges(self):
-        psi = graph_state(AdjacencyMatrix.zeros(1))
-        assert np.allclose(psi.amps, np.array([1, 1]) / SQRT2)
 
     def test_two_pairs_equals_product_in_block_order(self):
         # Pair k entangles qubit k with qubit k+2; qubits (1,2) are the first
         # block, (3,4) the second.  Build the product of per-pair states with
         # an explicit amplitude-by-amplitude loop as the oracle.
-        psi = graph_state(AdjacencyMatrix.half_swap(4))
+        psi = honest_my_strategy(2).state
         pair = np.array([0.5, 0.5, 0.5, -0.5])
         expected = np.zeros(16, dtype=complex)
         for a1, a2, b1, b2 in itertools.product((0, 1), repeat=4):
             idx = (a1 << 3) | (a2 << 2) | (b1 << 1) | b2
             expected[idx] = pair[(a1 << 1) | b1] * pair[(a2 << 1) | b2]
         assert np.array_equal(psi.amps, expected)
+
+    def test_signs_are_the_half_swap_phase(self):
+        # Row a and column b of the sign matrix hold the phase of the 2m-bit string ab.
+        for m in range(1, 5):
+            expected = np.array([[(-1.0) ** half_swap_phase((a << m) | b, 2 * m)
+                                  for b in range(2**m)] for a in range(2**m)])
+            assert np.array_equal(half_swap_signs(m), expected)
 
 
 class TestStateVector:
@@ -160,7 +165,7 @@ class TestStateVector:
 
 class TestExpectation:
     def test_pair_correlations_via_embedding(self):
-        psi = graph_state(AdjacencyMatrix.half_swap(4))
+        psi = StateVector(honest_my_strategy(2).state.amps, qubit_layout(4))
         layout = psi.layout
         for k in (1, 2):
             op = embed(PAULI_X, layout, sites=(k,)) @ embed(
@@ -182,7 +187,7 @@ class TestExpectation:
             expectation(psi, lowering)
 
     def test_bipartite_matches_embedding(self):
-        psi = ebit_state().with_layout((("A", 2), ("B", 2)))
+        psi = StateVector(ebit_state().amps, (("A", 2), ("B", 2)))
         direct = bipartite_expectation(psi, PAULI_X, DIAG_XZ)
         assert direct == pytest.approx(expectation(psi, np.kron(PAULI_X, DIAG_XZ)))
 

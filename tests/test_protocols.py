@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from selftest_lab.bitstrings import AdjacencyMatrix
 from selftest_lab.linalg import (
     ANTIDIAG_XZ,
     DIAG_XZ,
@@ -11,7 +10,6 @@ from selftest_lab.linalg import (
     PAULI_Z,
     StateVector,
     bipartite_expectation,
-    graph_state,
 )
 from selftest_lab.protocols import (
     CHSH_MAX,
@@ -184,7 +182,7 @@ class TestEpsilonSpp:
         # Oracle: rotate D and E directly, evaluate the four 4-dim terms.
         c, sn = math.cos(theta), math.sin(theta)
         u = np.array([[c, -sn], [sn, c]])
-        psi = graph_state(AdjacencyMatrix.half_swap(2)).amps
+        psi = np.array([1, 1, 1, -1]) / 2  # the e-bit
         d, e = u @ DIAG_XZ @ u.T, u @ ANTIDIAG_XZ @ u.T
         s_val = (
             np.vdot(psi, np.kron(PAULI_X, d) @ psi).real

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from selftest_lab.bitstrings import AdjacencyMatrix
+from selftest_lab.bitstrings import half_swap_phase
 from selftest_lab.bounds import EpsilonBundle
 from selftest_lab.linalg import (
     PAULI_X,
@@ -15,7 +15,6 @@ from selftest_lab.linalg import (
     STRUCTURAL_ATOL,
     StateVector,
     bipartite_expectation,
-    graph_state,
 )
 from selftest_lab.strategies import (
     Measurement,
@@ -176,8 +175,9 @@ class TestHonestMyStrategy:
 
     def test_state_is_pair_graph_state(self):
         s = honest_my_strategy(2)
-        expected = graph_state(AdjacencyMatrix.half_swap(4))
-        assert np.array_equal(s.state.amps, expected.amps)
+        expected = [(-1.0) ** half_swap_phase(u, 4) / 4 for u in range(16)]
+        assert np.array_equal(s.state.amps, np.array(expected, dtype=complex))
+        assert s.state.layout == (("A", 4), ("B", 4))
 
     def test_m_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -245,7 +245,7 @@ class TestPerturbStrategy:
         )
         c, sn = math.cos(theta), math.sin(theta)
         u = np.array([[c, -sn], [sn, c]])
-        psi = graph_state(AdjacencyMatrix.half_swap(2)).amps
+        psi = np.array([1, 1, 1, -1]) / 2  # the e-bit
         oracle = np.vdot(psi, np.kron(u @ PAULI_X @ u.T, PAULI_Z) @ psi).real
         assert got == pytest.approx(oracle, abs=1e-12)
         assert got == pytest.approx(math.cos(2 * theta), abs=1e-12)
