@@ -36,7 +36,7 @@ def main():
     print()
     print("== honest single-round winning probability (cos vs cos^2) ==")
     s = honest_spp_strategy(1)
-    psi = s.state.reshaped()
+    psi = s.state
     win_prob = 0.0
     for qa, qb in gm.WIN_SIGNS:
         pa = s.measurement("alice", qa)

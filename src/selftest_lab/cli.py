@@ -261,9 +261,7 @@ def cmd_lemma_checks(args) -> tuple[int, dict, None]:
         raise UsageError(f"--max-n must be >= 1, got {args.max_n}")
     if any(n % 2 or n < 2 for n in even_ns):
         raise UsageError(f"half-swap checks need even n >= 2, got {even_ns}")
-    repeated = sorted({n for n in even_ns if even_ns.count(n) > 1})
-    if repeated:
-        raise UsageError(f"--even-n repeats {repeated}")
+    _reject_repeats("--even-n", even_ns)
     if args.max_n > bs.EXHAUSTIVE_LIMIT or any(
         n > bs.EXHAUSTIVE_LIMIT for n in even_ns
     ):
@@ -430,6 +428,8 @@ def cmd_sweep_noise(args) -> tuple[int, dict, list]:
     ws = _parse_list(args.ws, float)
     if not thetas or not ws:
         raise UsageError("--thetas and --ws must each list a value, or no point is checked")
+    _reject_repeats("--thetas", thetas)
+    _reject_repeats("--ws", ws)
     cfg = RunConfig(
         command="sweep-noise",
         flavor=args.flavor,
@@ -478,6 +478,13 @@ def _parse_list(text: str, kind: type) -> list:
     except ValueError as exc:
         name = "integer" if kind is int else "float"
         raise UsageError(f"bad {name} list {text!r}") from exc
+
+
+def _reject_repeats(flag: str, values: list) -> None:
+    """A flag's list names each value once: a repeat would run twice under one label."""
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise UsageError(f"{flag} repeats {repeated}")
 
 
 def _parse_pairs(text: str) -> tuple[str, int]:

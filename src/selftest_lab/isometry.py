@@ -76,7 +76,7 @@ from .bounds import (
     spp_recomputed_bound,
     spp_selftest_bound,
 )
-from .linalg import StateVector, half_swap_signs
+from .linalg import NORM_ATOL, half_swap_signs
 from .protocols import TestSpec
 from .strategies import FLAVORS, MY_FLAVOR, SPP_FLAVOR, Strategy
 
@@ -150,23 +150,24 @@ class KrausTables:
         return junk.reshape(half * d_a, half * d_b)
 
 
-def apply_isometry(s: Strategy, input_state: StateVector, flavor: str) -> StateVector:
-    """Image of a system state under the isometry, a state on (system, S, U)."""
+def apply_isometry(s: Strategy, psi: np.ndarray, flavor: str) -> np.ndarray:
+    """Image of a (d_A, d_B) system state under the isometry, axes (system, S, U)."""
     tables = KrausTables(*party_observables(s, flavor))
-    system_dim, ancilla_dim = s.dim_a * s.dim_b, 4**s.m
-    if input_state.dim != system_dim:
-        raise ValueError(f"input dimension {input_state.dim} != system dimension {system_dim}")
-    image = tables.image(input_state.amps.reshape(s.dim_a, s.dim_b)).reshape(-1)
-    return StateVector(image, (("system", system_dim), ("S", ancilla_dim), ("U", ancilla_dim)))
+    if np.shape(psi) != (s.dim_a, s.dim_b):
+        raise ValueError(f"input shape {np.shape(psi)} != system shape {(s.dim_a, s.dim_b)}")
+    image = tables.image(psi).reshape(s.dim_a * s.dim_b, 4**s.m, 4**s.m)
+    norm = np.linalg.norm(image)
+    if not abs(norm - 1.0) <= NORM_ATOL:
+        raise ValueError(f"image norm {norm} deviates from 1 beyond atol={NORM_ATOL}")
+    return image
 
 
-def junk_state(s: Strategy, flavor: str) -> StateVector:
-    """The residual state on (system, S); its norm must come out 1."""
-    junk = KrausTables(*party_observables(s, flavor)).junk(s.state.reshaped())
+def junk_state(s: Strategy, flavor: str) -> np.ndarray:
+    """The residual state, axes (system, S); its norm must come out 1."""
+    junk = KrausTables(*party_observables(s, flavor)).junk(s.state)
     half = 2**s.m
     junk = junk.reshape(half, s.dim_a, half, s.dim_b).transpose(1, 3, 0, 2)
-    layout = (("system", s.dim_a * s.dim_b), ("S", half * half))
-    return StateVector(junk.reshape(-1), layout, atol=1e-9)
+    return junk.reshape(s.dim_a * s.dim_b, half * half)
 
 
 class IsometryContext:
@@ -184,7 +185,7 @@ class IsometryContext:
         self.n = 2 * s.m
         tables = KrausTables(*party_observables(s, flavor))
         half, (d_a, d_b) = 2**s.m, tables.dims
-        psi = s.state.reshaped()
+        psi = s.state
         junk = tables.junk(psi)
         # X^q Z^p of Alice by [q, p]; psi times Bob's transposed X^q Z^p by [q, p].
         pauli_a = tables.x_a[:, None] @ tables.z_a[None]

@@ -1,8 +1,8 @@
 """Dense complex linear algebra for small quantum systems.
 
-States are flat complex vectors over an ordered register layout; the first
-register is the most significant index block (matching the usual Kronecker
-ordering), so an n-qubit basis state |x> sits at the big-endian index of x.
+A bipartite state is its (d_A, d_B) amplitude matrix psi, entry (a, b) the
+amplitude of |a>|b>: flattened, it is the usual Kronecker-ordered vector,
+and an n-qubit basis state |x> sits at the big-endian index of x.
 Everything here is exact dense arithmetic; nothing is sampled or truncated.
 
 The one graph state the lab needs, m e-bits pairing qubit k with k + m, is
@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 STRUCTURAL_ATOL = 1e-10  # Hermitian/unitary/projector checks
-NORM_ATOL = 1e-12  # state normalization at construction
+NORM_ATOL = 1e-12  # state normalization: a strategy's state, an isometry image
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -35,87 +34,14 @@ def pauli_observables() -> dict[str, np.ndarray]:
     return {"X": PAULI_X, "Z": PAULI_Z, "D": DIAG_XZ, "E": ANTIDIAG_XZ}
 
 
-Layout = tuple[tuple[str, int], ...]
-
-
-def _normalize_layout(layout) -> Layout:
-    out = tuple((str(name), int(dim)) for name, dim in layout)
-    if not out:
-        raise ValueError("layout must have at least one register")
-    if any(dim < 1 for _, dim in out):
-        raise ValueError(f"register dimensions must be positive: {out}")
-    return out
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Normalized complex amplitude vector over a declared register layout."""
-
-    amps: np.ndarray
-    layout: Layout
-
-    def __init__(self, amps, layout, atol: float = NORM_ATOL):
-        layout = _normalize_layout(layout)
-        a = np.array(amps, dtype=complex)
-        if a.ndim != 1:
-            raise ValueError(f"amplitudes must be a flat vector, got shape {a.shape}")
-        total = math.prod(dim for _, dim in layout)
-        if total != a.size:
-            raise ValueError(
-                f"layout dimensions multiply to {total}, got {a.size} amplitudes"
-            )
-        norm = np.linalg.norm(a)
-        if not abs(norm - 1.0) <= atol:  # also true for a NaN norm
-            raise ValueError(f"state norm {norm} deviates from 1 beyond atol={atol}")
-        a /= norm
-        a.flags.writeable = False
-        object.__setattr__(self, "amps", a)
-        object.__setattr__(self, "layout", layout)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(dim for _, dim in self.layout)
-
-    @property
-    def dim(self) -> int:
-        return self.amps.size
-
-    def reshaped(self) -> np.ndarray:
-        return self.amps.reshape(self.dims)
-
-
 def kron(*mats: np.ndarray) -> np.ndarray:
     return functools.reduce(np.kron, mats)
 
 
-def embed(op: np.ndarray, layout, sites: Union[str, Sequence[int]]) -> np.ndarray:
-    """Place an operator on its sites with identity elsewhere.
-
-    ``sites`` is a register name from the layout, or a tuple of 1-based qubit
-    positions when every register in the layout is a qubit.
-    """
+def embed(op: np.ndarray, n: int, sites: Sequence[int]) -> np.ndarray:
+    """Place an operator on the 1-based qubit positions sites of n qubits,
+    with identity elsewhere."""
     mat = np.asarray(op, dtype=complex)
-    layout = _normalize_layout(layout)
-
-    if isinstance(sites, str):
-        names = [name for name, _ in layout]
-        if sites not in names:
-            raise ValueError(f"register {sites!r} not in layout {names}")
-        pieces = []
-        for name, dim in layout:
-            if name == sites:
-                if mat.shape[0] != dim:
-                    raise ValueError(
-                        f"operator dim {mat.shape[0]} != register {name!r} dim {dim}"
-                    )
-                pieces.append(mat)
-            else:
-                pieces.append(np.eye(dim))
-        return kron(*pieces)
-
-    if any(dim != 2 for _, dim in layout):
-        raise ValueError("qubit-site embedding needs an all-qubit layout")
-    n = len(layout)
     sites = tuple(int(k) for k in sites)
     if len(set(sites)) != len(sites):
         raise ValueError(f"duplicate sites {sites}")
@@ -130,10 +56,6 @@ def embed(op: np.ndarray, layout, sites: Union[str, Sequence[int]]) -> np.ndarra
     perm = [order.index(q) for q in range(1, n + 1)]
     t = t.transpose(perm + [n + p for p in perm])
     return np.ascontiguousarray(t.reshape(2**n, 2**n))
-
-
-def qubit_layout(n: int) -> Layout:
-    return tuple((f"q{k}", 2) for k in range(1, n + 1))
 
 
 def ordered_power(ops: Sequence[np.ndarray], t: int) -> np.ndarray:
@@ -161,20 +83,19 @@ def real_expectation(val: complex) -> float:
     return val.real
 
 
-def expectation(state: StateVector, op: np.ndarray) -> float:
-    """Real expectation <state|op|state>; a large imaginary part is an error."""
-    return real_expectation(complex(np.vdot(state.amps, op @ state.amps)))
+def expectation(psi: np.ndarray, op: np.ndarray) -> float:
+    """Real expectation <psi|op|psi> of a state vector; a large imaginary part is an error."""
+    return real_expectation(complex(np.vdot(psi, op @ psi)))
 
 
 def bipartite_expectation(
-    state: StateVector,
+    psi: np.ndarray,
     op_a: Optional[np.ndarray] = None,
     op_b: Optional[np.ndarray] = None,
 ) -> float:
-    """<state|(A x I)(I x B)|state> on a two-register state, without kron."""
-    if len(state.layout) != 2:
-        raise ValueError(f"state has {len(state.layout)} registers, need 2")
-    psi = state.reshaped()
+    """<psi|(A x I)(I x B)|psi> on a (d_A, d_B) amplitude matrix, without kron."""
+    if psi.ndim != 2:
+        raise ValueError(f"state has shape {psi.shape}, need a (d_A, d_B) matrix")
     out = psi
     if op_a is not None:
         out = op_a @ out

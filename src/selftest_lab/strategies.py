@@ -1,10 +1,11 @@
 """Player behaviours: bipartite states plus question-indexed projective measurements.
 
-A strategy holds a state on H_A x H_B and, per party, a map from question
-kind to a projective measurement whose outcomes are answer strings over
-{-1,+1}.  A measurement is one orthonormal basis U whose columns carry
-answer strings, grouped by answer: the projector of answer a is U_a U_a^H
-over a's columns, and the observable of answer symbol k is U diag(a_k) U^H.
+A strategy holds a state on H_A x H_B, its (d_A, d_B) amplitude matrix, and,
+per party, a map from question kind to a projective measurement whose
+outcomes are answer strings over {-1,+1}.  A measurement is one orthonormal
+basis U whose columns carry answer strings, grouped by answer: the projector
+of answer a is U_a U_a^H over a's columns, and the observable of answer
+symbol k is U diag(a_k) U^H.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .linalg import STRUCTURAL_ATOL, StateVector, half_swap_signs, kron
+from .linalg import NORM_ATOL, STRUCTURAL_ATOL, half_swap_signs, kron
 
 MY_FLAVOR = "my"
 SPP_FLAVOR = "spp"
@@ -141,16 +142,27 @@ class NoiseSpec:
 
 @dataclass(frozen=True, eq=False)
 class Strategy:
-    """Bipartite state plus per-party question -> measurement maps."""
+    """Bipartite state plus per-party question -> measurement maps.
 
-    state: StateVector
+    The state is held as a read-only copy of the (d_A, d_B) amplitude
+    matrix, divided by its norm, which must be 1 within NORM_ATOL.
+    """
+
+    state: np.ndarray
     alice: dict[str, Measurement]
     bob: dict[str, Measurement]
     m: int
 
     def __post_init__(self):
-        if len(self.state.layout) != 2:
-            raise ValueError("strategy state needs a two-register (A, B) layout")
+        psi = np.array(self.state, dtype=complex)
+        if psi.ndim != 2:
+            raise ValueError(f"strategy state must be a (d_A, d_B) matrix, got shape {psi.shape}")
+        norm = np.linalg.norm(psi)
+        if not abs(norm - 1.0) <= NORM_ATOL:  # also true for a NaN norm
+            raise ValueError(f"state norm {norm} deviates from 1 beyond atol={NORM_ATOL}")
+        psi /= norm
+        psi.flags.writeable = False
+        object.__setattr__(self, "state", psi)
         if self.m < 1:
             raise ValueError(f"sub-test count must be positive, got {self.m}")
         for party, dim in (("alice", self.dim_a), ("bob", self.dim_b)):
@@ -168,11 +180,11 @@ class Strategy:
 
     @property
     def dim_a(self) -> int:
-        return self.state.dims[0]
+        return self.state.shape[0]
 
     @property
     def dim_b(self) -> int:
-        return self.state.dims[1]
+        return self.state.shape[1]
 
     def measurement(self, party: str, kind: str) -> Measurement:
         table = getattr(self, party, None)
@@ -192,7 +204,7 @@ class Strategy:
 
     def column_probabilities(self, qa: str, qb: str) -> np.ndarray:
         """|U_a^H psi conj(U_b)|^2: entry (i, j) pairs Alice's basis column i with Bob's j."""
-        amps = (self.measurement("alice", qa).basis.conj().T @ self.state.reshaped()
+        amps = (self.measurement("alice", qa).basis.conj().T @ self.state
                 @ self.measurement("bob", qb).basis.conj())
         return amps.real**2 + amps.imag**2
 
@@ -280,7 +292,7 @@ def _honest_strategy(
     if m < 1:
         raise ValueError(f"need at least one sub-test, got {m}")
     table = {kind: product_basis_measurement(basis_string(kind)) for kind in question_kinds(m)}
-    state = StateVector((half_swap_signs(m) * 2.0**-m).reshape(-1), (("A", 2**m), ("B", 2**m)))
+    state = half_swap_signs(m) * 2.0**-m
     return Strategy(state=state, alice=dict(table), bob=dict(table), m=m)
 
 
@@ -317,15 +329,15 @@ def perturb_strategy(s: Strategy, noise: NoiseSpec, seed: int = 0) -> Strategy:
                 )
                 for kind, meas in getattr(s, party).items()
             }
-    amps = s.state.amps
+    psi = s.state
     if noise.w:
         rng = np.random.default_rng(seed)
-        r = rng.standard_normal(amps.size) + 1j * rng.standard_normal(amps.size)
+        r = rng.standard_normal(psi.size) + 1j * rng.standard_normal(psi.size)
         r /= np.linalg.norm(r)
-        amps = (1.0 - noise.w) * amps + noise.w * r
-        amps = amps / np.linalg.norm(amps)
+        psi = (1.0 - noise.w) * psi + noise.w * r.reshape(psi.shape)
+        psi = psi / np.linalg.norm(psi)
     return Strategy(
-        state=StateVector(amps, s.state.layout),
+        state=psi,
         alice=new_meas["alice"],
         bob=new_meas["bob"],
         m=s.m,
@@ -408,6 +420,14 @@ def _check_field(ok: bool, field: str, want: str, got) -> None:
         raise ValueError(f"strategy field {field} must be {want}, got {got!r:.60}")
 
 
+def _check_keys(obj: Mapping, where: str, allowed: tuple[str, ...]) -> None:
+    """Reject an object of a strategy file that holds a key outside allowed."""
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ValueError(f"{where} has unknown key {', '.join(map(repr, unknown))}; the "
+                         f"allowed keys are {', '.join(allowed[:-1])} and {allowed[-1]}")
+
+
 def _deinterleave(values, shape, field: str) -> np.ndarray:
     size = 2 * math.prod(shape)
     _check_field(_numbers(values, size), field, f"a list of {size} numbers", values)
@@ -432,7 +452,7 @@ def strategy_to_json(s: Strategy) -> dict:
     return {
         "dims": [s.dim_a, s.dim_b],
         "m": s.m,
-        "state": _interleave(s.state.amps),
+        "state": _interleave(s.state),
         "questions": questions,
     }
 
@@ -444,7 +464,7 @@ def strategy_from_json(doc: Mapping) -> Strategy:
     da, db = dims
     m = doc.get("m")
     _check_field(_numbers([m], types={int}) and m >= 1, "m", "an integer >= 1", m)
-    amps = _deinterleave(doc.get("state"), (da * db,), "state")
+    psi = _deinterleave(doc.get("state"), (da, db), "state")
     _check_field(isinstance(questions, list), "questions", "a list", questions)
     tables = {"alice": {}, "bob": {}}
     for i, q in enumerate(questions):
@@ -472,8 +492,14 @@ def strategy_from_json(doc: Mapping) -> Strategy:
                 entry.get("matrix"), (dim, dim), f"{where}.matrix"
             )
         tables[party][kind] = Measurement(projectors)
-    state = StateVector(amps, (("A", da), ("B", db)))
-    return Strategy(state=state, alice=tables["alice"], bob=tables["bob"], m=m)
+    # After the field checks, so that a malformed field is named first.
+    _check_keys(doc, "strategy file", ("dims", "m", "state", "questions"))
+    for i, q in enumerate(questions):
+        _check_keys(q, f"strategy field questions[{i}]", ("party", "kind", "projectors"))
+        for j, entry in enumerate(q["projectors"]):
+            _check_keys(entry, f"strategy field questions[{i}].projectors[{j}]",
+                        ("answer", "matrix"))
+    return Strategy(state=psi, alice=tables["alice"], bob=tables["bob"], m=m)
 
 
 def recipe_from_json(doc: Mapping) -> tuple[str, int, float, float, int]:
@@ -488,12 +514,9 @@ def recipe_from_json(doc: Mapping) -> tuple[str, int, float, float, int]:
         isinstance(noise, dict) and _numbers([noise.get(k, 0) for k in ("theta", "w", "seed")]),
         "noise", 'an object with numeric "theta", "w" and "seed"', noise,
     )
-    unknown = sorted(set(noise) - {"theta", "w", "seed"})
-    if unknown:
-        names = ", ".join(map(repr, unknown))
-        raise ValueError(f"strategy field noise has unknown key {names}; "
-                         "the allowed keys are theta, w and seed")
+    _check_keys(noise, "strategy field noise", ("theta", "w", "seed"))
     seed = noise.get("seed", 0)
     _check_field(isinstance(seed, int), "noise.seed", "an integer", seed)
     _check_field(seed >= 0, "noise.seed", ">= 0", seed)
+    _check_keys(doc, "strategy file", ("type", "m", "noise"))
     return kind, m, float(noise.get("theta", 0.0)), float(noise.get("w", 0.0)), seed

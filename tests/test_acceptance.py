@@ -121,7 +121,7 @@ def test_criterion_05_game_value():
     # Brute-force single-round winning probability settles the published
     # cos-vs-cos^2 ambiguity before the golden value is trusted.
     s = honest_spp_strategy(1)
-    psi = s.state.reshaped()
+    psi = s.state
     win_prob = 0.0
     for qa, qb in WIN_SIGNS:
         for a, pa in s.measurement("alice", qa):

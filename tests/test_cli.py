@@ -684,6 +684,47 @@ class TestRejectedInput:
             "the allowed keys are theta, w and seed\n"
         )
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"type": "honest-my", "m": 1, "nosie": {"theta": 0.3, "w": 0.2}},
+         "strategy file has unknown key 'nosie'; the allowed keys are type, m and noise"),
+        ({"type": "honest-my", "m": 1, "dims": [2, 2], "Noise": {}},
+         "strategy file has unknown key 'Noise', 'dims'; the allowed keys are type, m and noise"),
+    ], ids=["recipe-nosie", "recipe-two-keys"])
+    def test_unknown_recipe_key(self, capsys, tmp_path, doc, message):
+        # A misspelt "noise" would otherwise run at zero noise and pass.
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["verify-isometry", "--strategy", str(path), "--test", "my"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("where, message", [
+        ("top", "strategy file has unknown key 'noise'; "
+                "the allowed keys are dims, m, state and questions"),
+        ("question", "strategy field questions[3] has unknown key 'basis'; "
+                     "the allowed keys are party, kind and projectors"),
+        ("projector", "strategy field questions[5].projectors[1] has unknown key 'weight'; "
+                      "the allowed keys are answer and matrix"),
+    ], ids=["top", "question", "projector"])
+    def test_unknown_key_in_full_strategy(self, capsys, tmp_path, where, message):
+        # Each object of a full serialization holds only its own keys.
+        doc = strategy_to_json(honest_spp_strategy(1))
+        if where == "top":
+            doc["noise"] = {"theta": 0.3, "w": 0.2}
+        elif where == "question":
+            doc["questions"][3]["basis"] = "X"
+        else:
+            doc["questions"][5]["projectors"][1]["weight"] = 1
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["verify-isometry", "--strategy", str(path), "--test", "spp"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("argv", [["verify-isometry", "--test", "spp"], ["game"]])
     @pytest.mark.parametrize("repeat, message", [
         ("question", "questions[8] repeats alice question 'X'"),
@@ -934,6 +975,23 @@ class TestSweepNoise:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("grid, message", [
+        (["--thetas", "0.01,0.01", "--ws", "0.1"], "--thetas repeats [0.01]"),
+        (["--thetas", "0", "--ws", "0.1,0.2,0.10"], "--ws repeats [0.1]"),
+        (["--thetas", "0.5,0,0.50,-0", "--ws", "0"], "--thetas repeats [0.0, 0.5]"),
+    ], ids=["theta", "w", "signed-zero"])
+    def test_repeated_grid_value_rejected(self, capsys, monkeypatch, grid, message):
+        # A repeat would run again under the same label, with a new noise seed.
+        def no_point_may_run(*args, **kwargs):
+            raise AssertionError("a grid point ran before the grid was checked")
+
+        monkeypatch.setattr(cli, "perturb_strategy", no_point_may_run)
+        code = cli.main(["sweep-noise", "--m", "1", *grid])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"usage error: {message}\n"
 
     def test_grid_report(self, capsys):
         code, report = run_cli(

@@ -18,7 +18,6 @@ from selftest_lab.game import (
     threshold_referee_expectation,
     win_predicate,
 )
-from selftest_lab.linalg import StateVector
 from selftest_lab.protocols import SPP_ALLOWED_PAIRS, epsilon_my, epsilon_spp
 from selftest_lab.strategies import (
     Measurement,
@@ -146,7 +145,7 @@ class TestRoundSampling:
 
 def per_question_joint_distribution(s, qa, qb):
     """Oracle: one Born probability per (Alice answer, Bob answer) pair."""
-    psi = s.state.reshaped()
+    psi = s.state
     outcomes = []
     probs = []
     for a, pa in s.measurement("alice", qa):
@@ -161,7 +160,7 @@ def per_question_joint_distribution(s, qa, qb):
 def projector_joint_distribution(s, qa, qb):
     """Oracle: the projector form of game._joint_distribution, row order and
     all, with probabilities ||P_a psi P_b^T||^2."""
-    psi = s.state.reshaped()
+    psi = s.state
     answers_a, projs_a = zip(*s.measurement("alice", qa))
     answers_b, projs_b = zip(*s.measurement("bob", qb))
     na, nb = len(projs_a), len(projs_b)
@@ -342,7 +341,7 @@ class TestJointDistributionAgainstProjectorOracle:
         plus, minus = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
         meas = Measurement({(-1,): minus, (1,): plus})
         empty = Measurement({(1,): np.eye(2), (-1,): np.zeros((2, 2))})
-        psi = StateVector(np.array([1, 0, 0, 1]) / SQRT2, (("A", 2), ("B", 2)))
+        psi = np.eye(2) / SQRT2
         s = Strategy(state=psi, alice={"Z": meas}, bob={"Z": empty}, m=1)
         prods, probs = game._joint_distribution(s, "Z", "Z")
         assert prods.ravel().tolist() == [-1, 1, 1, -1]
@@ -486,7 +485,7 @@ def literal_referee_expectation(s):
     from selftest_lab.protocols import SPP_ALLOWED_PAIRS
 
     m = s.m
-    psi = s.state.reshaped()
+    psi = s.state
     total = 0.0
     for combo in itertools.product(range(10), repeat=m):
         pairs = [SPP_ALLOWED_PAIRS[i] for i in combo]

@@ -15,10 +15,8 @@ from selftest_lab.bounds import (
 from selftest_lab.linalg import (
     PAULI_X,
     PAULI_Z,
-    StateVector,
     kron,
     ordered_power,
-    qubit_layout,
     embed,
     walsh_hadamard,
 )
@@ -110,11 +108,11 @@ def junk_matrix(zs: list[np.ndarray], psi: np.ndarray) -> np.ndarray:
     return (cols @ walsh_hadamard(n)) * signs[None, :] * 2.0 ** (-n / 2)
 
 
-def ideal_pair_state(n: int) -> StateVector:
+def ideal_pair_state(n: int) -> np.ndarray:
     """Graph state of n/2 isolated edges on the U block, amplitude by amplitude."""
     scale = 2.0 ** (-n / 2)
-    amps = [-scale if half_swap_phase(u, n) else scale for u in range(2**n)]
-    return StateVector(amps, qubit_layout(n))
+    return np.array([-scale if half_swap_phase(u, n) else scale for u in range(2**n)],
+                    dtype=complex)
 
 
 def pauli_string_state(p: int, q: int, base: np.ndarray) -> np.ndarray:
@@ -129,9 +127,10 @@ def pauli_string_state(p: int, q: int, base: np.ndarray) -> np.ndarray:
 def six_step_distance(s, flavor, p, q) -> float:
     """Oracle: the distance from the six-step image of X^q Z^p psi."""
     xs, zs = xz_observables(s, flavor)
-    vec = apply_string(xs, q, apply_string(zs, p, s.state.amps))
-    junk = junk_matrix(zs, s.state.amps)
-    ideal = pauli_string_state(p, q, ideal_pair_state(len(zs)).amps)
+    psi = s.state.reshape(-1)
+    vec = apply_string(xs, q, apply_string(zs, p, psi))
+    junk = junk_matrix(zs, psi)
+    ideal = pauli_string_state(p, q, ideal_pair_state(len(zs)))
     target = junk[:, :, None] * ideal[None, None, :]
     return float(np.linalg.norm(six_step_image(xs, zs, vec) - target))
 
@@ -154,7 +153,7 @@ class BlockFormContext:
     def __init__(self, s: Strategy, flavor: str):
         tables = KrausTables(*party_observables(s, flavor))
         half, (d_a, d_b) = 2**s.m, tables.dims
-        psi = s.state.reshaped()
+        psi = s.state
         self._junk = tables.junk(psi)
         self._pauli_a = tables.x_a[:, None] @ tables.z_a[None]
         self._psi_b = psi @ (tables.x_b[:, None] @ tables.z_b[None]).swapaxes(2, 3)
@@ -187,9 +186,8 @@ def classical_diagonal_strategy():
     The X-Z cross correlation looks perfect while everything else is far
     off: a sanity adversary with a large measured epsilon.
     """
-    amps = np.zeros(4)
-    amps[0] = 1.0
-    state = StateVector(amps, (("A", 2), ("B", 2)))
+    state = np.zeros((2, 2))
+    state[0, 0] = 1.0
     table = {kind: product_basis_measurement("Z") for kind in ("X", "Z", "D")}
     return Strategy(state=state, alice=dict(table), bob=dict(table), m=1)
 
@@ -199,7 +197,7 @@ class TestPlanAndExtraction:
         # n = 2m ancilla pairs: S and U hold 2^n dimensions each.
         s = with_junk(honest_spp_strategy(2), seed=1)
         out = apply_isometry(s, s.state, "spp")
-        assert out.layout == (("system", 96), ("S", 16), ("U", 16))
+        assert out.shape == (96, 16, 16)
 
     def test_flavor_without_its_questions(self):
         with pytest.raises(KeyError):
@@ -220,8 +218,8 @@ class TestApplyIsometry:
         for _ in range(100):
             v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             v /= np.linalg.norm(v)
-            out = apply_isometry(s, StateVector(v, (("sys", 4),)), "my")
-            assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-12
+            out = apply_isometry(s, v.reshape(2, 2), "my")
+            assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
     def test_linearity_on_raw_vectors(self):
         s = honest_my_strategy(1)
@@ -237,24 +235,31 @@ class TestApplyIsometry:
     def test_output_layout(self):
         s = honest_my_strategy(1)
         out = apply_isometry(s, s.state, "my")
-        assert out.layout == (("system", 4), ("S", 4), ("U", 4))
+        assert out.shape == (4, 4, 4)
+
+    def test_image_norm_checked(self):
+        # The isometry keeps norms, so a non-unit input gives a rejected image.
+        s = honest_my_strategy(1)
+        with pytest.raises(ValueError, match=r"^image norm 2\.0\d* deviates from 1 beyond atol=1e-12$"):
+            apply_isometry(s, 2 * s.state, "my")
 
     def test_dimension_mismatch(self):
         s = honest_my_strategy(1)
-        with pytest.raises(ValueError):
-            apply_isometry(s, StateVector(np.eye(8)[0], (("sys", 8),)), "my")
+        with pytest.raises(ValueError, match=r"input shape \(8,\) != system shape \(2, 2\)"):
+            apply_isometry(s, np.eye(8)[0], "my")
 
 
 class TestJunkState:
     def test_honest_norm_exact(self):
         for m in (1, 2):
             junk = junk_state(honest_my_strategy(m), "my")
-            assert abs(np.linalg.norm(junk.amps) - 1.0) < 1e-12
+            assert junk.shape == (4**m, 4**m)
+            assert abs(np.linalg.norm(junk) - 1.0) < 1e-12
 
     def test_noisy_norm_within_budget(self):
         s = perturb_strategy(honest_my_strategy(1), NoiseSpec(theta=0.05), seed=2)
         junk = junk_state(s, "my")
-        assert abs(np.linalg.norm(junk.amps) - 1.0) < 1e-9
+        assert abs(np.linalg.norm(junk) - 1.0) < 1e-9
 
     def test_factorization_for_honest(self):
         # Zero-noise exactness over all 16 (p, q) pairs at one e-bit.
@@ -293,15 +298,14 @@ class TestPauliStringState:
         # operator-string product on the ideal state.
         n = 4
         psi = ideal_pair_state(n)
-        layout = qubit_layout(n)
-        xs = [embed(PAULI_X, layout, sites=(k,)) for k in range(1, n + 1)]
-        zs = [embed(PAULI_Z, layout, sites=(k,)) for k in range(1, n + 1)]
+        xs = [embed(PAULI_X, n, sites=(k,)) for k in range(1, n + 1)]
+        zs = [embed(PAULI_Z, n, sites=(k,)) for k in range(1, n + 1)]
         rng = np.random.default_rng(17)
         for _ in range(20):
             p = int(rng.integers(0, 2**n))
             q = int(rng.integers(0, 2**n))
-            direct = pauli_string_state(p, q, psi.amps)
-            oracle = ordered_power(xs, q) @ (ordered_power(zs, p) @ psi.amps)
+            direct = pauli_string_state(p, q, psi)
+            oracle = ordered_power(xs, q) @ (ordered_power(zs, p) @ psi)
             assert np.allclose(direct, oracle, atol=1e-12)
 
 
@@ -313,9 +317,9 @@ class TestSelftestDistance:
     def test_zero_strings_reduce_to_plain_comparison(self):
         s = honest_my_strategy(1)
         image = apply_isometry(s, s.state, "my")
-        junk = junk_state(s, "my").amps.reshape(4, 4)
-        target = (junk[:, :, None] * ideal_pair_state(2).amps[None, None, :]).reshape(-1)
-        direct = float(np.linalg.norm(image.amps - target))
+        junk = junk_state(s, "my")
+        target = junk[:, :, None] * ideal_pair_state(2)[None, None, :]
+        direct = float(np.linalg.norm(image - target))
         assert IsometryContext(s, "my").distance(0, 0) == pytest.approx(direct, abs=1e-12)
 
     def test_noisy_distance_below_bounds(self):
@@ -338,9 +342,9 @@ class TestSelftestDistance:
         # Swapping the roles of the two ancilla blocks must give a visibly
         # wrong distance for the honest strategy.
         s = honest_my_strategy(1)
-        image = apply_isometry(s, s.state, "my").amps.reshape(4, 4, 4)
-        junk = junk_state(s, "my").amps.reshape(4, 4)
-        ideal = ideal_pair_state(2).amps
+        image = apply_isometry(s, s.state, "my")
+        junk = junk_state(s, "my")
+        ideal = ideal_pair_state(2)
         swapped_target = junk[:, None, :] * ideal[None, :, None]
         dist = float(np.linalg.norm(image - swapped_target))
         assert dist > 0.5
@@ -588,7 +592,7 @@ class TestAgainstSixStepOracle:
         rng = np.random.default_rng(m)
         dim = s.dim_a * s.dim_b
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        for vec in (s.state.amps, v):
+        for vec in (s.state.reshape(-1), v):
             got = raw_image(s, flavor, vec)
             expected = six_step_image(xs, zs, vec).reshape(-1)
             assert np.max(np.abs(got - expected)) <= 1e-12
@@ -667,7 +671,7 @@ def with_junk(s: Strategy, seed: int, junk_dims=(3, 2)) -> Strategy:
     junk /= np.linalg.norm(junk)
     dims = (s.dim_a * junk_dims[0], s.dim_b * junk_dims[1])
     ua, ub = haar_unitary(rng, dims[0]), haar_unitary(rng, dims[1])
-    psi = ua @ np.kron(s.state.reshaped(), junk) @ ub.T
+    psi = ua @ np.kron(s.state, junk) @ ub.T
 
     def rotated(table, u, junk_dim):
         eye = np.eye(junk_dim)
@@ -677,7 +681,7 @@ def with_junk(s: Strategy, seed: int, junk_dims=(3, 2)) -> Strategy:
         }
 
     return Strategy(
-        state=StateVector(psi.reshape(-1), (("A", dims[0]), ("B", dims[1]))),
+        state=psi,
         alice=rotated(s.alice, ua, junk_dims[0]),
         bob=rotated(s.bob, ub, junk_dims[1]),
         m=s.m,

@@ -10,7 +10,6 @@ from selftest_lab.linalg import (
     DIAG_XZ,
     PAULI_X,
     PAULI_Z,
-    StateVector,
     bipartite_expectation,
     embed,
     expectation,
@@ -18,7 +17,6 @@ from selftest_lab.linalg import (
     kron,
     ordered_power,
     pauli_observables,
-    qubit_layout,
     walsh_hadamard,
 )
 from selftest_lab.strategies import honest_my_strategy
@@ -27,8 +25,8 @@ SQRT2 = math.sqrt(2.0)
 
 
 def ebit_state():
-    """One e-bit on two qubits, its amplitudes written out."""
-    return StateVector(np.array([1, 1, 1, -1]) / 2, qubit_layout(2))
+    """One e-bit on two qubits, its amplitude vector written out."""
+    return np.array([1, 1, 1, -1]) / 2
 
 
 class TestKronEmbed:
@@ -36,31 +34,22 @@ class TestKronEmbed:
         assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
 
     def test_embed_single_qubit(self):
-        layout = qubit_layout(2)
-        x1 = embed(PAULI_X, layout, sites=(1,))
+        x1 = embed(PAULI_X, 2, sites=(1,))
         state = np.zeros(4)
         state[0b00] = 1.0
         assert np.allclose(x1 @ state, np.eye(4)[0b10])
-        z2 = embed(PAULI_Z, layout, sites=(2,))
+        z2 = embed(PAULI_Z, 2, sites=(2,))
         state = np.eye(4)[0b01]
         assert np.allclose(z2 @ state, -state)
 
-    def test_embed_register(self):
-        layout = (("A", 2), ("B", 3))
-        full = embed(PAULI_X, layout, sites="A")
-        assert np.allclose(full, np.kron(PAULI_X, np.eye(3)))
-        with pytest.raises(ValueError):
-            embed(PAULI_X, layout, sites="C")
-
     def test_embed_site_out_of_range(self):
         with pytest.raises(ValueError):
-            embed(PAULI_X, qubit_layout(2), sites=(3,))
+            embed(PAULI_X, 2, sites=(3,))
 
     def test_embed_two_sites_order(self):
         # Placing a two-qubit operator on sites (3, 1) permutes correctly.
-        layout = qubit_layout(3)
         cz = np.diag([1.0, 1.0, 1.0, -1.0])
-        m = embed(cz, layout, sites=(1, 3))
+        m = embed(cz, 3, sites=(1, 3))
         v = np.zeros(8)
         v[0b101] = 1.0
         assert np.allclose(m @ v, -v)
@@ -126,19 +115,18 @@ class TestPauliObservables:
 class TestGraphState:
     def test_single_edge_amplitudes_exact(self):
         psi = honest_my_strategy(1).state
-        assert np.array_equal(psi.amps, np.array([0.5, 0.5, 0.5, -0.5], dtype=complex))
+        assert np.array_equal(psi, np.array([[0.5, 0.5], [0.5, -0.5]], dtype=complex))
 
     def test_two_pairs_equals_product_in_block_order(self):
-        # Pair k entangles qubit k with qubit k+2; qubits (1,2) are the first
-        # block, (3,4) the second.  Build the product of per-pair states with
+        # Pair k entangles qubit k with qubit k+2; qubits (1,2) are Alice's
+        # rows, (3,4) Bob's columns.  Build the product of per-pair states with
         # an explicit amplitude-by-amplitude loop as the oracle.
         psi = honest_my_strategy(2).state
         pair = np.array([0.5, 0.5, 0.5, -0.5])
-        expected = np.zeros(16, dtype=complex)
+        expected = np.zeros((4, 4), dtype=complex)
         for a1, a2, b1, b2 in itertools.product((0, 1), repeat=4):
-            idx = (a1 << 3) | (a2 << 2) | (b1 << 1) | b2
-            expected[idx] = pair[(a1 << 1) | b1] * pair[(a2 << 1) | b2]
-        assert np.array_equal(psi.amps, expected)
+            expected[(a1 << 1) | a2, (b1 << 1) | b2] = pair[(a1 << 1) | b1] * pair[(a2 << 1) | b2]
+        assert np.array_equal(psi, expected)
 
     def test_signs_are_the_half_swap_phase(self):
         # Row a and column b of the sign matrix hold the phase of the 2m-bit string ab.
@@ -148,29 +136,11 @@ class TestGraphState:
             assert np.array_equal(half_swap_signs(m), expected)
 
 
-class TestStateVector:
-    def test_norm_enforced(self):
-        with pytest.raises(ValueError):
-            StateVector(np.array([1.0, 1.0]), (("q", 2),))
-
-    def test_layout_dimension_product(self):
-        with pytest.raises(ValueError):
-            StateVector(np.array([1.0, 0, 0]), (("A", 2), ("B", 2)))
-
-    def test_immutable(self):
-        psi = ebit_state()
-        with pytest.raises(ValueError):
-            psi.amps[0] = 9.0
-
-
 class TestExpectation:
     def test_pair_correlations_via_embedding(self):
-        psi = StateVector(honest_my_strategy(2).state.amps, qubit_layout(4))
-        layout = psi.layout
+        psi = honest_my_strategy(2).state.reshape(-1)
         for k in (1, 2):
-            op = embed(PAULI_X, layout, sites=(k,)) @ embed(
-                PAULI_Z, layout, sites=(k + 2,)
-            )
+            op = embed(PAULI_X, 4, sites=(k,)) @ embed(PAULI_Z, 4, sites=(k + 2,))
             assert expectation(psi, op) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_pair_oracle_values(self):
@@ -181,15 +151,19 @@ class TestExpectation:
         assert expectation(psi, np.kron(PAULI_X, PAULI_X)) == pytest.approx(0.0, abs=1e-12)
 
     def test_imaginary_part_guarded(self):
-        psi = StateVector(np.array([1, 1]) / SQRT2, (("q", 2),))
+        psi = np.array([1, 1]) / SQRT2
         lowering = np.array([[0, 1j], [0, 0]])
         with pytest.raises(RuntimeError):
             expectation(psi, lowering)
 
     def test_bipartite_matches_embedding(self):
-        psi = StateVector(ebit_state().amps, (("A", 2), ("B", 2)))
-        direct = bipartite_expectation(psi, PAULI_X, DIAG_XZ)
+        psi = ebit_state()
+        direct = bipartite_expectation(psi.reshape(2, 2), PAULI_X, DIAG_XZ)
         assert direct == pytest.approx(expectation(psi, np.kron(PAULI_X, DIAG_XZ)))
+
+    def test_bipartite_needs_a_matrix(self):
+        with pytest.raises(ValueError, match=r"state has shape \(4,\), need a \(d_A, d_B\) matrix"):
+            bipartite_expectation(ebit_state(), PAULI_X, DIAG_XZ)
 
 
 class TestWalshHadamard:

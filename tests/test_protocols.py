@@ -8,7 +8,6 @@ from selftest_lab.linalg import (
     DIAG_XZ,
     PAULI_X,
     PAULI_Z,
-    StateVector,
     bipartite_expectation,
 )
 from selftest_lab.protocols import (
@@ -49,8 +48,7 @@ def deterministic_strategy(assign_a, assign_b, m=1):
             out[kind] = Measurement(projs)
         return out
 
-    state = StateVector(np.array([1.0]), (("A", 1), ("B", 1)))
-    return Strategy(state=state, alice=table(assign_a), bob=table(assign_b), m=m)
+    return Strategy(state=np.ones((1, 1)), alice=table(assign_a), bob=table(assign_b), m=m)
 
 
 def rotate_one_party(s: Strategy, party: str, theta: float) -> Strategy:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from selftest_lab.linalg import (
     PAULI_X,
     PAULI_Z,
     STRUCTURAL_ATOL,
-    StateVector,
     bipartite_expectation,
 )
 from selftest_lab.strategies import (
@@ -94,7 +94,7 @@ class TestSymbolProjector:
 
 def observable_for_symbol(meas, k):
     """Symbol-k observable of a measurement, as a strategy asking it exposes it."""
-    state = StateVector(np.eye(meas.dim**2)[0], (("A", meas.dim), ("B", meas.dim)))
+    state = np.eye(meas.dim**2)[0].reshape(meas.dim, meas.dim)
     s = Strategy(state=state, alice={"Q": meas}, bob={}, m=meas.num_symbols)
     return s.observable("alice", "Q", k)
 
@@ -176,8 +176,8 @@ class TestHonestMyStrategy:
     def test_state_is_pair_graph_state(self):
         s = honest_my_strategy(2)
         expected = [(-1.0) ** half_swap_phase(u, 4) / 4 for u in range(16)]
-        assert np.array_equal(s.state.amps, np.array(expected, dtype=complex))
-        assert s.state.layout == (("A", 4), ("B", 4))
+        assert s.state.shape == (4, 4)
+        assert np.array_equal(s.state.reshape(-1), np.array(expected, dtype=complex))
 
     def test_m_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -221,6 +221,45 @@ class TestHonestSppStrategy:
         assert all(c.passed for c in validate_strategy(honest_spp_strategy(1)))
 
 
+class TestStrategyState:
+    """A strategy's state is its (d_A, d_B) amplitude matrix, checked and held
+    as a read-only copy divided by its norm."""
+
+    @staticmethod
+    def build(state):
+        return Strategy(state=state, alice={}, bob={}, m=1)
+
+    @pytest.mark.parametrize("scale", [2.0, 1 + 3e-12, 1 - 3e-12, 0.0, np.nan, np.inf])
+    def test_norm_enforced(self, scale):
+        with pytest.raises(ValueError, match=r"^state norm .* deviates from 1 beyond atol=1e-12$"):
+            self.build(np.full((2, 2), scale) / 2)
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 2, 2), ()])
+    def test_state_must_be_a_matrix(self, shape):
+        state = np.zeros(shape)
+        state.flat[0] = 1.0
+        with pytest.raises(ValueError, match=rf"must be a \(d_A, d_B\) matrix, got shape "
+                                             rf"{re.escape(str(shape))}$"):
+            self.build(state)
+
+    def test_read_only_copy(self):
+        state = np.eye(2) / SQRT2
+        s = self.build(state)
+        held = s.state.copy()
+        with pytest.raises(ValueError):
+            s.state[0, 0] = 9.0
+        state[0, 0] = 9.0  # the caller's array is not the held one
+        assert np.array_equal(s.state, held)
+        assert s.state.dtype == complex and (s.dim_a, s.dim_b) == (2, 2)
+
+    def test_divided_by_norm(self):
+        # Within NORM_ATOL the state is accepted and divided by its norm.
+        state = np.array([[3.0, 0.0, 0.0], [0.0, 4.0, 0.0]]) / 5 * (1 + 5e-13)
+        s = self.build(state)
+        assert np.array_equal(s.state, state / np.linalg.norm(state))
+        assert (s.dim_a, s.dim_b) == (2, 3)
+
+
 class TestPerturbStrategy:
     def test_zero_noise_is_identity(self):
         s = honest_my_strategy(1)
@@ -259,7 +298,7 @@ class TestPerturbStrategy:
         s = honest_my_strategy(1)
         a = perturb_strategy(s, NoiseSpec(theta=0.1, w=0.05), seed=11)
         b = perturb_strategy(s, NoiseSpec(theta=0.1, w=0.05), seed=11)
-        assert np.array_equal(a.state.amps, b.state.amps)
+        assert np.array_equal(a.state, b.state)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -300,7 +339,7 @@ class TestValidateStrategy:
         e0 = np.zeros((2, 2), dtype=complex)
         e0[0, 0] = 1.0
         broken = Measurement({(1,): e0, (-1,): zero_proj})
-        psi = StateVector(np.array([1, 0, 0, 1]) / SQRT2, (("A", 2), ("B", 2)))
+        psi = np.eye(2) / SQRT2
         good = product_basis_measurement("Z")
         s = Strategy(state=psi, alice={"Z": broken}, bob={"Z": good}, m=1)
         failures = [c for c in validate_strategy(s) if not c.passed]
@@ -312,7 +351,7 @@ class TestValidateStrategy:
         # Complete but not orthogonal: P+ P- = P+ P+ - P+ = -0.01 I.
         plus = np.array([[1.0, 0.1], [0.1, 0.0]], dtype=complex)
         skewed = Measurement({(1,): plus, (-1,): np.eye(2) - plus})
-        psi = StateVector(np.array([1, 0, 0, 1]) / SQRT2, (("A", 2), ("B", 2)))
+        psi = np.eye(2) / SQRT2
         good = product_basis_measurement("Z")
         s = Strategy(state=psi, alice={"Z": skewed}, bob={"Z": good}, m=1)
         checks = {(c.subject, c.name): c for c in validate_strategy(s)}
@@ -328,7 +367,7 @@ class TestValidateStrategy:
         honest = product_basis_measurement("X")
         scaled = Measurement({a: (1.3 if a == (1,) else 1.0) * p for a, p in honest})
         assert np.abs(scaled.basis.conj().T @ scaled.basis - np.eye(2)).max() < 1e-15
-        psi = StateVector(np.array([1, 0, 0, 1]) / SQRT2, (("A", 2), ("B", 2)))
+        psi = np.eye(2) / SQRT2
         s = Strategy(state=psi, alice={"X": scaled}, bob={"X": honest}, m=1)
         checks = {(c.subject, c.name): c for c in validate_strategy(s)}
         assert checks[("alice:X", "completeness")].max_deviation == pytest.approx(0.15)
@@ -340,13 +379,13 @@ class TestValidateStrategy:
         # but eigh reads only its lower triangle.
         oblique = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
         meas = Measurement({(1,): oblique, (-1,): np.eye(2) - oblique})
-        psi = StateVector(np.array([1, 0, 0, 1]) / SQRT2, (("A", 2), ("B", 2)))
+        psi = np.eye(2) / SQRT2
         s = Strategy(state=psi, alice={"Z": meas}, bob={"Z": product_basis_measurement("Z")}, m=1)
         failures = {(c.subject, c.name) for c in validate_strategy(s) if not c.passed}
         assert failures == {("alice:Z", "hermitian")}
 
     def test_wrong_dimension_rejected_at_construction(self):
-        psi = StateVector(np.array([1, 0, 0, 1]) / SQRT2, (("A", 2), ("B", 2)))
+        psi = np.eye(2) / SQRT2
         with pytest.raises(ValueError):
             Strategy(
                 state=psi,
@@ -416,7 +455,7 @@ class TestValidationNeverLooser:
             f = np.abs(u @ u.conj().T - np.eye(dim)).max()
             assert dev["unitary"] <= f + dim * e * (1 + f) + dim * rounding
             assert dev["same-question-commute"] <= 2 * dim * e * (1 + f) + dim * rounding
-            state = StateVector(np.eye(dim**2)[0], (("A", dim), ("B", dim)))
+            state = np.eye(dim**2)[0].reshape(dim, dim)
             s = Strategy(state=state, alice={"Q": meas}, bob={}, m=meas.num_symbols)
             if all(c.passed for c in validate_strategy(s)):
                 accepted += 1
@@ -489,7 +528,7 @@ class TestSerialization:
         doc = json.loads(json.dumps(strategy_to_json(s)))
         back = strategy_from_json(doc)
         assert back.m == s.m
-        assert np.array_equal(back.state.amps, s.state.amps)
+        assert np.array_equal(back.state, s.state)
         for party in ("alice", "bob"):
             assert back.kinds(party) == s.kinds(party)
             for kind in s.kinds(party):
@@ -541,6 +580,16 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"^strategy field questions\[5\]\.projectors\[2\]"
                                              r"\.answer repeats \[-1\]$"):
             strategy_from_json(doc)
+
+    def test_unknown_key_named_after_the_field_checks(self):
+        doc = {**strategy_to_json(honest_spp_strategy(1)), "noise": {}, "dims": [2, 0]}
+        with pytest.raises(ValueError, match=r"^strategy field dims must be two integers >= 1"):
+            strategy_from_json(doc)
+        recipe = {"type": "honest-my", "m": 1, "nosie": {}, "noise": {"seed": -1}}
+        with pytest.raises(ValueError, match=r"^strategy field noise\.seed must be >= 0, got -1$"):
+            recipe_from_json(recipe)
+        with pytest.raises(ValueError, match=r"^strategy file has unknown key 'nosie'; "):
+            recipe_from_json({**recipe, "noise": {}})
 
     @pytest.mark.parametrize("m", [1.7, True, None, 0])
     def test_m_must_be_an_integer(self, m):
