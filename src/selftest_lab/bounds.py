@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass, fields
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 from .bitstrings import dot, half_a, half_b, swap_halves
@@ -185,7 +185,17 @@ def _check_finite(name: str, n: int, *values: float) -> None:
 
 def _sum_of_roots(name: str, n: int, weight_p: int, *inputs: float):
     """(value, (r1, r2)) of the table row name; checks its inputs and weight_p,
-    and that its scale, radicands and value are finite."""
+    and that its scale, radicands and value are finite.
+
+    Memoized, as a run asks for each (name, n, weight_p) many times at one eps.
+    A zero input bypasses the memo: -0.0 equals 0.0 as a key, yet its
+    radicands print as -0.0.  An error is raised again on every call."""
+    if 0 in inputs:
+        return _evaluate_sum_of_roots(name, n, weight_p, *inputs)
+    return _memo_sum_of_roots(name, n, weight_p, *inputs)
+
+
+def _evaluate_sum_of_roots(name: str, n: int, weight_p: int, *inputs: float):
     row = _TABLE[name]
     for field, value in zip(row.reads, inputs):
         _check_nonneg(field, value)
@@ -199,6 +209,9 @@ def _sum_of_roots(name: str, n: int, weight_p: int, *inputs: float):
     value = scale * math.sqrt(first) + scale * math.sqrt(second)
     _check_finite(name, n, scale, first, second, value)
     return value, (first, second)
+
+
+_memo_sum_of_roots = lru_cache(maxsize=1024, typed=True)(_evaluate_sum_of_roots)
 
 
 # name -> its sum-of-roots row; the two estimates are functions of eps.

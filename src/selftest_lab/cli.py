@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -58,15 +59,19 @@ class UsageError(Exception):
 
 # --- deterministic emission -------------------------------------------------
 
+EMIT_BLOCK = 4096  # encoder tokens joined per write
+
 
 def round_floats(obj):
-    """Round every float to 15 significant digits, recursively."""
+    """Round every float to 15 significant digits, recursively: in place in
+    dicts and lists, so a large report is not copied; a tuple becomes a list."""
     if isinstance(obj, float):
         return float(f"{obj:.15g}")
-    if isinstance(obj, dict):
-        return {k: round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, tuple):
         return [round_floats(v) for v in obj]
+    if isinstance(obj, (dict, list)):
+        for k, v in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+            obj[k] = round_floats(v)
     return obj
 
 
@@ -76,15 +81,30 @@ def config_hash(config: dict) -> str:
 
 
 def emit(report: dict, out: Optional[TextIO], csv_file: Optional[TextIO], csv_rows):
-    """Write the report to the open --out and --csv files, then to stdout."""
-    text = json.dumps(round_floats(report), sort_keys=True, indent=2)
-    if out:
-        out.write(text + "\n")
+    """Write the CSV rows to the open --csv file, then the report, its floats
+    rounded in place, to the open --out file and stdout.
+
+    The report text is written in blocks of EMIT_BLOCK encoder tokens and is
+    never held whole.  A closed stdout stops the writes to stdout only, so
+    --out is still written in full before the BrokenPipeError is raised.
+    """
     if csv_file:
         writer = csv.writer(csv_file)
         for row in csv_rows:
             writer.writerow([f"{v:.15g}" if isinstance(v, float) else v for v in row])
-    print(text)
+    tokens = json.JSONEncoder(sort_keys=True, indent=2).iterencode(round_floats(report))
+    blocks = iter(lambda: "".join(itertools.islice(tokens, EMIT_BLOCK)), "")
+    closed = None
+    for block in itertools.chain(blocks, ["\n"]):
+        if out:
+            out.write(block)
+        if closed is None:
+            try:
+                sys.stdout.write(block)
+            except BrokenPipeError as exc:
+                closed = exc
+    if closed is not None:
+        raise closed
     sys.stdout.flush()
 
 

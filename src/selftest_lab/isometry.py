@@ -49,8 +49,9 @@ and the blocks of row t that hold no target add || R_t psi' C_(v != u) ||^2
     d^2 = 2^(-m) (sum_t || F_t psi' [s_t G_u(t)^H | L_u(t)] - [J'_(t,u(t)) | 0] ||^2
                   + sum_t rho_(t,u(t))).
 J' and rho depend on (t, u) only, and u(t) on t and c = q_A ^ p_B only, so a
-context keeps J'_(t, t^c) and sum_t rho_(t, t^c) by c, and a call is 2^m
-products of d_A x d_B matrices.
+context keeps J'_(t, t^c) and sum_t rho_(t, t^c) by c.  A call forms the
+factors of its own pair, (F X^(q_A) Z^(p_A)) psi'_b with F the stacked F_t
+and psi'_b = psi (X^(q_B) Z^(p_B))^T, then 2^m products of d_A x d_B matrices.
 
 Each rho term is the norm of a residual matrix, never a difference of norms
 such as ||J||^2 - ||Q_t^H J||^2, and the off-diagonal part is not taken as a
@@ -80,8 +81,8 @@ from .linalg import NORM_ATOL, half_swap_signs
 from .protocols import TestSpec
 from .strategies import FLAVORS, MY_FLAVOR, SPP_FLAVOR, Strategy
 
-# n = 2m X/Z indices at most; at n = 8 an honest strategy's context holds 19 MB,
-# 16 MB of it Alice's table of F_t X^q Z^p, which grows 32-fold per step of m.
+# n = 2m X/Z indices at most; at n = 8 an honest strategy's context holds 4.4 MB,
+# 2 MB of it the targets J' and 1 MB each Alice's X^q Z^p and Bob's psi (X^q Z^p)^T.
 ISOMETRY_LIMIT = 8
 DISTANCE_SLACK = 1e-9  # numerical slack when comparing distance to a bound
 
@@ -175,10 +176,11 @@ class IsometryContext:
 
     The image is held in the Hadamard basis u of Bob's half of U, through the
     reduced QR factors of its blocks (module docstring): F_t of Alice's row
-    block t, kept times each of her X^q Z^p, and [G_u^H | L_u] of Bob's column
-    block u with its negation.  The
+    block t, stacked, with her X^q Z^p table, and [G_u^H | L_u] of Bob's column
+    block u with its negation, with psi times his transposed X^q Z^p.  The
     projected targets J'_(t, t^c) and the sum over t of rho_(t, t^c) are kept
-    by c = q_A ^ p_B, so a call is 2^m products of d_A x d_B matrices.
+    by c = q_A ^ p_B.  No product of F with a Pauli string is kept: a call
+    forms its own, so the context grows 16-fold per step of m, not 32-fold.
     """
 
     def __init__(self, s: Strategy, flavor: str):
@@ -188,7 +190,7 @@ class IsometryContext:
         psi = s.state
         junk = tables.junk(psi)
         # X^q Z^p of Alice by [q, p]; psi times Bob's transposed X^q Z^p by [q, p].
-        pauli_a = tables.x_a[:, None] @ tables.z_a[None]
+        self._pauli_a = tables.x_a[:, None] @ tables.z_a[None]
         self._psi_b = psi @ (tables.x_b[:, None] @ tables.z_b[None]).swapaxes(2, 3)
         # R_t by t, and C_u^H by u, taken with H: no inexact 2^(-m/2) scale at odd m.
         rows = tables.rows_a.reshape(half, -1, d_a) * 2.0**-s.m
@@ -221,10 +223,8 @@ class IsometryContext:
         # |p_A & p_B| mod 2, t] is u, plus 2^m where the sign is -1.
         c, x, g, t = np.ix_(bits, bits, (0, 1), bits)
         self._select = (t ^ c) + half * (g ^ (np.bitwise_count(x & (t ^ c)) & 1))
-        # F_t X^q Z^p of Alice by [q, p], rows (t, a): 16 MB at m = 4, formed
-        # once the blocks and their factors are freed, so the build peaks lower.
-        del tables, junk, rows, cols, q_rows, p_cols, p_adj
-        self._f_pauli = f_rows.reshape(-1, d_a) @ pauli_a
+        self._f_rows = f_rows.reshape(-1, d_a)  # F_t by t, rows (t, a)
+        self._last_f_pauli = (None, None)  # ((q_A, p_A), F X^(q_A) Z^(p_A)) of the last call
 
     def distance(self, p: int, q: int) -> float:
         """|| Phi(X^q Z^p psi') - junk x (X^q Z^p ideal) ||, phase-exact, for
@@ -236,14 +236,21 @@ class IsometryContext:
         c = qa ^ pb
         # Each column block carries its target's sign, so every target is +J'.
         signed = self._select[c, pa ^ qb, (pa & pb).bit_count() & 1]
-        rows = self._f_pauli[qa, pa] @ self._psi_b[qb, pb]  # F_t psi' by t
+        # F_t psi' by t, associated as (F X^qa Z^pa) psi'_b: the other order
+        # rounds differently.  Exhaustive pairs run q fastest, so 2^m calls in
+        # a row share (q_A, p_A) and reuse the last call's F X^qa Z^pa.
+        key, f_pauli = self._last_f_pauli
+        if key != (qa, pa):
+            f_pauli = self._f_rows @ self._pauli_a[qa, pa]
+            self._last_f_pauli = (qa, pa), f_pauli
+        rows = f_pauli @ self._psi_b[qb, pb]
         res = rows.reshape(half, -1, rows.shape[1]) @ self._cols.take(signed, axis=0)
         res -= self._targets[c]  # [F_t psi' G_u^H - J'_(t, u) | F_t psi' L_u]
         flat = res.reshape(-1).view(np.float64)
         return math.sqrt((flat @ flat + self._rho[c]) / half)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # no __dict__: 65536 of them at exhaustive m = 4
 class IsometryReport:
     p: int  # n-bit strings as big-endian ints
     q: int

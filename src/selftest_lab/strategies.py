@@ -316,6 +316,9 @@ def perturb_strategy(s: Strategy, noise: NoiseSpec, seed: int = 0) -> Strategy:
     """Noisy but still valid strategy: rotated measurement bases, mixed state."""
     new_meas = {"alice": dict(s.alice), "bob": dict(s.bob)}
     if noise.theta:
+        # A measurement shared between the parties (both hold one dimension,
+        # hence one rotation) is rotated once, by id.
+        rotated: dict[int, Measurement] = {}
         for party, dim in (("alice", s.dim_a), ("bob", s.dim_b)):
             num_qubits = dim.bit_length() - 1
             if 2**num_qubits != dim:
@@ -323,12 +326,12 @@ def perturb_strategy(s: Strategy, noise: NoiseSpec, seed: int = 0) -> Strategy:
                     f"rotation noise needs a qubit party space, {party} has dim {dim}"
                 )
             u = _rotation(noise.theta, num_qubits)
-            new_meas[party] = {
-                kind: Measurement.from_basis(
-                    u @ meas.basis, meas.answers, meas.column_groups, meas.input_deviation
-                )
-                for kind, meas in getattr(s, party).items()
-            }
+            for kind, meas in getattr(s, party).items():
+                if id(meas) not in rotated:
+                    rotated[id(meas)] = Measurement.from_basis(
+                        u @ meas.basis, meas.answers, meas.column_groups, meas.input_deviation
+                    )
+                new_meas[party][kind] = rotated[id(meas)]
     psi = s.state
     if noise.w:
         rng = np.random.default_rng(seed)

@@ -25,6 +25,7 @@ from selftest_lab.bounds import (
     swap_step_bound,
     xz_swap_bound,
 )
+from selftest_lab import bounds
 from selftest_lab.bounds import EpsilonBundle
 
 UNIFORM = EpsilonBundle(eps1=0.01, eps2=0.01, eps3=0.01)
@@ -365,6 +366,35 @@ class TestBoundReports:
         # The sum-of-roots rows are covered by the bounds command's tests.
         with pytest.raises(ValueError, match=f"^bound {name} is not finite at n=2$"):
             evaluate_bound(name, 2, 0, EpsilonBundle(eps=1e308))
+
+
+class TestSumOfRootsMemo:
+    def test_memo_returns_the_unmemoized_value(self):
+        bounds._memo_sum_of_roots.cache_clear()
+        for name in SUM_OF_ROOTS:
+            for n in range(1, 9):
+                for w in range(n + 1):
+                    for x in (1e-12, 1e-4, 0.03, 2.0):
+                        inputs = (x, x / 2, 3 * x)[:len(bounds._TABLE[name].reads)]
+                        want = bounds._evaluate_sum_of_roots(name, n, w, *inputs)
+                        for _ in range(2):  # the second call reads the memo
+                            assert bounds._sum_of_roots(name, n, w, *inputs) == want, (
+                                name, n, w, x,
+                            )
+        assert bounds._memo_sum_of_roots.cache_info().hits > 0
+
+    def test_negative_zero_not_read_from_memo(self):
+        # -0.0 == 0.0 as a memo key, but its radicands print as -0.0.
+        assert spp_selftest_bound(4, 1, 0.0) == 0.0
+        value = spp_selftest_bound(4, 1, -0.0)
+        assert value == 0.0 and math.copysign(1.0, value) == -1.0
+        terms = evaluate_bound("spp", 4, 1, EpsilonBundle(eps=-0.0))["terms"]
+        assert all(math.copysign(1.0, r) == -1.0 for r in terms.values())
+
+    def test_error_raised_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="^eps must be finite and nonnegative"):
+                spp_selftest_bound(4, 1, math.nan)
 
 
 bundles = hst.builds(

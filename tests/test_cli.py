@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -25,6 +26,14 @@ from selftest_lab.strategies import (
 # but not idempotent, and idempotent but oblique.
 SKEWED = np.array([[1.0, 0.1], [0.1, 0.0]])
 OBLIQUE = np.array([[1.0, 1.0], [0.0, 0.0]])
+
+
+def child_env() -> dict:
+    """The environment of a CLI child process that imports this checkout's src."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    )}
 
 
 def run_cli(capsys, *argv):
@@ -936,6 +945,49 @@ class TestOutputFiles:
         assert code == 0
         assert path.read_text() == capsys.readouterr().out
 
+    def test_report_written_in_blocks(self, capsys, tmp_path):
+        argv = ["verify-isometry", "--test", "my", "--m", "2", "--pairs", "exhaustive"]
+        args = cli.build_parser().parse_args(argv)
+        _, report, _ = args.fn(args)
+        rounded = cli.round_floats(report)
+        tokens = json.JSONEncoder(sort_keys=True, indent=2).iterencode(rounded)
+        assert sum(1 for _ in tokens) > cli.EMIT_BLOCK  # more than one block
+        capsys.readouterr()
+        path = tmp_path / "report.json"
+        assert cli.main([*argv, "--out", str(path)]) == 0
+        text = json.dumps(rounded, sort_keys=True, indent=2) + "\n"
+        assert path.read_text() == text
+        assert capsys.readouterr().out == text
+
+    def test_emit_never_holds_the_report_text(self, monkeypatch, tmp_path):
+        args = cli.build_parser().parse_args(
+            ["verify-isometry", "--test", "my", "--m", "3", "--pairs", "exhaustive"])
+        _, report, _ = args.fn(args)
+        path = tmp_path / "stdout.json"
+        with open(path, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            tracemalloc.start()
+            try:
+                cli.emit(report, None, None, None)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # About 0.3 MB against 0.48 MB of text; json.dumps peaked at 4.4 MB.
+        assert peak < path.stat().st_size
+
+    def test_closed_stdout_leaves_out_file_whole(self, tmp_path):
+        argv = ["verify-isometry", "--test", "my", "--m", "2", "--pairs", "exhaustive"]
+        expected = tmp_path / "expected.json"
+        assert cli.main([*argv, "--out", str(expected)]) == 0
+        path = tmp_path / "report.json"
+        with subprocess.Popen(
+            [sys.executable, "-m", "selftest_lab.cli", *argv, "--out", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=child_env(),
+        ) as child:
+            child.stdout.close()
+        assert child.returncode == 2
+        assert path.read_text() == expected.read_text()
+
     def test_csv_only_on_commands_with_rows(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main(["lemma-checks", "--csv", str(tmp_path / "checks.csv")])
@@ -945,13 +997,9 @@ class TestOutputFiles:
     def test_closed_stdout_exits_without_traceback(self):
         # The read end is closed before the child can write, so its report
         # meets a broken pipe.
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")])
-        )}
         with subprocess.Popen(
             [sys.executable, "-m", "selftest_lab.cli", "lemma-checks", "--max-n", "6"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
         ) as child:
             child.stdout.close()
             err = child.stderr.read().decode()

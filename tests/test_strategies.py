@@ -300,6 +300,26 @@ class TestPerturbStrategy:
         b = perturb_strategy(s, NoiseSpec(theta=0.1, w=0.05), seed=11)
         assert np.array_equal(a.state, b.state)
 
+    def test_shared_measurement_rotated_once(self, monkeypatch):
+        # The honest parties share one table: 16 rotations at spp m=2, not 32.
+        # Equal but distinct tables, as a strategy file gives, stay distinct.
+        honest = honest_spp_strategy(2)
+        copied = Strategy(state=honest.state, alice=honest.alice, bob={
+            kind: Measurement.from_basis(m.basis, m.answers, m.column_groups, m.input_deviation)
+            for kind, m in honest.bob.items()
+        }, m=2)
+        built = []
+        from_basis = Measurement.from_basis.__func__
+        monkeypatch.setattr(Measurement, "from_basis", classmethod(
+            lambda cls, *args: built.append(cls) or from_basis(cls, *args)))
+        noise = NoiseSpec(theta=0.03, w=0.01)
+        shared, distinct = (perturb_strategy(s, noise, seed=1) for s in (honest, copied))
+        assert len(built) == 16 + 32
+        for kind in honest.kinds("alice"):
+            assert shared.alice[kind] is shared.bob[kind]
+            assert distinct.alice[kind] is not distinct.bob[kind]
+            assert np.array_equal(shared.bob[kind].basis, distinct.bob[kind].basis)
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             NoiseSpec(theta=4.0)
