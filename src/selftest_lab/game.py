@@ -72,21 +72,20 @@ def game_expectation_exact(s: Strategy) -> float:
 
 
 def _joint_distribution(s: Strategy, qa: str, qb: str) -> tuple[np.ndarray, np.ndarray]:
-    """Born-rule distribution over joint answers for one question pair.
+    """Born-rule distribution over pairs of basis columns for one question pair.
 
-    Row i * nb + j pairs Alice's i-th answer string with Bob's j-th, in the
-    order of each party's measurement.  Returns ``(prods, probs)``: the
-    int8 table ``prods[row, k] = a_k * b_k`` and the normalised
-    probabilities ``||P_a psi P_b^T||^2 = ||U_a^H psi conj(U_b)||^2``, the
-    squared amplitudes of each pair of basis columns summed over the
-    columns of each answer pair.
+    Row i * r + j pairs Alice's basis column i with Bob's column j, r being
+    Bob's column count.  Returns ``(prods, probs)``: the int8 table
+    ``prods[row, k] = a_k * b_k`` of the two columns' answers and the
+    normalised squared amplitudes ``|U_a^H psi conj(U_b)|^2`` of each column
+    pair.  An answer pair's probability ``||P_a psi P_b^T||^2`` is the sum
+    over its column pairs.
     """
-    meas_a, meas_b = s.measurement("alice", qa), s.measurement("bob", qb)
-    na, nb = len(meas_a.answers), len(meas_b.answers)
-    rows = meas_a.column_groups[:, None] * nb + meas_b.column_groups
-    probs = np.bincount(rows.ravel(), s.column_probabilities(qa, qb).ravel(), na * nb)
-    prods = meas_a.answer_signs[:, None] * meas_b.answer_signs
-    return prods.reshape(na * nb, s.m), probs / probs.sum()
+    signs_a = s.measurement("alice", qa).column_signs.T
+    signs_b = s.measurement("bob", qb).column_signs.T
+    prods = signs_a[:, None] * signs_b
+    probs = s.column_probabilities(qa, qb).ravel()
+    return prods.reshape(-1, s.m), probs / probs.sum()
 
 
 def sample_game(

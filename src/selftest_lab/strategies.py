@@ -3,9 +3,9 @@
 A strategy holds a state on H_A x H_B, its (d_A, d_B) amplitude matrix, and,
 per party, a map from question kind to a projective measurement whose
 outcomes are answer strings over {-1,+1}.  A measurement is one orthonormal
-basis U whose columns carry answer strings, grouped by answer: the projector
-of answer a is U_a U_a^H over a's columns, and the observable of answer
-symbol k is U diag(a_k) U^H.
+basis U with an answer string per column: the projector of answer a is
+U_a U_a^H over a's columns, and the observable of answer symbol k is
+U diag(a_k) U^H.
 """
 
 from __future__ import annotations
@@ -36,29 +36,65 @@ def basis_vectors(symbol: str) -> tuple[np.ndarray, np.ndarray]:
     return np.array([c, s], dtype=complex), np.array([-s, c], dtype=complex)
 
 
+class NotProjective(ValueError):
+    """Projectors that fail a check of `Measurement.from_projectors`."""
+
+
 class Measurement:
-    """Projective measurement held as one basis whose columns carry answers.
+    """Projective measurement held as an orthonormal basis whose columns carry answers.
 
-    ``basis`` is dim x r, with r = dim for a valid measurement.  ``answers``
-    lists the distinct answer strings in first-appearance order, and column
-    j of the basis answers ``answers[column_groups[j]]``.  An answer may own
-    no column (its projector is 0) or several (a projector of rank > 1).
+    ``basis`` is a d x d unitary, and column j answers the +-1 string
+    ``column_answers[j]``: ``column_signs[k, j]`` is its symbol k + 1.  The
+    columns of one answer span its projector, so an answer may own several
+    (a projector of rank > 1).  An answer that owns no column is not held:
+    it has no entry in ``projectors``, nor in a strategy file written from
+    the measurement.
 
-    ``Measurement(projectors)`` converts a projector dict once: each P_a
-    contributes the eigenvectors of its eigenvalues above 1/2, in dict
-    order.  The conversion repairs nothing.  What the input lacks of an
-    orthogonal projector family is kept in ``input_deviation`` under the
-    check names of `validate_strategy`: "hermitian" (max |P_a - P_a^H|),
-    "orthogonality" (max |w (w - 1)| over the eigenvalues w of each P_a,
-    zero exactly when a Hermitian P_a is idempotent) and "completeness"
-    (max |sum_a P_a - I|).  ``projectors`` are formed from the basis, so a
-    converted measurement serializes in its converted form.
+    The program builds its bases unitary (a kron of 2x2 bases, or such a
+    basis rotated) and does not check them; outside input is converted, and
+    checked, by `from_projectors`.
     """
 
-    def __init__(self, projectors: Mapping[tuple[int, ...], np.ndarray]):
+    def __init__(self, basis: np.ndarray, column_answers):
+        self.basis = np.asarray(basis, dtype=complex)
+        self.column_signs = np.array(column_answers, dtype=np.int8).T  # [k, j]: a_(k+1) of column j
+        self.num_symbols, self.dim = len(self.column_signs), len(self.basis)
+
+    @classmethod
+    def from_projectors(cls, projectors: Mapping[tuple[int, ...], np.ndarray],
+                        subject: str = "measurement") -> Measurement:
+        """The measurement of a projector dict, rejected unless it is projective.
+
+        Each P_a contributes the eigenvectors of its eigenvalues above 1/2,
+        in dict order, as columns that answer a.  Nothing is repaired.  Four
+        checks must hold, or NotProjective names each that fails as
+        "<subject> <check> <deviation>": "hermitian" (max |P_a - P_a^H|),
+        "orthogonality" (max |w (w - 1)| over the eigenvalues w of each P_a,
+        zero exactly when a Hermitian P_a is idempotent) and "completeness"
+        (max |sum_a P_a - I|), each within STRUCTURAL_ATOL, and "unitary",
+        max(|U U^H - I|, |U^H U - I|) of the converted basis U.
+
+        The basis is held to STRUCTURAL_ATOL / (2 d), d = dim, so that the
+        observables M_k = U D_k U^H (D_k = diag(a_k), D_k^2 = I) need not be
+        formed.  Take E = U^H U - I and F = U U^H - I, with largest entries
+        e and f.  Row i of U has squared norm 1 + F_ii <= 1 + f, so by
+        Cauchy-Schwarz over the rows |U X U^H| <= d (1 + f) |X| for any X.
+        As M_k^2 - I = F + U D_k E D_k U^H and
+        [M_j, M_k] = U (D_j E D_k - D_k E D_j) U^H,
+
+            |M_k^2 - I| <= f + d e (1 + f),    |[M_j, M_k]| <= 2 d e (1 + f),
+
+        and M_k is Hermitian by construction, up to rounding.  With e, f <=
+        u = STRUCTURAL_ATOL / (2 d), both are at most (1 + u) STRUCTURAL_ATOL.
+        The two parties' operators act on different tensor factors, so they
+        commute exactly.
+        """
         if not projectors:
             raise ValueError("measurement needs at least one projector")
         answers = [tuple(int(x) for x in a) for a in projectors]
+        for a in answers:
+            if len(a) != len(answers[0]) or any(x not in (-1, 1) for x in a):
+                raise ValueError(f"bad answer string {a}")
         mats = [np.asarray(p, dtype=complex) for p in projectors.values()]
         dim = mats[0].shape[0]
         for p in mats:
@@ -71,38 +107,20 @@ class Measurement:
             raise ValueError(f"projector of answer {bad} has non-finite entries")
         w, v = np.linalg.eigh(stack)
         keep = w > 0.5  # keep[i, j]: eigenvector j of answer i's projector
-        deviation = {
-            "hermitian": float(np.abs(stack - stack.conj().transpose(0, 2, 1)).max()),
-            "orthogonality": float(np.abs(w * (w - 1.0)).max()),
-            "completeness": float(np.abs(stack.sum(axis=0) - np.eye(dim)).max()),
-        }
-        self._hold(v.transpose(1, 0, 2)[:, keep], answers, np.nonzero(keep)[0], deviation)
-
-    @classmethod
-    def from_basis(cls, basis: np.ndarray, answers, column_groups=None,
-                   input_deviation=None) -> Measurement:
-        """Measurement whose basis column j answers answers[column_groups[j]];
-        by default column j answers answers[j]."""
-        meas = cls.__new__(cls)
-        if column_groups is None:
-            column_groups = np.arange(len(answers))
-        meas._hold(basis, answers, column_groups, input_deviation or {})
-        return meas
-
-    def _hold(self, basis, answers, column_groups, input_deviation) -> None:
-        answers = tuple(answers)
-        m = len(answers[0])
-        for a in answers:
-            if len(a) != m or any(x not in (-1, 1) for x in a):
-                raise ValueError(f"bad answer string {a}")
-        self.basis = np.asarray(basis, dtype=complex)
-        self.answers = answers
-        self.column_groups = np.asarray(column_groups, dtype=np.intp)
-        self.answer_signs = np.array(answers, dtype=np.int8).reshape(-1, m)
-        self.column_signs = self.answer_signs[self.column_groups].T  # [k, j]: a_(k+1) of column j
-        self.input_deviation = input_deviation
-        self.num_symbols = m
-        self.dim = self.basis.shape[0]
+        u = v.transpose(1, 0, 2)[:, keep]
+        uh = u.conj().T
+        checks = (
+            ("completeness", np.abs(stack.sum(axis=0) - np.eye(dim)).max(), STRUCTURAL_ATOL),
+            ("orthogonality", np.abs(w * (w - 1.0)).max(), STRUCTURAL_ATOL),
+            ("hermitian", np.abs(stack - stack.conj().transpose(0, 2, 1)).max(), STRUCTURAL_ATOL),
+            ("unitary", max(np.abs(u @ uh - np.eye(dim)).max(),
+                            np.abs(uh @ u - np.eye(u.shape[1])).max(initial=0.0)),
+             STRUCTURAL_ATOL / (2 * dim)),
+        )
+        failed = [f"{subject} {name} {dev:.3g}" for name, dev, tol in checks if not dev <= tol]
+        if failed:
+            raise NotProjective("; ".join(failed))
+        return cls(u, [answers[i] for i in np.nonzero(keep)[0]])
 
     @property
     def observables(self) -> np.ndarray:
@@ -111,12 +129,11 @@ class Measurement:
 
     @functools.cached_property
     def projectors(self) -> dict[tuple[int, ...], np.ndarray]:
-        """Projector U_a U_a^H of each answer, in answer order."""
-        out = {}
-        for i, a in enumerate(self.answers):
-            cols = self.basis[:, self.column_groups == i]
-            out[a] = cols @ cols.conj().T
-        return out
+        """Projector U_a U_a^H of each answer that owns a column, in column order."""
+        columns: dict[tuple[int, ...], list[int]] = {}
+        for j, a in enumerate(map(tuple, self.column_signs.T.tolist())):
+            columns.setdefault(a, []).append(j)
+        return {a: self.basis[:, js] @ self.basis[:, js].conj().T for a, js in columns.items()}
 
     def __iter__(self):
         return iter(self.projectors.items())
@@ -281,7 +298,7 @@ def product_basis_measurement(bases: str) -> Measurement:
     the answer order of itertools.product((1, -1), repeat=len(bases)).
     """
     basis = kron(*(np.column_stack(basis_vectors(sym)) for sym in bases))
-    return Measurement.from_basis(basis, list(itertools.product((1, -1), repeat=len(bases))))
+    return Measurement(basis, list(itertools.product((1, -1), repeat=len(bases))))
 
 
 def _honest_strategy(
@@ -328,9 +345,7 @@ def perturb_strategy(s: Strategy, noise: NoiseSpec, seed: int = 0) -> Strategy:
             u = _rotation(noise.theta, num_qubits)
             for kind, meas in getattr(s, party).items():
                 if id(meas) not in rotated:
-                    rotated[id(meas)] = Measurement.from_basis(
-                        u @ meas.basis, meas.answers, meas.column_groups, meas.input_deviation
-                    )
+                    rotated[id(meas)] = Measurement(u @ meas.basis, meas.column_signs.T)
                 new_meas[party][kind] = rotated[id(meas)]
     psi = s.state
     if noise.w:
@@ -345,58 +360,6 @@ def perturb_strategy(s: Strategy, noise: NoiseSpec, seed: int = 0) -> Strategy:
         bob=new_meas["bob"],
         m=s.m,
     )
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    subject: str
-    max_deviation: float
-    passed: bool
-
-
-def validate_strategy(s: Strategy) -> tuple[CheckResult, ...]:
-    """Check each measurement's basis and what its input lacked.
-
-    Never raises on a bad strategy; every deviation lands in the report.
-    Per measurement, "completeness", "orthogonality" and "hermitian" are
-    what a converted projector file lacked (`Measurement.input_deviation`; 0
-    for a measurement built from a basis), each against STRUCTURAL_ATOL, and
-    "unitary" is max(|U U^H - I|, |U^H U - I|) of the basis U.
-
-    The basis is held to STRUCTURAL_ATOL / (2 d), d = dim, so that the
-    observables M_k = U D_k U^H (D_k = diag(a_k), D_k^2 = I) need not be
-    formed.  Take E = U^H U - I and F = U U^H - I, with largest entries e
-    and f.  Row i of U has squared norm 1 + F_ii <= 1 + f, so by
-    Cauchy-Schwarz over the rows |U X U^H| <= d (1 + f) |X| for any X.  As
-    M_k^2 - I = F + U D_k E D_k U^H and
-    [M_j, M_k] = U (D_j E D_k - D_k E D_j) U^H,
-
-        |M_k^2 - I| <= f + d e (1 + f),    |[M_j, M_k]| <= 2 d e (1 + f),
-
-    and M_k is Hermitian by construction, up to rounding.  With e, f <= u =
-    STRUCTURAL_ATOL / (2 d), both are at most (1 + u) STRUCTURAL_ATOL.  The
-    two parties' operators act on different tensor factors, so they commute
-    exactly.
-    """
-    checks = []
-
-    def record(name, subject, dev, tol=STRUCTURAL_ATOL):
-        checks.append(CheckResult(name, subject, float(dev), bool(dev <= tol)))
-
-    for party in ("alice", "bob"):
-        for kind, meas in getattr(s, party).items():
-            subject = f"{party}:{kind}"
-            for name in ("completeness", "orthogonality", "hermitian"):
-                record(name, subject, meas.input_deviation.get(name, 0.0))
-            u = meas.basis
-            uh = u.conj().T
-            record("unitary", subject, max(
-                np.abs(u @ uh - np.eye(meas.dim)).max(),
-                np.abs(uh @ u - np.eye(u.shape[1])).max(initial=0.0),
-            ), STRUCTURAL_ATOL / (2 * meas.dim))
-
-    return tuple(checks)
 
 
 # --- JSON serialization -----------------------------------------------------
@@ -469,7 +432,7 @@ def strategy_from_json(doc: Mapping) -> Strategy:
     _check_field(_numbers([m], types={int}) and m >= 1, "m", "an integer >= 1", m)
     psi = _deinterleave(doc.get("state"), (da, db), "state")
     _check_field(isinstance(questions, list), "questions", "a list", questions)
-    tables = {"alice": {}, "bob": {}}
+    tables = {"alice": {}, "bob": {}}  # projectors by kind, converted after the key checks
     for i, q in enumerate(questions):
         field = f"questions[{i}]"
         _check_field(isinstance(q, dict), field, "an object", q)
@@ -494,7 +457,7 @@ def strategy_from_json(doc: Mapping) -> Strategy:
             projectors[tuple(answer)] = _deinterleave(
                 entry.get("matrix"), (dim, dim), f"{where}.matrix"
             )
-        tables[party][kind] = Measurement(projectors)
+        tables[party][kind] = projectors
     # After the field checks, so that a malformed field is named first.
     _check_keys(doc, "strategy file", ("dims", "m", "state", "questions"))
     for i, q in enumerate(questions):
@@ -502,6 +465,15 @@ def strategy_from_json(doc: Mapping) -> Strategy:
         for j, entry in enumerate(q["projectors"]):
             _check_keys(entry, f"strategy field questions[{i}].projectors[{j}]",
                         ("answer", "matrix"))
+    failures = []
+    for party, table in tables.items():
+        for kind, projectors in table.items():
+            try:
+                table[kind] = Measurement.from_projectors(projectors, f"{party}:{kind}")
+            except NotProjective as exc:
+                failures.append(str(exc))
+    if failures:
+        raise ValueError("strategy is not projective: " + "; ".join(failures))
     return Strategy(state=psi, alice=tables["alice"], bob=tables["bob"], m=m)
 
 

@@ -395,9 +395,26 @@ class TestGame:
         assert code == (0 if report["passed"] else 1)
 
     def test_two_rounds_sample(self, capsys):
+        # Both rounds accept, so the sample's stderr is 0; the 4-sigma band
+        # comes from the exact value's law and still holds the mean.
         code, report = run_cli(capsys, "game", "--m", "1", "--rounds", "2", "--seed", "1")
-        assert code == (0 if report["passed"] else 1)
-        assert math.isfinite(report["monte_carlo"]["stderr"])
+        assert code == 0
+        assert (report["monte_carlo"]["mean"], report["monte_carlo"]["stderr"]) == (1.0, 0.0)
+        assert report["monte_carlo"]["within_4_sigma"]
+
+    @pytest.mark.parametrize("offset, code", [(0.99, 0), (1.01, 1)])
+    def test_four_sigma_band_of_the_exact_law(self, capsys, monkeypatch, offset, code):
+        # Outcomes are +-1, so the band is 4 sqrt((1 - exact^2) / rounds).
+        exact = cli.game_expectation_exact(honest_spp_strategy(1))
+        band = 4 * math.sqrt((1 - exact**2) / 100)
+        sample = cli.sample_game
+
+        def shifted(*args, **kwargs):
+            return {**sample(*args, **kwargs), "mean": exact - offset * band}
+
+        monkeypatch.setattr(cli, "sample_game", shifted)
+        got, report = run_cli(capsys, "game", "--m", "1", "--rounds", "100", "--seed", "1")
+        assert (got, report["monte_carlo"]["within_4_sigma"]) == (code, not code)
 
     def test_wrong_flavor_strategy_exits_cleanly(self, capsys):
         # The pair-test strategy lacks the question strings the game needs.
@@ -838,19 +855,24 @@ class TestRejectedInput:
     def test_size_of_a_strategy_file_checked_before_building(
         self, capsys, monkeypatch, tmp_path, recipe, argv, message
     ):
+        # A recipe is not built, and a full file's malformed projectors are
+        # not converted: either would name another error.
         def unreachable(*args, **kwargs):
-            raise AssertionError("strategy built or validated")
+            raise AssertionError("strategy built")
 
         for name in ("honest_my_strategy", "honest_spp_strategy"):
             monkeypatch.setattr(cli, name, unreachable)
-        monkeypatch.setattr(cli, "validate_strategy", unreachable)
-        path = tmp_path / "recipe.json"
-        path.write_text(json.dumps({"type": recipe, "m": 5}))
-        code = cli.main(argv + ["--strategy", str(path)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+        full = {"dims": [32, 32], "m": 5, "questions": [
+            {"party": "alice", "kind": "X", "projectors": [{"answer": [1] * 5, "matrix": [0]}]}
+        ]}
+        for doc in ({"type": recipe, "m": 5}, full):
+            path = tmp_path / "strategy.json"
+            path.write_text(json.dumps(doc))
+            code = cli.main(argv + ["--strategy", str(path)])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
 
 
 class TestRecipes:

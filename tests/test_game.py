@@ -28,7 +28,6 @@ from selftest_lab.strategies import (
     perturb_strategy,
     strategy_from_json,
     strategy_to_json,
-    validate_strategy,
 )
 
 from test_isometry import with_junk
@@ -158,8 +157,8 @@ def per_question_joint_distribution(s, qa, qb):
 
 
 def projector_joint_distribution(s, qa, qb):
-    """Oracle: the projector form of game._joint_distribution, row order and
-    all, with probabilities ||P_a psi P_b^T||^2."""
+    """Oracle: {(a, b): ||P_a psi P_b^T||^2}, normalised, over the answers
+    that own a projector."""
     psi = s.state
     answers_a, projs_a = zip(*s.measurement("alice", qa))
     answers_b, projs_b = zip(*s.measurement("bob", qb))
@@ -169,8 +168,24 @@ def projector_joint_distribution(s, qa, qb):
     left = np.array(projs_a).reshape(na * da, da) @ psi
     joint = (left @ np.array(projs_b).reshape(nb * db, db).T).reshape(na, da, nb, db)
     probs = (joint.real**2 + joint.imag**2).sum(axis=(1, 3)).ravel()
-    prods = np.array(answers_a, dtype=np.int8)[:, None] * np.array(answers_b, dtype=np.int8)
-    return prods.reshape(na * nb, s.m), probs / probs.sum()
+    return dict(zip(itertools.product(answers_a, answers_b), (probs / probs.sum()).tolist()))
+
+
+def answer_pair_distribution(s, qa, qb):
+    """game._joint_distribution summed over the column pairs of each answer
+    pair, {(a, b): probability}, once each row's a_k * b_k is checked."""
+    prods, probs = game._joint_distribution(s, qa, qb)
+    answers_a, answers_b = (
+        list(map(tuple, s.measurement(party, q).column_signs.T.tolist()))
+        for party, q in (("alice", qa), ("bob", qb))
+    )
+    pairs = list(itertools.product(answers_a, answers_b))
+    assert prods.shape == (len(pairs), s.m) and probs.shape == (len(pairs),)
+    out = {}
+    for (a, b), row, p in zip(pairs, prods.tolist(), probs.tolist()):
+        assert row == [x * y for x, y in zip(a, b)]
+        out[(a, b)] = out.get((a, b), 0.0) + p
+    return out
 
 
 def count_level_oracle_mean(s, rounds, seed, referee="threshold"):
@@ -230,7 +245,7 @@ def merged_last_symbol(s):
         for a, p in meas:
             key = a[:-1] + (1,)
             merged[key] = merged.get(key, 0) + p
-        return Measurement(merged)
+        return Measurement.from_projectors(merged)
 
     tables = {
         party: {
@@ -265,7 +280,6 @@ class TestSamplerAgainstCountLevelOracle:
     @pytest.mark.parametrize("referee", ["threshold", "subtest"])
     def test_measurements_with_fewer_outcomes(self, tmp_path, m, referee):
         s = coarse_grained_strategy(m, tmp_path / "coarse.json")
-        assert all(c.passed for c in validate_strategy(s))
         counts = {
             len(s.measurement(party, kind).projectors)
             for party in ("alice", "bob")
@@ -329,23 +343,25 @@ class TestJointDistributionAgainstProjectorOracle:
         worst = 0.0
         for combo in itertools.product(range(10), repeat=s.m):
             qa, qb = game._party_strings(combo)
-            prods, probs = game._joint_distribution(s, qa, qb)
-            want_prods, want_probs = projector_joint_distribution(s, qa, qb)
-            assert np.array_equal(prods, want_prods)
-            worst = max(worst, np.abs(probs - want_probs).max())
+            got = answer_pair_distribution(s, qa, qb)
+            want = projector_joint_distribution(s, qa, qb)
+            assert list(got) == list(want)
+            worst = max(worst, max(abs(got[pair] - p) for pair, p in want.items()))
         assert worst <= 1e-15
 
     def test_rows_follow_answer_order(self):
-        # Answers listed out of product order keep their listed order, and an
-        # answer with a zero projector keeps its (zero-probability) rows.
+        # Row i * 2 + j pairs Alice's basis column i with Bob's column j.
+        # Answers listed out of product order keep their listed order as
+        # columns; Bob's rank-2 answer owns two columns and his answer with a
+        # zero projector none, so it has no row.
         plus, minus = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-        meas = Measurement({(-1,): minus, (1,): plus})
-        empty = Measurement({(1,): np.eye(2), (-1,): np.zeros((2, 2))})
+        meas = Measurement.from_projectors({(-1,): minus, (1,): plus})
+        empty = Measurement.from_projectors({(1,): np.eye(2), (-1,): np.zeros((2, 2))})
         psi = np.eye(2) / SQRT2
         s = Strategy(state=psi, alice={"Z": meas}, bob={"Z": empty}, m=1)
         prods, probs = game._joint_distribution(s, "Z", "Z")
-        assert prods.ravel().tolist() == [-1, 1, 1, -1]
-        assert np.allclose(probs, [0.5, 0.0, 0.5, 0.0], atol=1e-15)
+        assert prods.ravel().tolist() == [-1, -1, 1, 1]
+        assert np.allclose(probs, [0.0, 0.5, 0.5, 0.0], atol=1e-15)
 
 
 class TestOutcomeStatistics:

@@ -39,7 +39,6 @@ from selftest_lab.strategies import (
     honest_spp_strategy,
     perturb_strategy,
     product_basis_measurement,
-    validate_strategy,
 )
 
 from test_protocols import deterministic_strategy
@@ -676,7 +675,8 @@ def with_junk(s: Strategy, seed: int, junk_dims=(3, 2)) -> Strategy:
     def rotated(table, u, junk_dim):
         eye = np.eye(junk_dim)
         return {
-            kind: Measurement({a: u @ np.kron(p, eye) @ u.conj().T for a, p in meas})
+            kind: Measurement.from_projectors(
+                {a: u @ np.kron(p, eye) @ u.conj().T for a, p in meas})
             for kind, meas in table.items()
         }
 
@@ -693,7 +693,6 @@ class TestStrategyWithJunk:
     def test_distance_over_all_pairs(self, flavor, m, noisy):
         s = with_junk(oracle_case_strategy(flavor, m, noisy), seed=10 * m + noisy)
         assert (s.dim_a, s.dim_b) == (3 * 2**m, 2 * 2**m)
-        assert all(c.passed for c in validate_strategy(s))
         ctx = IsometryContext(s, flavor)
         for p, q in itertools.product(range(4**m), repeat=2):
             expected = six_step_distance(s, flavor, p, q)

@@ -45,7 +45,7 @@ def deterministic_strategy(assign_a, assign_b, m=1):
 
             for a in itertools.product((1, -1), repeat=m):
                 projs[a] = np.array([[1.0 if a in answers else 0.0]], dtype=complex)
-            out[kind] = Measurement(projs)
+            out[kind] = Measurement.from_projectors(projs)
         return out
 
     return Strategy(state=np.ones((1, 1)), alice=table(assign_a), bob=table(assign_b), m=m)

@@ -19,6 +19,7 @@ from selftest_lab.linalg import (
 from selftest_lab.strategies import (
     Measurement,
     NoiseSpec,
+    NotProjective,
     Strategy,
     basis_vectors,
     ceil_log2,
@@ -32,7 +33,6 @@ from selftest_lab.strategies import (
     spp_question_kinds,
     strategy_from_json,
     strategy_to_json,
-    validate_strategy,
 )
 
 from test_game import merged_last_symbol
@@ -53,7 +53,7 @@ def random_projective_measurement(rng, num_symbols):
         tuple(1 if (i >> b) & 1 == 0 else -1 for b in range(num_symbols))
         for i in range(dim)
     ]
-    return Measurement(
+    return Measurement.from_projectors(
         {ans: np.outer(q[:, i], q[:, i].conj()) for i, ans in enumerate(answers)}
     )
 
@@ -171,7 +171,7 @@ class TestHonestMyStrategy:
         assert my_basis_string("Z2", 3) == "ZXX"
 
     def test_validates(self):
-        assert all(c.passed for c in validate_strategy(honest_my_strategy(2)))
+        assert_bases_unitary(honest_my_strategy(2))
 
     def test_state_is_pair_graph_state(self):
         s = honest_my_strategy(2)
@@ -218,7 +218,7 @@ class TestHonestSppStrategy:
         )
 
     def test_validates(self):
-        assert all(c.passed for c in validate_strategy(honest_spp_strategy(1)))
+        assert_bases_unitary(honest_spp_strategy(1))
 
 
 class TestStrategyState:
@@ -292,7 +292,7 @@ class TestPerturbStrategy:
     def test_noisy_strategy_stays_valid(self):
         s = honest_spp_strategy(1)
         noisy = perturb_strategy(s, NoiseSpec(theta=0.2, w=0.1), seed=3)
-        assert all(c.passed for c in validate_strategy(noisy))
+        assert_bases_unitary(noisy)
 
     def test_same_seed_same_strategy(self):
         s = honest_my_strategy(1)
@@ -305,13 +305,12 @@ class TestPerturbStrategy:
         # Equal but distinct tables, as a strategy file gives, stay distinct.
         honest = honest_spp_strategy(2)
         copied = Strategy(state=honest.state, alice=honest.alice, bob={
-            kind: Measurement.from_basis(m.basis, m.answers, m.column_groups, m.input_deviation)
-            for kind, m in honest.bob.items()
+            kind: Measurement(m.basis, m.column_signs.T) for kind, m in honest.bob.items()
         }, m=2)
         built = []
-        from_basis = Measurement.from_basis.__func__
-        monkeypatch.setattr(Measurement, "from_basis", classmethod(
-            lambda cls, *args: built.append(cls) or from_basis(cls, *args)))
+        init = Measurement.__init__
+        monkeypatch.setattr(Measurement, "__init__",
+                            lambda meas, *args: built.append(meas) or init(meas, *args))
         noise = NoiseSpec(theta=0.03, w=0.01)
         shared, distinct = (perturb_strategy(s, noise, seed=1) for s in (honest, copied))
         assert len(built) == 16 + 32
@@ -334,75 +333,75 @@ class TestPerturbStrategy:
     @settings(max_examples=25, deadline=None)
     def test_any_noise_keeps_strategy_valid(self, theta, w, seed):
         s = perturb_strategy(_HONEST_M1, NoiseSpec(theta=theta, w=w), seed=seed)
-        assert all(c.passed for c in validate_strategy(s))
+        assert_bases_unitary(s)
+
+
+def assert_bases_unitary(s):
+    """Each basis of s is unitary within STRUCTURAL_ATOL / (2 d), the tolerance
+    that Measurement.from_projectors holds a strategy file's bases to.  The
+    program builds its bases unitary and does not check them on each run."""
+    for party in ("alice", "bob"):
+        for kind in s.kinds(party):
+            u = s.measurement(party, kind).basis
+            dim = len(u)
+            assert u.shape == (dim, dim)
+            for gram in (u @ u.conj().T, u.conj().T @ u):
+                assert np.abs(gram - np.eye(dim)).max() <= STRUCTURAL_ATOL / (2 * dim)
 
 
 class TestValidateStrategy:
+    """The four checks of Measurement.from_projectors, each named when it
+    fails, and the unitary bases of the strategies the program builds."""
+
     def test_observables_are_not_formed(self):
-        s = honest_spp_strategy(2)
-        assert all(c.passed for c in validate_strategy(s))
+        # A converted measurement holds its basis and answers, nothing formed from them.
+        s = strategy_from_json(json.loads(json.dumps(strategy_to_json(honest_spp_strategy(2)))))
         for party in ("alice", "bob"):
             for kind in s.kinds(party):
-                assert "observables" not in vars(s.measurement(party, kind))
+                held = set(vars(s.measurement(party, kind)))
+                assert held == {"basis", "column_signs", "num_symbols", "dim"}
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("build", [honest_my_strategy, honest_spp_strategy])
     def test_recipes_validate(self, build, m):
         s = build(m)
-        assert all(c.passed for c in validate_strategy(s))
-        for theta, w in ((0.03, 0.01), (3.0, 0.9)):
-            noisy = perturb_strategy(s, NoiseSpec(theta=theta, w=w), seed=m)
-            assert all(c.passed for c in validate_strategy(noisy))
+        assert_bases_unitary(s)
+        for theta in (0.03, 0.3, math.pi):
+            assert_bases_unitary(perturb_strategy(s, NoiseSpec(theta=theta), seed=m))
+        for party in ("alice", "bob"):
+            for meas in getattr(s, party).values():
+                back = Measurement.from_projectors(meas.projectors)
+                assert np.array_equal(back.column_signs, meas.column_signs)
+                assert list(back.projectors) == list(meas.projectors)
+                for a, p in meas:
+                    assert np.abs(back.projectors[a] - p).max() <= 1e-15
 
     def test_incomplete_measurement_flagged(self):
-        zero_proj = np.zeros((2, 2), dtype=complex)
-        e0 = np.zeros((2, 2), dtype=complex)
-        e0[0, 0] = 1.0
-        broken = Measurement({(1,): e0, (-1,): zero_proj})
-        psi = np.eye(2) / SQRT2
-        good = product_basis_measurement("Z")
-        s = Strategy(state=psi, alice={"Z": broken}, bob={"Z": good}, m=1)
-        failures = [c for c in validate_strategy(s) if not c.passed]
-        assert failures
-        names = {c.name for c in failures}
-        assert "completeness" in names
+        e0 = np.diag([1.0, 0.0])
+        with pytest.raises(NotProjective, match=r"^Z completeness 1; Z unitary 1$"):
+            Measurement.from_projectors({(1,): e0, (-1,): np.zeros((2, 2))}, "Z")
 
     def test_non_orthogonal_measurement_flagged(self):
-        # Complete but not orthogonal: P+ P- = P+ P+ - P+ = -0.01 I.
+        # Complete but not orthogonal: P+ P- = P+ - P+ P+ = -0.01 I.
         plus = np.array([[1.0, 0.1], [0.1, 0.0]], dtype=complex)
-        skewed = Measurement({(1,): plus, (-1,): np.eye(2) - plus})
-        psi = np.eye(2) / SQRT2
-        good = product_basis_measurement("Z")
-        s = Strategy(state=psi, alice={"Z": skewed}, bob={"Z": good}, m=1)
-        checks = {(c.subject, c.name): c for c in validate_strategy(s)}
-        assert checks[("alice:Z", "completeness")].passed
-        assert checks[("bob:Z", "orthogonality")].passed
-        ortho = checks[("alice:Z", "orthogonality")]
-        assert not ortho.passed
-        assert ortho.max_deviation == pytest.approx(0.01, abs=1e-12)
+        with pytest.raises(NotProjective, match=r"^Z orthogonality 0\.01$"):
+            Measurement.from_projectors({(1,): plus, (-1,): np.eye(2) - plus}, "Z")
 
     def test_scaled_projector_is_not_repaired(self):
         # 1.3 P_+ has the same eigenvectors as P_+, so its basis is a valid
         # one; the input's completeness and idempotency defects still show.
         honest = product_basis_measurement("X")
-        scaled = Measurement({a: (1.3 if a == (1,) else 1.0) * p for a, p in honest})
-        assert np.abs(scaled.basis.conj().T @ scaled.basis - np.eye(2)).max() < 1e-15
-        psi = np.eye(2) / SQRT2
-        s = Strategy(state=psi, alice={"X": scaled}, bob={"X": honest}, m=1)
-        checks = {(c.subject, c.name): c for c in validate_strategy(s)}
-        assert checks[("alice:X", "completeness")].max_deviation == pytest.approx(0.15)
-        assert checks[("alice:X", "orthogonality")].max_deviation == pytest.approx(0.39)
-        assert checks[("bob:X", "completeness")].passed
+        scaled = {a: (1.3 if a == (1,) else 1.0) * p for a, p in honest}
+        with pytest.raises(NotProjective,
+                           match=r"^X completeness 0\.15; X orthogonality 0\.39$"):
+            Measurement.from_projectors(scaled, "X")
 
     def test_non_hermitian_projector_flagged(self):
         # An oblique idempotent: complete and orthogonal as a product family,
         # but eigh reads only its lower triangle.
         oblique = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
-        meas = Measurement({(1,): oblique, (-1,): np.eye(2) - oblique})
-        psi = np.eye(2) / SQRT2
-        s = Strategy(state=psi, alice={"Z": meas}, bob={"Z": product_basis_measurement("Z")}, m=1)
-        failures = {(c.subject, c.name) for c in validate_strategy(s) if not c.passed}
-        assert failures == {("alice:Z", "hermitian")}
+        with pytest.raises(NotProjective, match=r"^Z hermitian 1$"):
+            Measurement.from_projectors({(1,): oblique, (-1,): np.eye(2) - oblique}, "Z")
 
     def test_wrong_dimension_rejected_at_construction(self):
         psi = np.eye(2) / SQRT2
@@ -416,21 +415,17 @@ class TestValidateStrategy:
 
 
 def derived_deviations(meas):
-    """The deviations that validate_strategy's four checks stand for:
-    completeness and orthogonality as the larger of the basis's and the
-    input's, and the Hermiticity, M_k^2 = I and same-question commutators
-    of the observables, formed here."""
-    u, given = meas.basis, meas.input_deviation
+    """The deviations that the unitary check of Measurement.from_projectors
+    stands for, formed here: completeness and orthogonality of the basis
+    columns, and the Hermiticity, M_k^2 = I and same-question commutators of
+    the observables."""
+    u = meas.basis
     uh = u.conj().T
-    signs = meas.answer_signs[meas.column_groups].T
-    mats = (u * signs[:, None, :]) @ uh
+    mats = (u * meas.column_signs[:, None, :]) @ uh
     return {
-        "completeness": max(np.abs(u @ uh - np.eye(meas.dim)).max(),
-                            given.get("completeness", 0.0)),
-        "orthogonality": max(np.abs(uh @ u - np.eye(u.shape[1])).max(initial=0.0),
-                             given.get("orthogonality", 0.0)),
-        "hermitian": max(np.abs(mats - mats.conj().transpose(0, 2, 1)).max(),
-                         given.get("hermitian", 0.0)),
+        "completeness": np.abs(u @ uh - np.eye(meas.dim)).max(),
+        "orthogonality": np.abs(uh @ u - np.eye(u.shape[1])).max(initial=0.0),
+        "hermitian": np.abs(mats - mats.conj().transpose(0, 2, 1)).max(),
         "unitary": np.abs(mats @ mats - np.eye(meas.dim)).max(),
         "same-question-commute": max(
             (np.abs(a @ b - b @ a).max() for a, b in itertools.combinations(mats, 2)),
@@ -439,13 +434,13 @@ def derived_deviations(meas):
 
 
 class TestValidationNeverLooser:
-    """A measurement that validate_strategy accepts keeps every derived
-    deviation within STRUCTURAL_ATOL (the bounds of its docstring)."""
+    """A measurement that Measurement.from_projectors accepts keeps every
+    derived deviation within STRUCTURAL_ATOL (the bounds of its docstring)."""
 
     @staticmethod
-    def draw(rng, source):
-        """A measurement off a random unitary by 1e-14 to 1e-8, on d = 2..8,
-        with m = 1..3 symbols and a random number of columns per answer."""
+    def draw(rng):
+        """Projectors off those of a random unitary by 1e-14 to 1e-8, on d =
+        2..8, with m = 1..3 symbols and a random number of columns per answer."""
         dim, m = int(rng.integers(2, 9)), int(rng.integers(1, 4))
         answers = list(itertools.product((1, -1), repeat=m))
         groups = rng.integers(0, len(answers), dim)
@@ -455,31 +450,29 @@ class TestValidationNeverLooser:
             return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 
         u, _ = np.linalg.qr(gaussian())
-        if source == "basis":
-            return Measurement.from_basis(u + scale * gaussian(), answers, groups)
-        return Measurement({
+        return {
             a: u[:, groups == i] @ u[:, groups == i].conj().T + scale * gaussian()
             for i, a in enumerate(answers)
-        })
+        }
 
-    @pytest.mark.parametrize("source", ["basis", "projector-file"])
+    @pytest.mark.parametrize("source", ["projector-file"])
     def test_accepted_measurements_pass_the_derived_checks(self, source):
         rng = np.random.default_rng(12)
         rounding = np.finfo(float).eps
         accepted = 0
         for _ in range(1000):
-            meas = self.draw(rng, source)
+            try:
+                meas = Measurement.from_projectors(self.draw(rng))
+            except NotProjective:
+                continue
+            accepted += 1
             dev, dim = derived_deviations(meas), meas.dim
             u = meas.basis
             e = np.abs(u.conj().T @ u - np.eye(dim)).max()
             f = np.abs(u @ u.conj().T - np.eye(dim)).max()
             assert dev["unitary"] <= f + dim * e * (1 + f) + dim * rounding
             assert dev["same-question-commute"] <= 2 * dim * e * (1 + f) + dim * rounding
-            state = np.eye(dim**2)[0].reshape(dim, dim)
-            s = Strategy(state=state, alice={"Q": meas}, bob={}, m=meas.num_symbols)
-            if all(c.passed for c in validate_strategy(s)):
-                accepted += 1
-                assert max(dev.values()) <= STRUCTURAL_ATOL, dev
+            assert max(dev.values()) <= STRUCTURAL_ATOL, dev
         # Both sides of the tolerance are drawn.
         assert 200 < accepted < 800
 
@@ -489,7 +482,7 @@ def oracle_correlations(s, qa, qb):
     column's a_k read from its answer string."""
 
     def observables(meas):
-        signs = np.array([meas.answers[g] for g in meas.column_groups], dtype=float)
+        signs = meas.column_signs.T.astype(float)
         u = meas.basis
         return [(u * signs[:, k]) @ u.conj().T for k in range(meas.num_symbols)]
 
@@ -568,8 +561,8 @@ class TestSerialization:
         for party in ("alice", "bob"):
             for kind in s.kinds(party):
                 meas, loaded = s.measurement(party, kind), back.measurement(party, kind)
-                assert loaded.answers == meas.answers
-                assert list(loaded.projectors) == list(meas.answers)
+                assert np.array_equal(loaded.column_signs, meas.column_signs)
+                assert list(loaded.projectors) == list(meas.projectors)
                 for a, p in meas:
                     assert np.abs(loaded.projectors[a] - p).max() <= 1e-15
 
@@ -601,6 +594,24 @@ class TestSerialization:
                                              r"\.answer repeats \[-1\]$"):
             strategy_from_json(doc)
 
+    def test_projectors_converted_after_the_key_checks(self):
+        # A non-finite projector is not converted before the keys are
+        # checked; then every failed check of every question is named.
+        doc = strategy_to_json(honest_my_strategy(1))
+        for q in doc["questions"][0], doc["questions"][-1]:  # alice X, bob D
+            q["projectors"][0]["matrix"] = [1.3 * x for x in q["projectors"][0]["matrix"]]
+        nan = json.loads(json.dumps(doc))
+        nan["questions"][1]["projectors"][0]["matrix"][0] = math.nan
+        with pytest.raises(ValueError, match=r"^strategy file has unknown key 'basis'; "):
+            strategy_from_json({**nan, "basis": []})
+        with pytest.raises(ValueError, match=r"^projector of answer \(1,\) has non-finite "):
+            strategy_from_json(nan)
+        with pytest.raises(ValueError, match=r"^strategy is not projective: "
+                                             r"alice:X completeness 0\.15; alice:X orthogonality "
+                                             r"0\.39; bob:D completeness 0\.256; bob:D "
+                                             r"orthogonality 0\.39$"):
+            strategy_from_json(doc)
+
     def test_unknown_key_named_after_the_field_checks(self):
         doc = {**strategy_to_json(honest_spp_strategy(1)), "noise": {}, "dims": [2, 0]}
         with pytest.raises(ValueError, match=r"^strategy field dims must be two integers >= 1"):
@@ -630,10 +641,10 @@ class TestSmallTypes:
     def test_measurement_validation(self):
         eye = np.eye(2, dtype=complex)
         with pytest.raises(ValueError):
-            Measurement({})
+            Measurement.from_projectors({})
         with pytest.raises(ValueError):
-            Measurement({(0,): eye})  # answers must be +-1
+            Measurement.from_projectors({(0,): eye})  # answers must be +-1
         with pytest.raises(ValueError):
-            Measurement({(1,): eye, (1, 1): eye})  # inconsistent lengths
+            Measurement.from_projectors({(1,): eye, (1, 1): eye})  # inconsistent lengths
         with pytest.raises(ValueError):
-            Measurement({(1,): np.zeros((2, 3))})  # not square
+            Measurement.from_projectors({(1,): np.zeros((2, 3))})  # not square
